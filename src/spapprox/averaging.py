@@ -24,7 +24,8 @@ class WeightMeasure:
     """Nonnegative density on [0, tau] plus a finite list of point masses.
 
     ``total_mass`` is mu(tau) - mu(0), fixed at construction.  ``density``
-    must be vectorized; None means the purely atomic case.
+    must be vectorized; None means the purely atomic case.  ``breakpoints``
+    lists the points of (0, tau) where the density is declared non-smooth.
     """
 
     tau: float
@@ -32,6 +33,7 @@ class WeightMeasure:
     atoms: tuple[tuple[float, float], ...]
     total_mass: float
     label: str = ""
+    breakpoints: tuple[float, ...] = ()
 
 
 def weight_measure(
@@ -40,8 +42,13 @@ def weight_measure(
     atoms: Sequence[tuple[float, float]] = (),
     label: str = "",
     probe_points: int = 257,
+    breakpoints: Sequence[float] = (),
 ) -> WeightMeasure:
-    """Validate the ingredients and compute the total mass."""
+    """Validate the ingredients and compute the total mass.
+
+    ``breakpoints`` declares where the density is non-smooth; points outside
+    (0, tau) are dropped.
+    """
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError(f"tau must be a positive real, got {tau}")
     atoms = tuple((float(t), float(m)) for t, m in atoms)
@@ -64,7 +71,8 @@ def weight_measure(
         mass += adaptive_simpson(density, 0.0, tau, context=f"mass of {label or 'measure'}")
     if mass <= 0.0:
         raise ValueError("weight measure must be non-constant (positive total mass)")
-    return WeightMeasure(float(tau), density, atoms, float(mass), label)
+    kinks = tuple(sorted({float(t) for t in breakpoints if 0.0 < t < tau}))
+    return WeightMeasure(float(tau), density, atoms, float(mass), label, kinks)
 
 
 def mu1(tau: float = math.pi) -> WeightMeasure:
@@ -85,7 +93,10 @@ def atom_measure(tau: float, atoms: Sequence[tuple[float, float]]) -> WeightMeas
 
 
 def tabulated_density(tau: float, points, label: str = "tabulated") -> WeightMeasure:
-    """Weight whose density linearly interpolates (t_i, d_i) pairs on [0, tau]."""
+    """Weight whose density linearly interpolates (t_i, d_i) pairs on [0, tau].
+
+    The knots t_i are the breakpoints.
+    """
     pts = sorted((float(t), float(d)) for t, d in points)
     ts = np.array([t for t, _ in pts])
     ds = np.array([d for _, d in pts])
@@ -94,7 +105,7 @@ def tabulated_density(tau: float, points, label: str = "tabulated") -> WeightMea
         t = np.asarray(t, dtype=float)
         return np.interp(t.ravel(), ts, ds).reshape(t.shape)
 
-    return weight_measure(tau, density=_density, label=label)
+    return weight_measure(tau, density=_density, label=label, breakpoints=ts)
 
 
 def stieltjes_integral(

@@ -26,7 +26,12 @@ from .averaging import (
     averaged_pow_modulus,
 )
 from .psi import PsiSequence, psi_derivative, tail_sup_info
-from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, adaptive_simpson
+from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
+    DEFAULT_BUDGET,
+    DEFAULT_TOL,
+    adaptive_simpson,
+    tanh_sinh_panels,
+)
 from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation
 
@@ -52,46 +57,73 @@ def shape_mass(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> float:
-    """integral_0^tau shape(t)^p dmu(t)."""
+    """integral_0^tau shape(t)^p dmu(t): the dilated integral at theta = 1."""
     p = as_exponent(p)
-    total = 0.0
-    if mu.density is not None:
-        total += adaptive_simpson(
-            lambda t: np.asarray(shape.eval(t), dtype=float) ** p
-            * np.asarray(mu.density(t), dtype=float),
-            0.0,
-            mu.tau,
-            tol=tol,
-            budget=budget,
-            context="shape mass",
-        )
-    for loc, m in mu.atoms:
-        total += m * float(np.asarray(shape.eval(np.array([loc])), dtype=float)[0]) ** p
-    return total
+    return float(_dilated_shape_integrals(shape, p, mu, np.ones(1), tol, budget)[0])
 
 
-def _dilated_shape_integral(
-    shape: ShapeFunction, p: float, mu: WeightMeasure, theta: float,
+def _split_panels(tags, points, tau: float, count: int):
+    """Panels of ``count`` integrals over [0, tau], split at tagged points.
+
+    ``points[j]`` is a breakpoint of integral ``tags[j]``; points outside
+    (0, tau) are dropped.  Returns (left, right, owner) for
+    :func:`tanh_sinh_panels`.
+    """
+    keep = (points > 0.0) & (points < tau)
+    order = np.lexsort((points[keep], tags[keep]))
+    tags, points = tags[keep][order], points[keep][order]
+    owner = np.repeat(np.arange(count), np.bincount(tags, minlength=count) + 1)
+    # integral i has one panel more than breakpoints, so the j-th breakpoint
+    # overall ends panel j + i
+    pos = np.arange(tags.size) + tags
+    left = np.zeros(owner.size)
+    right = np.full(owner.size, tau)
+    right[pos] = points
+    left[pos + 1] = points
+    return left, right, owner
+
+
+def _dilated_shape_integrals(
+    shape: ShapeFunction, p: float, mu: WeightMeasure, thetas: np.ndarray,
     tol: float, budget: int,
-) -> float:
-    """integral_0^tau shape(theta * t)^p dmu(t) with oscillation-aware panels."""
-    total = 0.0
+) -> np.ndarray:
+    """integral_0^tau shape(theta * t)^p dmu(t) for every theta in one pass.
+
+    Panel edges sit at the shape's declared breakpoints divided by theta and
+    at the density's breakpoints.  A shape that declares none starts from
+    max(64, 2 theta tau / pi + 1) uniform panels and relies on bisection.
+    """
+    tau = mu.tau
+    totals = np.zeros(thetas.size)
     if mu.density is not None:
-        periods = theta * mu.tau / math.pi
-        panels = max(64, int(2 * periods) + 1)
-        total += adaptive_simpson(
-            lambda t: np.asarray(shape.eval(theta * np.asarray(t, float)), dtype=float) ** p
-            * np.asarray(mu.density(t), dtype=float),
-            0.0,
-            mu.tau,
-            tol=tol,
-            budget=budget,
-            initial_panels=panels,
-            context=f"dilated shape integral (theta={theta:g})",
+        if shape.breakpoints is None:
+            per = np.maximum(64, (2.0 * thetas * tau / math.pi).astype(np.intp) + 1)
+            tags = np.repeat(np.arange(thetas.size), per - 1)
+            rank = np.arange(tags.size) - (np.cumsum(per - 1) - (per - 1))[tags]
+            points = (rank + 1) * tau / per[tags]
+        else:
+            tags, points = shape.breakpoints.inside(thetas * tau)
+            points = points / thetas[tags]
+        kinks = np.asarray(mu.breakpoints, dtype=float)
+        tags = np.concatenate([tags, np.repeat(np.arange(thetas.size), kinks.size)])
+        points = np.concatenate([points, np.tile(kinks, thetas.size)])
+        left, right, owner = _split_panels(tags, points, tau, thetas.size)
+
+        def integrand(t, i):
+            return np.asarray(shape.eval(thetas[i] * t), dtype=float) ** p * np.asarray(
+                mu.density(t), dtype=float
+            )
+
+        totals += tanh_sinh_panels(
+            integrand, left, right, owner, tol=tol, budget=budget,
+            context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
         )
-    for loc, m in mu.atoms:
-        total += m * float(np.asarray(shape.eval(np.array([theta * loc])), dtype=float)[0]) ** p
-    return total
+    if mu.atoms:
+        locs, masses = np.array(mu.atoms).T
+        args = np.multiply.outer(thetas, locs)
+        values = np.asarray(shape.eval(args.ravel()), dtype=float).reshape(args.shape)
+        totals += values**p @ masses
+    return totals
 
 
 @dataclass(frozen=True)
@@ -99,8 +131,10 @@ class InfReport:
     """Windowed integer infimum of the dilated shape integral.
 
     ``argmin_k`` is the smallest integer attaining the window minimum within
-    :data:`ARGMIN_REL_TOL`; the string ``"horizon"`` means the minimum sat on
-    the window edge, in which case nothing is claimed about the true infimum.
+    :data:`ARGMIN_REL_TOL`.  The string ``"horizon"`` means the minimum is
+    not reached in the first half [n, max(n, k_max // 2)] of the window, so
+    doubling the window could still have lowered it: nothing is claimed
+    about the true infimum in that case.
     """
 
     value: float
@@ -119,22 +153,23 @@ def inf_quantity(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> InfReport:
-    """Minimum over k in [n, k_max] of the dilated shape integral."""
+    """Minimum over k in [n, k_max] of the dilated shape integral.
+
+    All k_max - n + 1 dilations are integrated in one batched pass.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     k_max = default_k_max(n) if k_max is None else int(k_max)
     if k_max < n:
         raise ValueError(f"k_max must be >= n, got {k_max} < {n}")
     p = as_exponent(p)
-    values = np.array([
-        _dilated_shape_integral(shape, p, mu, k / n, tol, budget)
-        for k in range(n, k_max + 1)
-    ])
+    thetas = np.arange(n, k_max + 1) / n
+    values = _dilated_shape_integrals(shape, p, mu, thetas, tol, budget)
     vmin = float(values.min())
     argmin = n + int(np.argmax(values <= vmin * (1.0 + ARGMIN_REL_TOL)))
     attained = argmin == n
     label: int | str = argmin
-    if argmin == k_max and k_max > n:
+    if argmin > max(n, k_max // 2):
         label = "horizon"
     return InfReport(value=vmin, argmin_k=label, k_max=k_max, attained_at_n=attained)
 

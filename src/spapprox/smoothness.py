@@ -32,6 +32,50 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
 @dataclass(frozen=True)
+class Breakpoints:
+    """Points t > 0 where a function of t >= 0 may fail to be smooth.
+
+    The declared set is ``points``, repeated every ``period`` when one is
+    given (then it holds every ``points[i] + j * period`` with j >= 0).
+    """
+
+    points: tuple[float, ...] = ()
+    period: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.period is not None and not (self.period > 0 and math.isfinite(self.period)):
+            raise ValueError(f"breakpoint period must be a positive real, got {self.period}")
+
+    def inside(self, his) -> tuple[np.ndarray, np.ndarray]:
+        """Every declared point in (0, his[i]), tagged with i, for each i.
+
+        Returns (tags, points), with no order among the points of one tag.
+        """
+        his = np.asarray(his, dtype=float)
+        base = np.asarray(self.points, dtype=float)
+        if self.period is None:
+            base = np.unique(base[base > 0.0])
+            tag, rank = _spread(np.searchsorted(base, his, side="left"))
+            return tag, base[rank]
+        tags, pts = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for b in np.unique(np.mod(base, self.period)):
+            first = 1 if b == 0.0 else 0  # offset 0 itself is not inside (0, hi)
+            count = np.ceil((his - b) / self.period).astype(np.intp) - first
+            tag, rank = _spread(np.maximum(count, 0))
+            pt = b + (rank + first) * self.period
+            keep = pt < his[tag]  # ceil may overshoot by one in rounding
+            tags.append(tag[keep])
+            pts.append(pt[keep])
+        return np.concatenate(tags), np.concatenate(pts)
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tag i repeated counts[i] times, and the rank of each entry in its run."""
+    tag = np.repeat(np.arange(counts.size), counts)
+    return tag, np.arange(tag.size) - (np.cumsum(counts) - counts)[tag]
+
+
+@dataclass(frozen=True)
 class ShapeFunction:
     """Even shift weight: nonnegative, bounded, zero at the origin.
 
@@ -39,7 +83,9 @@ class ShapeFunction:
     the largest point up to which the shape is declared nondecreasing (None
     when no such declaration is made) and ``sup_value`` its global supremum.
     ``sup_exact`` records whether the supremum is known in closed form or
-    only probed on a grid.
+    only probed on a grid.  ``breakpoints`` declares where the shape may be
+    non-smooth on t >= 0, so that quadrature can put panel edges there; None
+    declares nothing, and quadrature then finds the kinks by bisection.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -47,6 +93,7 @@ class ShapeFunction:
     sup_value: float
     label: str = ""
     sup_exact: bool = False
+    breakpoints: Breakpoints | None = None
 
     def __call__(self, t):
         return self.eval(t)
@@ -100,7 +147,8 @@ def phi_alpha(alpha: float) -> ShapeFunction:
     """Shift weight of the classical order-``alpha`` modulus.
 
     Equal to (2*(1 - cos t))^(alpha/2) = 2^alpha * |sin(t/2)|^alpha, which is
-    nondecreasing up to pi with supremum 2^alpha.
+    nondecreasing up to pi with supremum 2^alpha; its cusps are the zeros
+    2*pi*j.
     """
     if not (alpha > 0):
         raise ValueError(f"order alpha must be positive, got {alpha}")
@@ -115,6 +163,7 @@ def phi_alpha(alpha: float) -> ShapeFunction:
         sup_value=2.0**a,
         label=f"phi_alpha:{a:g}",
         sup_exact=True,
+        breakpoints=Breakpoints(points=(0.0,), period=2.0 * math.pi),
     )
     check_shape(shape)
     return shape
@@ -129,7 +178,7 @@ def tabulated_shape(
     """Even shape from (t_i, v_i) pairs with monotone-linear interpolation.
 
     The table covers t >= 0 (the even extension is automatic); values beyond
-    the last knot hold the final table value.
+    the last knot hold the final table value.  The knots are the breakpoints.
     """
     pts = sorted((float(t), float(v)) for t, v in points)
     if not pts:
@@ -144,7 +193,11 @@ def tabulated_shape(
         return np.interp(t.ravel(), ts, vs).reshape(t.shape)
 
     shape = ShapeFunction(
-        eval=_eval, cap_point=cap_point, sup_value=float(sup_value), label=label
+        eval=_eval,
+        cap_point=cap_point,
+        sup_value=float(sup_value),
+        label=label,
+        breakpoints=Breakpoints(points=tuple(ts.tolist())),
     )
     check_shape(shape)
     return shape

@@ -49,6 +49,14 @@ class TestWeightMeasure:
         mu = tabulated_density(1.0, [(0.0, 1.0), (1.0, 1.0)])
         assert mu.total_mass == pytest.approx(1.0, abs=1e-10)
 
+    def test_breakpoints(self):
+        assert mu1(np.pi).breakpoints == ()
+        assert mu2(1.0).breakpoints == ()
+        mu = tabulated_density(2.0, [(0.0, 1.0), (0.5, 2.0), (1.5, 0.0), (2.0, 1.0)])
+        assert mu.breakpoints == (0.5, 1.5)
+        dens = weight_measure(2.0, density=np.exp, breakpoints=(3.0, 0.0, 1.0, 1.0))
+        assert dens.breakpoints == (1.0,)
+
 
 class TestStieltjesIntegral:
     def test_plain_sine_on_linear_weight(self):

@@ -208,6 +208,20 @@ class TestMainEntry:
         assert report["value"] == pytest.approx(4.0, rel=1e-9)
         assert report["attained_at_n"] is True
 
+    @pytest.mark.parametrize(
+        "phi,extra",
+        [("phi_alpha:0.25", []), ("phi_alpha:0.25", ["--k-max", "64"]), ("phi_alpha:0.5", [])],
+    )
+    def test_jackson_inf_low_fractional_order(self, tmp_path, phi, extra):
+        out = tmp_path / "inf.json"
+        rc = main([
+            "jackson", "inf", "--phi", phi, "--p", "1", "--mu", "mu1",
+            "--tau", "pi", "--n", "1", *extra, "--out", str(out), "--no-timestamp",
+        ])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert 0.0 < report["value"] < 2 ** (float(phi.split(":")[1]) + 1)
+
     def test_jackson_sharp_subcommand(self, tmp_path):
         out = tmp_path / "sharp.json"
         rc = main([

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import beta, betainc
 
-from spapprox.averaging import atom_measure, mu1, mu2
+from spapprox import jackson
+from spapprox.averaging import atom_measure, mu1, mu2, tabulated_density
 from spapprox.jackson import (
     SharpnessNotCertifiedError,
     closed_form_inf,
@@ -16,11 +19,19 @@ from spapprox.jackson import (
     sharpness_certificate,
 )
 from spapprox.psi import power, tabulated_psi
+from spapprox.quadrature import DEFAULT_BUDGET, DEFAULT_TOL, QuadratureBudgetError, adaptive_simpson
 from spapprox.sampling import random_sparse_spectrum
-from spapprox.smoothness import phi_alpha, tabulated_shape
+from spapprox.smoothness import ShapeFunction, phi_alpha, tabulated_shape
 from spapprox.spectral import SpectralFunction, best_approximation
 
 TAU34 = 3 * np.pi / 4
+LAMS = [0.25, 0.5, 1.0, 1.5, 2.0, 4.0]
+
+
+def dilated(shape, p, mu, thetas):
+    return jackson._dilated_shape_integrals(
+        shape, p, mu, np.asarray(thetas, dtype=float), DEFAULT_TOL, DEFAULT_BUDGET
+    )
 
 
 class TestClosedFormInf:
@@ -80,6 +91,107 @@ class TestInfQuantity:
     def test_k_max_below_n_rejected(self):
         with pytest.raises(ValueError):
             inf_quantity(4, phi_alpha(1), 2, mu1(np.pi), k_max=3)
+
+    @pytest.mark.parametrize("k_max", [64, 128])
+    def test_minimum_past_the_first_half_is_horizon(self, k_max):
+        # on the 1-cos weight at ap = 1 the dilated integrals keep falling
+        # toward the window edge (the old label was k_max - 1)
+        report = inf_quantity(1, phi_alpha(1), 1, mu1(np.pi), k_max=k_max)
+        assert report.argmin_k == "horizon"
+        assert not report.attained_at_n
+        assert report.value < shape_mass(phi_alpha(1), 1, mu1(np.pi))
+
+    def test_short_window_keeps_n(self):
+        # the first half [n, max(n, k_max // 2)] always holds n
+        report = inf_quantity(3, phi_alpha(1), 2, mu1(np.pi), k_max=4)
+        assert report.argmin_k == 3
+
+
+class TestShapeMass:
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_cosine_weight_closed_form(self, lam, p):
+        got = shape_mass(phi_alpha(lam / p), p, mu1(np.pi))
+        assert got == pytest.approx(2 ** (lam + 1) / (lam / 2 + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [np.pi / 2, TAU34, np.pi])
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_linear_weight_incomplete_beta(self, lam, tau):
+        # x = sin^2(t/2) turns (2 sin(t/2))^lam dt into 2^lam x^((lam-1)/2) (1-x)^(-1/2) dx
+        a = (lam + 1) / 2
+        expected = 2**lam * betainc(a, 0.5, np.sin(tau / 2) ** 2) * beta(a, 0.5)
+        assert shape_mass(phi_alpha(lam), 1, mu2(tau)) == pytest.approx(expected, rel=1e-12)
+
+
+def cusp_panel_quad(lam, theta, tau=np.pi):
+    """int_0^tau (2 |sin(theta t / 2)|)^lam sin t dt, one quad call per cusp panel."""
+    cusps = 2 * np.pi * np.arange(1, int(theta * tau / (2 * np.pi)) + 2) / theta
+    edges = [0.0, *cusps[cusps < tau], tau]
+    return sum(
+        quad(
+            lambda t: (2 * abs(math.sin(theta * t / 2))) ** lam * math.sin(t),
+            a, b, epsabs=1e-14, epsrel=1e-13, limit=200,
+        )[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+class TestLowFractionalOrder:
+    """alpha * p <= 1/2: cusps with unbounded slope at every 2 pi j / theta."""
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5])
+    def test_dilated_values_match_per_cusp_quad(self, lam):
+        got = dilated(phi_alpha(lam), 1.0, mu1(np.pi), [17.0, 369.0])
+        for value, theta in zip(got, (17.0, 369.0)):
+            assert value == pytest.approx(cusp_panel_quad(lam, theta), rel=1e-10)
+
+    def test_tiny_budget_raises_with_theta(self):
+        with pytest.raises(QuadratureBudgetError, match=r"theta=\d+.*budget 300"):
+            inf_quantity(1, phi_alpha(0.25), 1, mu1(np.pi), k_max=40, budget=300)
+
+
+def simpson_reference(shape, p, mu, theta):
+    """The dilated integral by one adaptive Simpson plus the atoms sum."""
+    total = 0.0
+    if mu.density is not None:
+        total += adaptive_simpson(
+            lambda t: shape.eval(theta * t) ** p * mu.density(t), 0.0, mu.tau,
+            tol=1e-12, initial_panels=max(64, int(2 * theta * mu.tau / np.pi) + 1),
+        )
+    for loc, m in mu.atoms:
+        total += m * float(shape.eval(np.array([theta * loc]))[0]) ** p
+    return total
+
+
+THETAS = [1.0, 2.5, 7.0, 31.0]
+
+
+class TestAgainstAdaptiveSimpson:
+    def check(self, shape, p, mu):
+        got = dilated(shape, p, mu, THETAS)
+        want = [simpson_reference(shape, p, mu, theta) for theta in THETAS]
+        assert got == pytest.approx(want, rel=1e-9)
+
+    def test_tabulated_shape_with_interior_knots(self):
+        shape = tabulated_shape(
+            [(0.0, 0.0), (0.5, 0.8), (1.3, 1.0), (2.0, 1.7), (np.pi, 2.0)],
+            cap_point=np.pi, sup_value=2.0,
+        )
+        self.check(shape, 1.5, mu1(np.pi))
+
+    def test_tabulated_density_with_knots(self):
+        mu = tabulated_density(np.pi, [(0.0, 0.0), (0.7, 1.3), (1.9, 0.4), (np.pi, 1.0)])
+        assert mu.breakpoints == (0.7, 1.9)
+        self.check(phi_alpha(1.5), 1.0, mu)
+
+    def test_atoms_only_weight(self):
+        mu = atom_measure(np.pi, [(0.4, 1.0), (1.7, 0.5), (np.pi, 0.25)])
+        self.check(phi_alpha(1), 2.0, mu)
+
+    def test_undeclared_shape_is_bisected(self):
+        shape = ShapeFunction(eval=phi_alpha(1).eval, cap_point=np.pi, sup_value=2.0)
+        assert shape.breakpoints is None
+        self.check(shape, 1.0, mu2(TAU34))
 
 
 class TestEquivCondition:

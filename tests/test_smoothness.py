@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from spapprox.sampling import random_sparse_spectrum
 from spapprox.smoothness import (
+    Breakpoints,
     ModulusCurve,
     ModulusGrid,
     ShapeFunction,
@@ -47,6 +49,41 @@ class TestPhiAlpha:
             phi_alpha(0.0)
         with pytest.raises(ValueError):
             phi_alpha(-1.0)
+
+
+class TestBreakpoints:
+    def test_phi_alpha_declares_its_zeros(self):
+        tags, pts = phi_alpha(0.5).breakpoints.inside([1.0, 13.0, 4 * np.pi])
+        order = np.lexsort((pts, tags))
+        assert tags[order].tolist() == [1, 1, 2]
+        assert pts[order] == pytest.approx([2 * np.pi, 4 * np.pi, 2 * np.pi])
+
+    def test_periodic_offsets(self):
+        tags, pts = Breakpoints(points=(1.0, 5.0), period=3.0).inside([1.0, 7.5])
+        order = np.lexsort((pts, tags))
+        # offsets 1 and 5 mod 3 = 2, below 7.5
+        assert tags[order].tolist() == [1, 1, 1, 1, 1]
+        assert pts[order].tolist() == [1.0, 2.0, 4.0, 5.0, 7.0]
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf])
+    def test_period_must_be_positive(self, period):
+        with pytest.raises(ValueError, match="period"):
+            Breakpoints(points=(0.0,), period=period)
+
+    def test_tabulated_shape_declares_its_knots(self):
+        shape = tabulated_shape([(0, 0), (1, 2), (2.5, 2)], cap_point=1.0, sup_value=2.0)
+        tags, pts = shape.breakpoints.inside([0.5, 2.0, 3.0])
+        assert tags.tolist() == [1, 2, 2]
+        assert pts.tolist() == [1.0, 1.0, 2.5]
+
+    def test_replace_carries_the_declaration(self):
+        shape = phi_alpha(1)
+        counted = dataclasses.replace(shape, eval=lambda t: shape.eval(t))
+        assert counted.breakpoints == shape.breakpoints
+
+    def test_hand_built_shape_declares_nothing(self):
+        shape = ShapeFunction(eval=phi_alpha(1).eval, cap_point=np.pi, sup_value=2.0)
+        assert shape.breakpoints is None
 
 
 class TestShapeValidation:
