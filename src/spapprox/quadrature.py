@@ -6,9 +6,12 @@ every non-converged panel once per pass, and accounts for each point
 evaluation against a hard budget.  Running out of budget raises, it never
 truncates silently.
 
-* :func:`adaptive_simpson` integrates one function over one interval.  It
-  serves the weight masses, the Stieltjes integrals of the averaged modulus
-  and the capped shape integrals of the window-scaling condition.
+* :func:`simpson_integrals` integrates many functions at once, each over
+  its own interval, with adaptive Simpson panels tagged with the integral
+  they belong to; every integral refines on its own.  It serves the
+  averaged modulus over many windows and the capped shape integrals of the
+  window-scaling condition.  :func:`adaptive_simpson` is its one-integral
+  call, for weight masses and the averaged modulus over one window.
 * :func:`tanh_sinh_panels` integrates many integrals at once from panels
   tagged with the integral they belong to.  Each panel gets a nested pair of
   double-exponential (tanh-sinh) rules, which converge exponentially even
@@ -69,12 +72,15 @@ class NonFiniteIntegrandError(ValueError):
     """Raised when the integrand returns NaN or infinity on a probe point."""
 
 
-def _check_finite(values: np.ndarray, points: np.ndarray, context: str) -> None:
+def _check_finite(
+    values: np.ndarray, points: np.ndarray, owner: np.ndarray, context: Callable[[int], str]
+) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
-        where = points[bad][:4]
+        i = int(owner[np.argmax(bad)])
+        where = points[bad & (owner == i)][:4]
         raise NonFiniteIntegrandError(
-            f"{context}: non-finite integrand value(s) at t={where.tolist()}"
+            f"{context(i)}: non-finite integrand value(s) at t={where.tolist()}"
         )
 
 
@@ -97,52 +103,110 @@ def adaptive_simpson(
     absolute target.  ``initial_panels`` sets the uniform starting
     subdivision; callers integrating oscillatory functions should scale it
     with the expected number of oscillations so that the error estimate is
-    trustworthy.
+    trustworthy.  This is the one-integral call of :func:`simpson_integrals`.
     """
-    if b < a:
-        raise ValueError(f"inverted interval [{a}, {b}]")
-    if b == a:
-        return 0.0
-    panels = max(int(initial_panels), 1)
-    xs = np.linspace(a, b, 2 * panels + 1)
-    fx = np.asarray(g(xs), dtype=float)
-    _check_finite(fx, xs, context)
-    evals = xs.size
+    return float(
+        simpson_integrals(
+            lambda t, i: g(t), [a], [b],
+            tol=tol, rtol=rtol, budget=budget, initial_panels=initial_panels,
+            max_passes=max_passes, context=lambda i: context,
+        )[0]
+    )
 
-    left, mid, right = xs[0:-1:2], xs[1::2], xs[2::2]
-    f_l, f_m, f_r = fx[0:-1:2], fx[1::2], fx[2::2]
+
+def simpson_integrals(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a,
+    b,
+    *,
+    tol: float = DEFAULT_TOL,
+    rtol: float = 1e-12,
+    budget: int = DEFAULT_BUDGET,
+    initial_panels=64,
+    max_passes: int = 64,
+    context: Callable[[int], str] = lambda i: f"integral {i}",
+) -> np.ndarray:
+    """Integrate many functions at once, integral ``i`` over ``[a[i], b[i]]``.
+
+    ``g(t, i)`` gets the points and, pointwise, the integral each belongs
+    to.  Integral ``i`` starts from ``initial_panels`` (a count, or one per
+    integral) uniform Simpson panels; a panel is accepted when its
+    Richardson error estimate is within its width's share of ``tol`` or
+    within ``rtol`` of its value, otherwise it is bisected, at most
+    ``max_passes`` times.  Every integral refines on its own: the points,
+    the passes and the ``budget`` of each are those of a separate
+    :func:`adaptive_simpson` call.  ``context(i)`` names integral ``i`` in
+    errors.  The integrand is called once for the starting points and twice
+    per pass.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if np.any(b < a):
+        i = int(np.argmax(b < a))
+        raise ValueError(f"{context(i)}: inverted interval [{a[i]}, {b[i]}]")
+    count = a.size
+    totals = np.zeros(count)
+    # an integral of zero length is 0 and costs no point
+    live = b > a
+    if not live.any():
+        return totals
+    panels = np.where(live, np.maximum(np.asarray(initial_panels, dtype=np.intp), 1), 0)
+
+    # the starting points of integral i are np.linspace(a[i], b[i], 2 P_i + 1)
+    points = np.where(live, 2 * panels + 1, 0)
+    first = np.cumsum(points) - points
+    pt_owner = np.repeat(np.arange(count), points)
+    rank = np.arange(pt_owner.size) - first[pt_owner]
+    step = (b - a) / np.maximum(2 * panels, 1)
+    xs = rank * step[pt_owner] + a[pt_owner]
+    xs[(first + points - 1)[live]] = b[live]
+    fx = np.asarray(g(xs, pt_owner), dtype=float)
+    _check_finite(fx, xs, pt_owner, context)
+    bound, history = int(points.max()), []
+
+    owner = np.repeat(np.arange(count), panels)
+    at = first[owner] + 2 * (np.arange(owner.size) - (np.cumsum(panels) - panels)[owner])
+    left, mid, right = xs[at], xs[at + 1], xs[at + 2]
+    f_l, f_m, f_r = fx[at], fx[at + 1], fx[at + 2]
     estimate = (right - left) / 6.0 * (f_l + 4.0 * f_m + f_r)
 
-    total = 0.0
     # Local acceptance threshold proportional to panel width keeps the
     # accumulated error below tol after the Richardson correction.
-    scale = 15.0 * tol / (b - a)
+    scale = 15.0 * tol / np.where(live, b - a, 1.0)
     for _ in range(max_passes):
         mid_l = 0.5 * (left + mid)
         mid_r = 0.5 * (mid + right)
-        if evals + 2 * mid_l.size > budget:
-            raise QuadratureBudgetError(
-                f"{context}: evaluation budget {budget} exhausted "
-                f"({left.size} panels still refining)"
-            )
-        f_ml = np.asarray(g(mid_l), dtype=float)
-        f_mr = np.asarray(g(mid_r), dtype=float)
-        _check_finite(f_ml, mid_l, context)
-        _check_finite(f_mr, mid_r, context)
-        evals += 2 * mid_l.size
+        # no integral has used more points than the busiest start plus every
+        # point since; only past the budget is each integral counted exactly
+        bound += 2 * owner.size
+        history.append(owner)
+        if bound > budget:
+            used = points + 2 * sum(np.bincount(o, minlength=count) for o in history)
+            if np.any(used > budget):
+                i = int(np.argmax(used > budget))
+                raise QuadratureBudgetError(
+                    f"{context(i)}: evaluation budget {budget} exhausted "
+                    f"({int(np.sum(owner == i))} panels still refining)"
+                )
+        f_ml = np.asarray(g(mid_l, owner), dtype=float)
+        f_mr = np.asarray(g(mid_r, owner), dtype=float)
+        _check_finite(f_ml, mid_l, owner, context)
+        _check_finite(f_mr, mid_r, owner, context)
 
         s_left = (mid - left) / 6.0 * (f_l + 4.0 * f_ml + f_m)
         s_right = (right - mid) / 6.0 * (f_m + 4.0 * f_mr + f_r)
         err = s_left + s_right - estimate
         refined = s_left + s_right
         done = np.abs(err) <= np.maximum(
-            scale * (right - left), 15.0 * rtol * np.abs(refined)
+            scale[owner] * (right - left), 15.0 * rtol * np.abs(refined)
         )
-        total += float(np.sum((s_left + s_right + err / 15.0)[done]))
+        totals += np.bincount(owner, np.where(done, refined + err / 15.0, 0.0), minlength=count)
         if done.all():
-            return total
+            return totals
 
         keep = ~done
+        owner = owner[keep]
+        owner = np.concatenate([owner, owner])
         left = np.concatenate([left[keep], mid[keep]])
         right = np.concatenate([mid[keep], right[keep]])
         mid = np.concatenate([mid_l[keep], mid_r[keep]])
@@ -150,7 +214,9 @@ def adaptive_simpson(
         f_r = np.concatenate([f_m[keep], f_r[keep]])
         f_m = np.concatenate([f_ml[keep], f_mr[keep]])
         estimate = np.concatenate([s_left[keep], s_right[keep]])
-    raise QuadratureBudgetError(f"{context}: refinement depth {max_passes} exceeded")
+    raise QuadratureBudgetError(
+        f"{context(int(owner[0]))}: refinement depth {max_passes} exceeded"
+    )
 
 
 def tanh_sinh_panels(
@@ -206,15 +272,10 @@ def tanh_sinh_panels(
             xs = np.empty((a.size, nodes))
             xs[:, :split] = a[:, None] + half[:, None] * _TS_DIST[:split]
             xs[:, split:] = b[:, None] - half[:, None] * _TS_DIST[split:]
-            fx = np.asarray(g(xs.ravel(), np.repeat(o, nodes)), dtype=float)
+            tags = np.repeat(o, nodes)
+            fx = np.asarray(g(xs.ravel(), tags), dtype=float)
+            _check_finite(fx, xs.ravel(), tags, context)
             fx = fx.reshape(xs.shape)
-            bad = ~np.isfinite(fx)
-            if bad.any():
-                rows, _ = np.nonzero(bad)
-                raise NonFiniteIntegrandError(
-                    f"{context(int(o[rows[0]]))}: non-finite integrand value(s) "
-                    f"at t={xs[bad][:4].tolist()}"
-                )
             fine, coarse = (fx @ _TS_WEIGHTS).T * half
             done = np.abs(fine - coarse) <= np.maximum(
                 tol * (b - a) / span[o], _TS_REL_FLOOR * np.abs(fine)

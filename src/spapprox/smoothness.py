@@ -29,6 +29,8 @@ from .spectral import SpectralFunction, as_exponent
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+#: Most point x harmonic elements :meth:`ModulusCurve._pow_sum` holds at once.
+BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -251,11 +253,13 @@ def _golden_max(
 class ModulusCurve:
     """Running supremum of the p-th power shift sum of one spectrum on [0, u].
 
-    Construction scans the window once and refines every local maximum of the
-    shift sum; queries at any t <= u then combine the prefix of grid values,
-    the refined peaks located below t, and a golden-section pass over the
-    partial cell ending at t.  Scaling the spectrum scales all values exactly,
-    and queries are monotone in t by construction.
+    Construction scans the window once and refines, by golden-section
+    search, every local maximum of the shift sum among the interior grid
+    points and the last cell [h_{N-2}, u].  A query at t <= u returns the
+    largest of g(t), the grid values at or below t and the refined peaks
+    located at or below t; no search runs inside the partial cell ending at
+    t.  Scaling the spectrum scales all values exactly, and queries are
+    monotone in t by construction.
     """
 
     def __init__(
@@ -294,30 +298,43 @@ class ModulusCurve:
             interior = np.flatnonzero(
                 (gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])
             ) + 1
-            if interior.size:
-                lo = self._hs[interior - 1]
-                hi = self._hs[interior + 1]
-                px, pv = _golden_max(self._pow_sum, lo, hi, self.grid.refine_iters)
-                pv = np.maximum(pv, gv[interior])
-                order = np.argsort(px, kind="stable")
-                self._peak_x = px[order]
-                self._peak_run = np.maximum.accumulate(pv[order])
-            else:
-                self._peak_x = np.empty(0)
-                self._peak_run = np.empty(0)
+            # a peak inside the last cell is no grid maximum: refine that cell too
+            lo = np.append(self._hs[interior - 1], self._hs[-2])
+            hi = np.append(self._hs[interior + 1], self.u)
+            px, pv = _golden_max(self._pow_sum, lo, hi, self.grid.refine_iters)
+            pv[:-1] = np.maximum(pv[:-1], gv[interior])
+            order = np.argsort(px, kind="stable")
+            self._peak_x = px[order]
+            # entry j + 1 is the best of the first j + 1 peaks; entry 0 (no
+            # peak yet) is 0, below every shift sum
+            self._peak_run = np.concatenate([[0.0], np.maximum.accumulate(pv[order])])
 
     def _pow_sum(self, h):
-        """g(h) = sum_k w_k * shape(k h)^p for h >= 0 (vectorized)."""
+        """g(h) = sum_k w_k * shape(k h)^p for h >= 0 (vectorized).
+
+        Evaluated in blocks of at most :data:`BLOCK_ELEMENTS` point x
+        harmonic elements, so that long queries keep memory bounded.
+        """
         h = np.asarray(h, dtype=float)
         if self._ks.size == 0:
             return np.zeros(h.shape)
+        rows = max(BLOCK_ELEMENTS // self._ks.size, 1)
+        if h.size <= rows:
+            return self._pow_sum_block(h)
+        flat = h.reshape(-1)
+        return np.concatenate([
+            self._pow_sum_block(flat[start:start + rows])
+            for start in range(0, flat.size, rows)
+        ]).reshape(h.shape)
+
+    def _pow_sum_block(self, h: np.ndarray) -> np.ndarray:
         args = np.multiply.outer(h, self._ks)
         return np.asarray(self.shape.eval(args), dtype=float) ** self.p @ self._ws
 
     def pow_values(self, ts) -> np.ndarray:
         """sup of the p-th power shift sum over [0, t] for each t in ``ts``."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if np.any(ts < -1e-15) or np.any(ts > self.u * (1.0 + 1e-12) + 1e-300):
+        if ts.size and (ts.min() < -1e-15 or ts.max() > self.u * (1.0 + 1e-12) + 1e-300):
             raise ValueError("query outside the precomputed window")
         ts = np.clip(ts, 0.0, self.u)
         out = self._pow_sum(ts)
@@ -328,11 +345,7 @@ class ModulusCurve:
         # endpoint evaluation g(t) itself is the supremum.
         idx = np.searchsorted(self._hs, ts, side="right") - 1
         out = np.maximum(out, self._run_max[idx])
-        if self._peak_x.size:
-            jp = np.searchsorted(self._peak_x, ts, side="right") - 1
-            has = jp >= 0
-            out[has] = np.maximum(out[has], self._peak_run[jp[has]])
-        return out
+        return np.maximum(out, self._peak_run[np.searchsorted(self._peak_x, ts, side="right")])
 
     def value(self, t: float) -> float:
         """The modulus itself at step t: pow_values(t)^(1/p)."""

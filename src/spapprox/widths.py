@@ -33,7 +33,12 @@ from .jackson import (
     EQUIV_REL_TOL,
 )
 from .psi import PsiSequence, is_monotone_even, psi_derivative
-from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, adaptive_simpson
+from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
+    DEFAULT_BUDGET,
+    DEFAULT_TOL,
+    adaptive_simpson,
+    simpson_integrals,
+)
 from .sampling import random_full_spectrum
 from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation, sp_norm
@@ -147,13 +152,9 @@ def membership(
         value = averaged_pow_modulus(curve, cls.mu, u) ** (1.0 / p)
         return value <= 1.0 + tol
     curve = ModulusCurve(rough, p, cls.shape, tau, grid)
-    for j in range(1, u_points + 1):
-        u = tau * j / u_points
-        value = averaged_pow_modulus(curve, cls.mu, u) ** (1.0 / p)
-        target = float(np.asarray(cls.omega.eval(np.array([u])), dtype=float)[0])
-        if value > target + tol:
-            return False
-    return True
+    us = tau * np.arange(1, u_points + 1) / u_points
+    values = averaged_pow_modulus(curve, cls.mu, us) ** (1.0 / p)
+    return bool(np.all(values <= np.asarray(cls.omega.eval(us), dtype=float) + tol))
 
 
 @dataclass(frozen=True)
@@ -282,33 +283,16 @@ class UpperEvidence:
     non_bracketing: int
 
 
-def _active_scale(values: np.ndarray, targets: np.ndarray, rel_tol: float) -> float | None:
-    """Largest c with c*values <= targets everywhere, found by bisection.
+def _active_scale(values: np.ndarray, targets: np.ndarray) -> float | None:
+    """Largest c with c*values <= targets everywhere: min(targets/values).
 
-    The constraint is homogeneous in c, so feasibility is monotone and a
-    doubling bracket always exists unless every value vanishes.
+    The constraint is homogeneous in c, so the ratio is exact; None when
+    every value vanishes.
     """
     mask = values > 1e-300
     if not mask.any():
         return None
-    v, t = values[mask], targets[mask]
-
-    def feasible(c: float) -> bool:
-        return bool(np.all(c * v <= t))
-
-    # Seed the bracket around the analytic ratio; 2x margins on both sides
-    # keep the endpoints strictly feasible/infeasible despite roundoff.
-    pivot = float(np.min(t / v))
-    lo, hi = 0.5 * pivot, 2.0 * pivot
-    if not feasible(lo) or feasible(hi):
-        return None
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(np.min(targets[mask] / values[mask]))
 
 
 def upper_certificate(
@@ -317,16 +301,14 @@ def upper_certificate(
     samples: int = 200,
     seed: int = 0,
     grid: ModulusGrid | None = None,
-    scale_rel_tol: float = 1e-6,
     support_factor: int = 8,
 ) -> UpperEvidence:
     """Max tail norm over random members rescaled onto the constraint boundary.
 
-    Samples have support up to ``support_factor * n``; each is scaled by
-    bisection (to relative tolerance ``scale_rel_tol``) so the averaged-
-    modulus constraint is active, then its order-n tail norm is recorded.
-    Samples whose constraint values all vanish cannot bracket and are
-    reported, not scaled.
+    Samples have support up to ``support_factor * n``; each is scaled so
+    the averaged-modulus constraint is active, then its order-n tail norm is
+    recorded.  Samples whose constraint values all vanish cannot be scaled
+    and are reported as non-bracketing.
     """
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
@@ -346,11 +328,9 @@ def upper_certificate(
         else:
             curve = ModulusCurve(rough, p, cls.shape, tau, grid)
             us = tau * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
-            values = np.array(
-                [averaged_pow_modulus(curve, cls.mu, u) ** (1.0 / p) for u in us]
-            )
+            values = averaged_pow_modulus(curve, cls.mu, us) ** (1.0 / p)
             targets = np.asarray(cls.omega.eval(us), dtype=float)
-        scale = _active_scale(values, targets, scale_rel_tol)
+        scale = _active_scale(values, targets)
         if scale is None:
             non_bracketing += 1
             continue
@@ -388,7 +368,7 @@ def certify_widths(
     n = _resolve_n(cls, n)
     value = width_closed_form(cls, n, k_max)
     lower = lower_certificate(cls, n, samples, seed, grid, tol)
-    upper = upper_certificate(cls, n, samples, seed + 1, grid, scale_rel_tol=tol)
+    upper = upper_certificate(cls, n, samples, seed + 1, grid)
     reference = value.value if value.certified else value.upper
     violated = lower.failures > 0 or upper.max_en > reference + tol
     return WidthCertificate(
@@ -424,32 +404,45 @@ def capped_shape_integral(
     ``shape_capped`` freezes the shape at its cap point, where it attains its
     supremum; this is the dilated mass entering the window-scaling condition.
     """
+    return float(
+        _capped_shape_integrals(shape, as_exponent(p), mu, np.array([xi]), tol, budget)[0]
+    )
+
+
+def _capped_shape_integrals(
+    shape: ShapeFunction, p: float, mu: WeightMeasure, xis: np.ndarray,
+    tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
+) -> np.ndarray:
+    """:func:`capped_shape_integral` at every xi in one batched pass.
+
+    Integral i starts from max(64, floor(2 xi_i tau / pi) + 1) uniform
+    Simpson panels.
+    """
     if shape.cap_point is None:
         raise ValueError("the window-scaling condition needs a declared cap point")
     a = shape.cap_point
-    p = as_exponent(p)
 
     def capped(t):
         return np.asarray(
             shape.eval(np.minimum(np.abs(np.asarray(t, dtype=float)), a)), dtype=float
         )
 
-    total = 0.0
+    totals = np.zeros(xis.size)
     if mu.density is not None:
-        panels = max(64, int(2 * xi * mu.tau / math.pi) + 1)
-        total += adaptive_simpson(
-            lambda s: capped(xi * np.asarray(s, float)) ** p
-            * np.asarray(mu.density(s), dtype=float),
-            0.0,
-            mu.tau,
+        totals += simpson_integrals(
+            lambda s, i: capped(xis[i] * s) ** p * np.asarray(mu.density(s), dtype=float),
+            np.zeros(xis.size),
+            np.full(xis.size, mu.tau),
             tol=tol,
             budget=budget,
-            initial_panels=panels,
-            context=f"capped shape integral (xi={xi:g})",
+            initial_panels=np.maximum(64, (2 * xis * mu.tau / math.pi).astype(np.intp) + 1),
+            context=lambda i: f"capped shape integral (xi={xis[i]:g})",
         )
-    for loc, m in mu.atoms:
-        total += m * float(capped(np.array([xi * loc]))[0]) ** p
-    return total
+    if mu.atoms:
+        locs, masses = np.array(mu.atoms).T
+        args = np.multiply.outer(xis, locs)
+        totals += capped(args.ravel()).reshape(args.shape) ** p @ masses
+    return totals
 
 
 def majorant_condition_check(
@@ -484,8 +477,8 @@ def majorant_condition_check(
     worst = -math.inf
     worst_xi = worst_u = math.nan
     ok = True
-    for xi in xis:
-        lhs_root = capped_shape_integral(shape, p, mu, float(xi)) ** (1.0 / p)
+    lhs_roots = _capped_shape_integrals(shape, p, mu, xis) ** (1.0 / p)
+    for xi, lhs_root in zip(xis, lhs_roots):
         lhs = np.asarray(omega.eval(us / xi), dtype=float) * lhs_root
         rhs = omega_us * rhs_root
         rel = lhs / rhs - 1.0

@@ -12,22 +12,32 @@ from spapprox.averaging import (
     tabulated_density,
     weight_measure,
 )
-from spapprox.sampling import random_sparse_spectrum
+from spapprox.sampling import random_full_spectrum, random_sparse_spectrum
 from spapprox.smoothness import ModulusCurve, generalized_modulus, phi_alpha, tabulated_shape
 from spapprox.spectral import SpectralFunction
 
 
 class TestWeightMeasure:
     def test_mu1_mass_is_one_minus_cos(self):
-        for tau in (np.pi / 2, 3 * np.pi / 4, np.pi):
-            assert mu1(tau).total_mass == pytest.approx(1 - np.cos(tau), abs=1e-10)
+        for tau in (0.1, np.pi / 2, 3 * np.pi / 4, np.pi):
+            assert mu1(tau).total_mass == 1 - math.cos(tau)
+            integrated = weight_measure(tau, density=np.sin).total_mass
+            assert mu1(tau).total_mass == pytest.approx(integrated, rel=1e-12)
 
     def test_mu1_rejects_tau_beyond_pi(self):
         with pytest.raises(ValueError):
             mu1(3.5)
 
     def test_mu2_mass_is_tau(self):
-        assert mu2(2.0).total_mass == pytest.approx(2.0, abs=1e-10)
+        for tau in (0.1, 2.0, 3 * np.pi / 4, 10.0):
+            assert mu2(tau).total_mass == tau
+            integrated = weight_measure(tau, density=lambda t: np.ones_like(t)).total_mass
+            assert mu2(tau).total_mass == pytest.approx(integrated, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+    def test_mu2_rejects_tau_that_is_not_a_positive_real(self, tau):
+        with pytest.raises(ValueError, match="positive real"):
+            mu2(tau)
 
     def test_atom_validation(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -99,6 +109,84 @@ class TestStieltjesIntegral:
     def test_quadrature_matches_antiderivatives(self, weight, integrand, closed_form):
         val = stieltjes_integral(integrand, weight(np.pi), np.pi)
         assert val == pytest.approx(closed_form, abs=1e-9)
+
+
+WINDOW_WEIGHTS = {
+    "mu1": lambda: mu1(np.pi),
+    "mu2": lambda: mu2(3 * np.pi / 4),
+    "tabulated": lambda: tabulated_density(
+        2.0, [(0.0, 1.0), (0.5, 2.0), (1.5, 0.0), (2.0, 1.0)]
+    ),
+    "atoms": lambda: atom_measure(2.0, [(0.25, 1.0), (1.3, 0.5), (2.0, 2.0)]),
+    "atoms+density": lambda: weight_measure(
+        1.5, density=np.cos, atoms=[(0.0, 0.3), (0.9, 1.2)], label="cos+atoms"
+    ),
+}
+
+
+class TestWindowBatch:
+    """All windows of one curve in one pass, against one integral per window."""
+
+    @pytest.mark.parametrize("weight", sorted(WINDOW_WEIGHTS))
+    def test_matches_one_adaptive_simpson_per_window(self, weight, monkeypatch):
+        from spapprox import averaging
+
+        mu = WINDOW_WEIGHTS[weight]()
+        f = random_full_spectrum(np.random.default_rng(5), 8)
+        curve = ModulusCurve(f, 1.5, phi_alpha(1), mu.tau)
+        us = mu.tau * np.arange(1, 65) / 64
+
+        batch_points = np.zeros(us.size, dtype=int)
+        batched = averaging.simpson_integrals
+
+        def counting_batch(g, a, b, **kw):
+            def counted(t, i):
+                np.add.at(batch_points, i, 1)
+                return g(t, i)
+
+            return batched(counted, a, b, **kw)
+
+        monkeypatch.setattr(averaging, "simpson_integrals", counting_batch)
+        values = averaging.averaged_pow_modulus(curve, mu, us)
+
+        single_points = []
+        single = averaging.adaptive_simpson
+
+        def counting_single(g, a, b, **kw):
+            single_points.append(0)
+
+            def counted(t):
+                single_points[-1] += np.size(t)
+                return g(t)
+
+            return single(counted, a, b, **kw)
+
+        monkeypatch.setattr(averaging, "adaptive_simpson", counting_single)
+        reference = np.array([averaging.averaged_pow_modulus(curve, mu, u) for u in us])
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0.0)
+        if mu.density is None:
+            assert not single_points and not batch_points.any()
+        else:
+            assert batch_points.tolist() == single_points
+
+    def test_budget_error_names_its_window(self):
+        from spapprox.quadrature import QuadratureBudgetError
+
+        # a cusp at t = 0.7 lies only inside the second window
+        def g(t):
+            return np.abs(np.asarray(t, float) - 0.7) ** 0.1
+
+        with pytest.raises(QuadratureBudgetError, match=r"stieltjes\[mu2\] \(u=1\)"):
+            stieltjes_integral(g, mu2(1.0), np.array([0.5, 1.0]), tol=1e-14, budget=2000)
+
+    def test_scalar_window_returns_a_float(self):
+        f = SpectralFunction({3: 1.0})
+        curve = ModulusCurve(f, 2, phi_alpha(1), np.pi)
+        assert type(stieltjes_integral(curve.pow_values, mu1(np.pi), np.pi / 2)) is float
+        from spapprox.averaging import averaged_pow_modulus
+
+        assert type(averaged_pow_modulus(curve, mu1(np.pi), np.pi / 2)) is float
+        assert averaged_pow_modulus(curve, mu1(np.pi), np.array([np.pi / 2])).shape == (1,)
 
 
 class TestAveragedModulus:

@@ -5,6 +5,7 @@ from spapprox.quadrature import (
     NonFiniteIntegrandError,
     QuadratureBudgetError,
     adaptive_simpson,
+    simpson_integrals,
     tanh_sinh_panels,
 )
 
@@ -113,3 +114,72 @@ class TestTanhSinhPanels:
         assert tanh_sinh_panels(lambda t, i: t, [], [], []).size == 0
         assert tanh_sinh_panels(lambda t, i: t, [0.5], [0.5], [0])[0] == 0.0
 
+
+
+class TestSimpsonIntegrals:
+    # integral i: cos(k_i t) + |t - c_i|^0.7 over [a_i, b_i], a kink inside
+    KS = np.array([1.0, 7.0, 40.0])
+    CS = np.array([0.3, 1.9, 0.0])
+    A = np.array([0.0, 0.5, -1.0])
+    B = np.array([1.0, 3.0, 2.5])
+
+    def integrand(self, t, i):
+        return np.cos(self.KS[i] * t) + np.abs(t - self.CS[i]) ** 0.7
+
+    def test_each_integral_matches_its_own_adaptive_simpson(self):
+        panels = np.array([64, 100, 7])
+        seen = np.zeros(3, dtype=int)
+
+        def counted(t, i):
+            np.add.at(seen, i, 1)
+            return self.integrand(t, i)
+
+        batch = simpson_integrals(counted, self.A, self.B, initial_panels=panels)
+        for i in range(3):
+            points = []
+
+            def one(t, i=i):
+                points.append(np.size(t))
+                return self.integrand(t, i)
+
+            alone = adaptive_simpson(one, self.A[i], self.B[i], initial_panels=panels[i])
+            assert batch[i] == pytest.approx(alone, rel=1e-13, abs=0.0)
+            assert seen[i] == sum(points)
+
+    def test_zero_length_integral_costs_nothing(self):
+        calls = []
+
+        def g(t, i):
+            calls.append(np.unique(i).tolist())
+            return np.sin(t)
+
+        vals = simpson_integrals(g, [0.0, 1.0], [np.pi, 1.0])
+        assert vals[0] == pytest.approx(2.0, abs=1e-10)
+        assert vals[1] == 0.0
+        assert all(c == [0] for c in calls)
+
+    def test_inverted_interval_names_its_integral(self):
+        with pytest.raises(ValueError, match="integral 1: inverted"):
+            simpson_integrals(lambda t, i: t, [0.0, 1.0], [1.0, 0.5])
+
+    def test_budget_error_names_its_integral(self):
+        # integral 0 is a parabola, exact on the starting panels; integral 1
+        # has an infinite-slope cusp and runs out of budget
+        def g(t, i):
+            return np.where(i == 0, t**2, np.abs(t) ** 0.1)
+
+        with pytest.raises(QuadratureBudgetError, match="window 1: evaluation budget 300"):
+            simpson_integrals(
+                g, [0.0, 0.0], [1.0, 1.0], tol=1e-14, budget=300,
+                context=lambda i: f"window {i}",
+            )
+        one = simpson_integrals(g, [0.0], [1.0], tol=1e-14, budget=300)
+        assert one[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+    def test_non_finite_value_names_its_integral(self):
+        def g(t, i):
+            with np.errstate(divide="ignore"):
+                return np.where(i == 1, 1.0 / t, t)
+
+        with pytest.raises(NonFiniteIntegrandError, match="integral 1: non-finite"):
+            simpson_integrals(g, [0.0, 0.0], [1.0, 1.0])

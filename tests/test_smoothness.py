@@ -193,6 +193,38 @@ class TestGeneralizedModulus:
             )
 
 
+    def test_peak_inside_the_last_scan_cell(self):
+        # p = 3, u = pi/2: the shift sum of this spectrum peaks at about
+        # 1.57073, inside the last cell [1.57041, 1.57080] of the default scan
+        f = SpectralFunction({
+            -1: -0.33970872597587337 - 0.7157991465167344j,
+            -20: -0.286893946764456 + 0.33898134437241195j,
+            -30: 1.0890219346308982 + 1.3896878993887392j,
+            5: -0.02375383936740688 - 0.169007740779224j,
+            3: -0.4138243480836697 + 0.5461987222482787j,
+            -6: 0.8949628619276311 - 0.6663085666937462j,
+        })
+        u = np.pi / 2
+        curve = ModulusCurve(f, 3, phi_alpha(1), u)
+        ks = np.array([1.0, 20.0, 30.0, 5.0, 3.0, 6.0])
+        ws = np.array([abs(f[int(k)]) ** 3 for k in (-1, -20, -30, 5, 3, -6)])
+        scan = max(
+            float(((2.0 * np.abs(np.sin(0.5 * np.multiply.outer(hs, ks)))) ** 3 @ ws).max())
+            for hs in np.array_split(np.linspace(0.0, u, 2**20), 16)
+        )
+        assert curve.pow_values(u)[0] == pytest.approx(scan, rel=1e-9)
+
+    def test_blocked_shift_sum_matches_one_block(self, monkeypatch):
+        from spapprox import smoothness
+
+        f = random_sparse_spectrum(np.random.default_rng(8), 40, 9)
+        curve = ModulusCurve(f, 1.5, phi_alpha(1), np.pi)
+        hs = np.linspace(0.0, np.pi, 20001)
+        blocked = curve.pow_values(hs)
+        monkeypatch.setattr(smoothness, "BLOCK_ELEMENTS", 10**9)
+        np.testing.assert_array_equal(curve.pow_values(hs), blocked)
+
+
 class TestDifferenceOracle:
     def test_zero_step(self):
         f = SpectralFunction({1: 1.0, 4: 2.0})

@@ -11,11 +11,14 @@ from spapprox.smoothness import phi_alpha
 from spapprox.spectral import SpectralFunction, best_approximation, sp_norm
 from spapprox.widths import (
     SmoothnessClass,
+    _active_scale,
+    _capped_shape_integrals,
     bernstein_radius,
     certify_widths,
     linear_majorant,
     lower_certificate,
     majorant,
+    capped_shape_integral,
     majorant_condition_check,
     membership,
     upper_certificate,
@@ -159,6 +162,41 @@ class TestMembership:
         assert not membership((1.001 * scale) * f, cls, tol=1e-9)
 
 
+    def test_majorant_mode_rejects_a_violation_at_the_last_window_only(self):
+        # for phi_alpha(2) and one low harmonic the averaged modulus grows
+        # faster than the linear majorant up to tau < pi, so scaling the
+        # spectrum just past the last window's bound leaves every other
+        # window inside
+        from spapprox.averaging import averaged_pow_modulus
+        from spapprox.smoothness import ModulusCurve
+
+        cls = SmoothnessClass(
+            psi=power(0), shape=phi_alpha(2), p=2.0, mu=mu2(TAU34), omega=linear_majorant()
+        )
+        f = SpectralFunction({1: 1.0})
+        us = TAU34 * np.arange(1, 65) / 64
+        curve = ModulusCurve(psi_derivative(f, cls.psi), cls.p, cls.shape, TAU34)
+        values = averaged_pow_modulus(curve, cls.mu, us) ** 0.5
+        scale = float(1.001 * us[-1] / values[-1])
+        assert np.all(scale * values[:-1] < us[:-1] - 1e-3)
+        assert membership((0.998 * scale) * f, cls)
+        assert not membership(scale * f, cls)
+
+
+class TestActiveScale:
+    def test_scale_makes_the_constraint_active(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            values = rng.uniform(0.01, 5.0, 64)
+            targets = rng.uniform(0.1, 2.0, 64)
+            c = _active_scale(values, targets)
+            assert np.max(c * values / targets) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+    def test_vanishing_values_cannot_be_scaled(self):
+        assert _active_scale(np.zeros(4), np.ones(4)) is None
+        assert _active_scale(np.array([0.0, 2.0]), np.array([1.0, 1.0])) == 0.5
+
+
 class TestLowerCertificate:
     def test_no_failures_on_certified_configs(self):
         for n in (1, 2, 4):
@@ -262,3 +300,31 @@ class TestMajorantCondition:
         omega = majorant(lambda u: np.asarray(u, float) ** beta, label=f"power:{beta:g}")
         check = majorant_condition_check(omega, phi_alpha(ap / p), p, mu2(tau))
         assert check.worst_rel_margin <= 1e-9  # equality at xi=1, below elsewhere
+
+    def test_batched_capped_integrals_match_one_simpson_per_xi(self):
+        cls = solved_linear_majorant_class()
+        shape, p, mu = cls.shape, cls.p, cls.mu
+        xis = np.logspace(-2, 2, 64)
+        batched = _capped_shape_integrals(shape, p, mu, xis)
+        cap = shape.cap_point
+        for xi, value in zip(xis, batched):
+            alone = adaptive_simpson(
+                lambda s: shape.eval(np.minimum(np.abs(xi * s), cap)) ** p,
+                0.0, mu.tau, initial_panels=max(64, int(2 * xi * mu.tau / math.pi) + 1),
+            )
+            assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+            assert capped_shape_integral(shape, p, mu, xi) == value
+
+    def test_check_matches_the_per_xi_margins(self):
+        omega, shape, p, mu = linear_majorant(), phi_alpha(1), 2.0, mu2(TAU34)
+        xis = np.logspace(-2, 2, 64)
+        us = np.pi * np.arange(1, 65) / 64
+        rhs = omega(us) * capped_shape_integral(shape, p, mu, 1.0) ** 0.5
+        margins = np.array([
+            omega(us / xi) * capped_shape_integral(shape, p, mu, xi) ** 0.5 / rhs - 1.0
+            for xi in xis
+        ])
+        check = majorant_condition_check(omega, shape, p, mu)
+        i, j = np.unravel_index(np.argmax(margins), margins.shape)
+        assert check.worst_rel_margin == pytest.approx(margins[i, j], rel=1e-12)
+        assert (check.worst_xi, check.worst_u) == (xis[i], us[j])
