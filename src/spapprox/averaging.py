@@ -3,7 +3,8 @@
 A weight is a nonnegative density plus finitely many atoms; its cumulative
 function is bounded, nondecreasing and non-constant.  The averaged modulus
 rescales the weight onto a window [0, u] and averages the p-th power of the
-modulus of smoothness against it.
+modulus of smoothness against it.  Integrals against a weight take the
+form integral_0^tau F(theta s) dmu(s) of :func:`dilated_integrals`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,22 @@ class WeightMeasure:
     total_mass: float
     label: str = ""
     breakpoints: tuple[float, ...] = ()
+
+    def atom_sums(self, F: Callable[[np.ndarray], np.ndarray], thetas) -> np.ndarray:
+        """sum_j m_j F(theta_i s_j) over the atoms (s_j, m_j), for each theta_i.
+
+        ``F`` must be vectorized; a non-finite value raises ValueError.
+        """
+        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        if not self.atoms:
+            return np.zeros(thetas.size)
+        locs, masses = np.array(self.atoms).T
+        args = np.multiply.outer(thetas, locs)
+        vals = np.asarray(F(args.ravel()), dtype=float).reshape(args.shape)
+        if not np.all(np.isfinite(vals)):
+            where = args[~np.isfinite(vals)][0]
+            raise ValueError(f"non-finite integrand value at atom t={where}")
+        return vals @ masses
 
 
 def weight_measure(
@@ -117,6 +134,46 @@ def tabulated_density(tau: float, points, label: str = "tabulated") -> WeightMea
     return weight_measure(tau, density=_density, label=label, breakpoints=ts)
 
 
+def dilated_integrals(
+    F: Callable[[np.ndarray], np.ndarray],
+    mu: WeightMeasure,
+    thetas,
+    *,
+    tol: float = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
+    initial_panels=64,
+    context: Callable[[int], str] = lambda i: "dilated integral",
+) -> np.ndarray:
+    """integral_0^tau F(theta_i s) dmu(s) for every dilation theta_i.
+
+    The density parts are one batched adaptive Simpson pass over [0, tau]
+    (a single dilation goes through :func:`adaptive_simpson`), integral i
+    starting from ``initial_panels`` uniform panels (a count, or one per
+    dilation); :meth:`WeightMeasure.atom_sums` adds the atoms.
+    ``context(i)`` names integral i in errors.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    totals = np.zeros(thetas.size)
+    if mu.density is not None:
+
+        def integrand(s, i):
+            return np.asarray(F(thetas[i] * s), dtype=float) * np.asarray(mu.density(s), float)
+
+        # one dilation goes through adaptive_simpson by name, where
+        # perfbench's tracer counts quadrature
+        if thetas.size == 1:
+            totals += adaptive_simpson(
+                lambda s: integrand(s, 0), 0.0, mu.tau, tol=tol, budget=budget,
+                initial_panels=int(np.max(initial_panels)), context=context(0),
+            )
+        else:
+            totals += simpson_integrals(
+                integrand, np.zeros(thetas.size), np.full(thetas.size, mu.tau),
+                tol=tol, budget=budget, initial_panels=initial_panels, context=context,
+            )
+    return totals + mu.atom_sums(F, thetas)
+
+
 def stieltjes_integral(
     g: Callable[[np.ndarray], np.ndarray],
     mu: WeightMeasure,
@@ -124,63 +181,33 @@ def stieltjes_integral(
     *,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    initial_panels: int = 64,
 ):
     """Integral of g over [0, u] against the weight rescaled from [0, tau].
 
-    The substitution s = tau*t/u turns the density part into an ordinary
-    integral with Jacobian tau/u; an atom at location s_i contributes
-    m_i * g(u*s_i/tau).  ``u`` may be a 1-D array of windows: their density
-    parts are then integrated in one batched pass, each with the points of
-    its own single-window integral, and an array is returned.
+    The substitution t = u s / tau makes it the dilated integral of g at
+    theta = u / tau.  ``u`` may be a 1-D array of windows: they are then
+    integrated in one batched pass, each with the points of its own
+    single-window integral, and an array is returned.
     """
     us = np.asarray(u, dtype=float)
     windows = np.atleast_1d(us)
     if not np.all(windows > 0):
         raise ValueError(f"window length must be positive, got {u}")
-    totals = np.zeros(windows.size)
-    if mu.density is not None:
-        ratio = mu.tau / windows
-
-        def integrand(t, i):
-            t = np.asarray(t, dtype=float)
-            return np.asarray(g(t), dtype=float) * np.asarray(
-                mu.density(ratio[i] * t), dtype=float
-            ) * ratio[i]
-
-        context = f"stieltjes[{mu.label or 'measure'}]"
-        # the same integral either way; perfbench's tracer counts quadrature
-        # only through adaptive_simpson
-        if windows.size == 1:
-            totals += adaptive_simpson(
-                lambda t: integrand(t, 0), 0.0, windows[0],
-                tol=tol, budget=budget, initial_panels=initial_panels, context=context,
-            )
-        else:
-            totals += simpson_integrals(
-                integrand, np.zeros(windows.size), windows,
-                tol=tol, budget=budget, initial_panels=initial_panels,
-                context=lambda i: f"{context} (u={windows[i]:g})",
-            )
-    if mu.atoms:
-        locs, masses = np.array(mu.atoms).T
-        args = np.multiply.outer(windows, locs) / mu.tau
-        vals = np.asarray(g(args.ravel()), dtype=float).reshape(args.shape)
-        if not np.all(np.isfinite(vals)):
-            where = args[~np.isfinite(vals)][0]
-            raise ValueError(f"non-finite integrand value at atom t={where}")
-        totals += vals @ masses
+    totals = dilated_integrals(
+        g, mu, windows / mu.tau, tol=tol, budget=budget,
+        context=lambda i: f"stieltjes[{mu.label or 'measure'}] (u={windows[i]:g})",
+    )
     return float(totals[0]) if us.ndim == 0 else totals
 
 
-def averaged_pow_modulus(curve: ModulusCurve, mu: WeightMeasure, u, **quad_kw):
+def averaged_pow_modulus(curve: ModulusCurve, mu: WeightMeasure, u):
     """Mean of the p-th power running supremum against the rescaled weight.
 
     ``curve`` must cover [0, u]; reusing one curve across several windows u
     is the supported (and cheap) pattern.  ``u`` may be a 1-D array of
     windows, integrated in one batched pass; an array is then returned.
     """
-    raw = stieltjes_integral(curve.pow_values, mu, u, **quad_kw)
+    raw = stieltjes_integral(curve.pow_values, mu, u)
     mean = np.maximum(raw, 0.0) / mu.total_mass
     return mean if np.ndim(u) else float(mean)
 

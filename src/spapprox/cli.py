@@ -90,21 +90,28 @@ def parse_scalar(text) -> float:
         raise ConfigError(f"cannot parse number {text!r}") from exc
 
 
+def _load_tab(token: str, kind: str, build):
+    """``build`` applied to a ``tab:<path>`` JSON file; a missing key is a config error."""
+    with open(token[4:], encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"tabulated {kind} file must hold a JSON object")
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ConfigError(f"tabulated {kind} file misses key {exc}") from exc
+
+
 def parse_shape(token: str) -> ShapeFunction:
     if token.startswith("phi_alpha:"):
         return phi_alpha(parse_scalar(token.split(":", 1)[1]))
     if token.startswith("tab:"):
-        with open(token[4:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            return tabulated_shape(
-                data["points"],
-                cap_point=data.get("cap_point"),
-                sup_value=data["sup_value"],
-                label=data.get("label", "tabulated"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"tabulated shape file misses key {exc}") from exc
+        return _load_tab(token, "shape", lambda data: tabulated_shape(
+            data["points"],
+            cap_point=data.get("cap_point"),
+            sup_value=data["sup_value"],
+            label=data.get("label", "tabulated"),
+        ))
     raise ConfigError(f"unknown shape {token!r} (use phi_alpha:<a> or tab:<path>)")
 
 
@@ -120,9 +127,9 @@ def parse_measure(token: str, tau: float) -> WeightMeasure:
             raise ConfigError(f"bad atom list in {token!r}: {exc}") from exc
         return atom_measure(tau, [(float(t), float(m)) for t, m in atoms])
     if token.startswith("tab:"):
-        with open(token[4:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        return tabulated_density(tau, data["points"], label=data.get("label", "tabulated"))
+        return _load_tab(token, "measure", lambda data: tabulated_density(
+            tau, data["points"], label=data.get("label", "tabulated")
+        ))
     raise ConfigError(f"unknown measure {token!r} (use mu1, mu2, atoms:<json>, tab:<path>)")
 
 
@@ -132,16 +139,13 @@ def parse_psi(token: str) -> PsiSequence:
     if token.startswith("const:"):
         return const_multiplier(complex(token.split(":", 1)[1]))
     if token.startswith("tab:"):
-        with open(token[4:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        values = {int(k): complex(v[0], v[1]) for k, v in data["values"].items()}
-        return tabulated_psi(
-            values,
+        return _load_tab(token, "multiplier", lambda data: tabulated_psi(
+            {int(k): complex(v[0], v[1]) for k, v in data["values"].items()},
             bound=float(data["bound"]),
             zero_policy=data.get("zero_policy", "annihilate"),
             monotone_even=bool(data.get("monotone_even", False)),
             label=data.get("label", "tabulated"),
-        )
+        ))
     raise ConfigError(f"unknown multiplier {token!r} (use power:<r>, const:<c>, tab:<path>)")
 
 
@@ -384,6 +388,15 @@ def _suite_jackson_fuzz(cfg: SuiteConfig) -> list[dict]:
     return rows
 
 
+def _build_class(psi, shape, p, measure, n: int, omega_token: str | None) -> SmoothnessClass:
+    """Majorant-mode class when a majorant token is given, else fixed at n."""
+    if omega_token:
+        return SmoothnessClass(
+            psi=psi, shape=shape, p=p, mu=measure, omega=parse_majorant(omega_token)
+        )
+    return SmoothnessClass(psi=psi, shape=shape, p=p, mu=measure, n=n)
+
+
 def _suite_widths_certify(cfg: SuiteConfig) -> list[dict]:
     rows = []
     tol = cfg.tolerance
@@ -392,17 +405,8 @@ def _suite_widths_certify(cfg: SuiteConfig) -> list[dict]:
         measure = parse_measure(spec["mu"], tau)
         shape = phi_alpha(parse_scalar(spec["alpha"]))
         psi = parse_psi(spec["psi"])
-        omega_token = spec.get("omega")
         for n in cfg.params["n"]:
-            if omega_token:
-                cls = SmoothnessClass(
-                    psi=psi, shape=shape, p=float(spec["p"]), mu=measure,
-                    omega=parse_majorant(omega_token),
-                )
-            else:
-                cls = SmoothnessClass(
-                    psi=psi, shape=shape, p=float(spec["p"]), mu=measure, n=int(n)
-                )
+            cls = _build_class(psi, shape, float(spec["p"]), measure, int(n), spec.get("omega"))
             cert = certify_widths(
                 cls, int(n), samples=int(cfg.params["samples"]), seed=cfg.seed,
                 tol=tol, k_max=int(cfg.params["k_factor"]) * int(n) + 16,
@@ -520,17 +524,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-timestamp", action="store_true")
 
 
-def _add_objects(parser: argparse.ArgumentParser, *, psi: bool = True) -> None:
+def _add_objects(parser: argparse.ArgumentParser, *, psi: bool = True, scan: bool = False) -> None:
     parser.add_argument("--phi", required=True, help="shape, e.g. phi_alpha:1")
     parser.add_argument("--p", required=True, help="norm exponent")
     parser.add_argument("--mu", required=True, help="measure: mu1|mu2|atoms:<json>|tab:<path>")
     parser.add_argument("--tau", required=True, help="measure support length (floats or pi forms)")
     if psi:
         parser.add_argument("--psi", required=True, help="multiplier, e.g. power:1")
-    parser.add_argument("--grid-points", type=int, default=4096,
-                        help="scan points for the shift supremum")
-    parser.add_argument("--refine-iters", type=int, default=40,
-                        help="golden-section refinement iterations")
+    if scan:  # only the commands that scan a spectrum's shift supremum
+        parser.add_argument("--grid-points", type=int, default=4096,
+                            help="least scan points for the shift supremum")
+        parser.add_argument("--refine-iters", type=int, default=40,
+                            help="golden-section refinement iterations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,13 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_inf)
 
     p_sharp = jack_sub.add_parser("sharp", help="sharp constant and attained ratio")
-    _add_objects(p_sharp)
+    _add_objects(p_sharp, scan=True)
     p_sharp.add_argument("--n", type=int, required=True)
     p_sharp.add_argument("--k-max", type=int, default=None)
     _add_common(p_sharp)
 
     p_bound = jack_sub.add_parser("bound", help="check the estimate on one spectrum")
-    _add_objects(p_bound)
+    _add_objects(p_bound, scan=True)
     p_bound.add_argument("--function", required=True, help="spectrum JSON file")
     p_bound.add_argument("--n", type=int, required=True)
     p_bound.add_argument("--k-max", type=int, default=None)
@@ -578,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_val)
 
     p_cert = wid_sub.add_parser("certify", help="two-sided sampling certificates")
-    _add_objects(p_cert)
+    _add_objects(p_cert, scan=True)
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--omega", help="majorant for majorant-mode classes")
     p_cert.add_argument("--samples", type=int, default=200)
@@ -594,30 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_class(args) -> SmoothnessClass:
-    tau = parse_scalar(args.tau)
-    measure = parse_measure(args.mu, tau)
-    shape = parse_shape(args.phi)
-    psi = parse_psi(args.psi)
-    if getattr(args, "omega", None):
-        return SmoothnessClass(
-            psi=psi, shape=shape, p=parse_scalar(args.p), mu=measure,
-            omega=parse_majorant(args.omega),
-        )
-    return SmoothnessClass(
-        psi=psi, shape=shape, p=parse_scalar(args.p), mu=measure, n=args.n
-    )
-
-
 def _run_single(args) -> tuple[dict, int]:
     tau = parse_scalar(args.tau)
     measure = parse_measure(args.mu, tau)
     shape = parse_shape(args.phi)
     p = parse_scalar(args.p)
-    grid = ModulusGrid(
-        base_points=getattr(args, "grid_points", 4096),
-        refine_iters=getattr(args, "refine_iters", 40),
-    )
+    grid = ModulusGrid(args.grid_points, args.refine_iters) if "grid_points" in args else None
 
     if args.command == "jackson" and args.subcommand == "inf":
         report = inf_quantity(args.n, shape, p, measure, k_max=args.k_max)
@@ -652,7 +639,7 @@ def _run_single(args) -> tuple[dict, int]:
         }, 0 if result.holds and result.holds_plain else 1
 
     if args.command == "widths" and args.subcommand == "value":
-        cls = _make_class(args)
+        cls = _build_class(parse_psi(args.psi), shape, p, measure, args.n, args.omega)
         value = width_closed_form(cls, args.n, k_max=args.k_max)
         return {
             "lower": value.lower,
@@ -664,7 +651,7 @@ def _run_single(args) -> tuple[dict, int]:
         }, 0
 
     if args.command == "widths" and args.subcommand == "certify":
-        cls = _make_class(args)
+        cls = _build_class(parse_psi(args.psi), shape, p, measure, args.n, args.omega)
         cert = certify_widths(
             cls, args.n, samples=args.samples, seed=args.seed, grid=grid,
             k_max=args.k_max,

@@ -29,6 +29,7 @@ from .psi import PsiSequence, psi_derivative, tail_sup_info
 from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
     DEFAULT_BUDGET,
     DEFAULT_TOL,
+    _spread,
     adaptive_simpson,
     tanh_sinh_panels,
 )
@@ -89,17 +90,18 @@ def _dilated_shape_integrals(
 ) -> np.ndarray:
     """integral_0^tau shape(theta * t)^p dmu(t) for every theta in one pass.
 
-    Panel edges sit at the shape's declared breakpoints divided by theta and
-    at the density's breakpoints.  A shape that declares none starts from
+    The density part is a batched tanh-sinh pass whose panel edges sit at
+    the shape's declared breakpoints divided by theta and at the density's
+    breakpoints; a shape that declares none starts from
     max(64, 2 theta tau / pi + 1) uniform panels and relies on bisection.
+    The atoms add :meth:`WeightMeasure.atom_sums`.
     """
     tau = mu.tau
-    totals = np.zeros(thetas.size)
+    totals = mu.atom_sums(lambda t: np.asarray(shape.eval(t), dtype=float) ** p, thetas)
     if mu.density is not None:
         if shape.breakpoints is None:
             per = np.maximum(64, (2.0 * thetas * tau / math.pi).astype(np.intp) + 1)
-            tags = np.repeat(np.arange(thetas.size), per - 1)
-            rank = np.arange(tags.size) - (np.cumsum(per - 1) - (per - 1))[tags]
+            tags, rank = _spread(per - 1)
             points = (rank + 1) * tau / per[tags]
         else:
             tags, points = shape.breakpoints.inside(thetas * tau)
@@ -118,11 +120,6 @@ def _dilated_shape_integrals(
             integrand, left, right, owner, tol=tol, budget=budget,
             context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
         )
-    if mu.atoms:
-        locs, masses = np.array(mu.atoms).T
-        args = np.multiply.outer(thetas, locs)
-        values = np.asarray(shape.eval(args.ravel()), dtype=float).reshape(args.shape)
-        totals += values**p @ masses
     return totals
 
 
@@ -274,7 +271,7 @@ def sharp_constant(
     :class:`SharpnessNotCertifiedError`.
     """
     p = as_exponent(p)
-    if shape.cap_point is None or shape.cap_point < mu.tau * (1.0 - 1e-12):
+    if not shape.nondecreasing_on(mu.tau):
         raise SharpnessNotCertifiedError(
             "sharpness not certified: shape is not declared nondecreasing on "
             f"[0, {mu.tau:g}]"

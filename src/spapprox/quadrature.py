@@ -8,10 +8,10 @@ truncates silently.
 
 * :func:`simpson_integrals` integrates many functions at once, each over
   its own interval, with adaptive Simpson panels tagged with the integral
-  they belong to; every integral refines on its own.  It serves the
-  averaged modulus over many windows and the capped shape integrals of the
-  window-scaling condition.  :func:`adaptive_simpson` is its one-integral
-  call, for weight masses and the averaged modulus over one window.
+  they belong to; every integral refines on its own.  It serves the weight
+  integral ``averaging.dilated_integrals`` (averaged moduli, the capped
+  shape integrals of the window-scaling condition).  :func:`adaptive_simpson`
+  is its one-integral call, for weight masses and a single dilation.
 * :func:`tanh_sinh_panels` integrates many integrals at once from panels
   tagged with the integral they belong to.  Each panel gets a nested pair of
   double-exponential (tanh-sinh) rules, which converge exponentially even
@@ -62,6 +62,12 @@ def _tanh_sinh_rule(level: int, t_max: float) -> tuple[np.ndarray, int, np.ndarr
 _TS_DIST, _TS_SPLIT, _TS_WEIGHTS = _tanh_sinh_rule(3, 3.25)
 _TS_REL_FLOOR = 1e-12
 _TS_MAX_PASSES = 64
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tag i repeated counts[i] times, and the rank of each entry in its run."""
+    tag = np.repeat(np.arange(counts.size), counts)
+    return tag, np.arange(tag.size) - (np.cumsum(counts) - counts)[tag]
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -155,8 +161,7 @@ def simpson_integrals(
     # the starting points of integral i are np.linspace(a[i], b[i], 2 P_i + 1)
     points = np.where(live, 2 * panels + 1, 0)
     first = np.cumsum(points) - points
-    pt_owner = np.repeat(np.arange(count), points)
-    rank = np.arange(pt_owner.size) - first[pt_owner]
+    pt_owner, rank = _spread(points)
     step = (b - a) / np.maximum(2 * panels, 1)
     xs = rank * step[pt_owner] + a[pt_owner]
     xs[(first + points - 1)[live]] = b[live]
@@ -164,8 +169,8 @@ def simpson_integrals(
     _check_finite(fx, xs, pt_owner, context)
     bound, history = int(points.max()), []
 
-    owner = np.repeat(np.arange(count), panels)
-    at = first[owner] + 2 * (np.arange(owner.size) - (np.cumsum(panels) - panels)[owner])
+    owner, rank = _spread(panels)
+    at = first[owner] + 2 * rank
     left, mid, right = xs[at], xs[at + 1], xs[at + 2]
     f_l, f_m, f_r = fx[at], fx[at + 1], fx[at + 2]
     estimate = (right - left) / 6.0 * (f_l + 4.0 * f_m + f_r)

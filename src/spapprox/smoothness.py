@@ -7,9 +7,10 @@ The modulus of a spectrum f at step t is the supremum over shifts
 
 reported as g_sup^(1/p).  The shift weight ``shape`` is an even, bounded,
 nonnegative function vanishing at 0.  The supremum is located by a uniform
-grid scan refined with golden-section search; :class:`ModulusCurve`
-precomputes the scan once on [0, u] so that the running supremum can be read
-off cheaply at many steps t <= u (the pattern the averaging quadrature needs).
+grid scan, at least 8 points per period of the highest harmonic, refined
+with golden-section search; :class:`ModulusCurve` precomputes the scan once
+on [0, u] so that the running supremum can be read off cheaply at many steps
+t <= u (the pattern the averaging quadrature needs).
 
 An independent route for integer and fractional order alpha evaluates the
 same supremum through the forward-difference multiplier |1 - e^{-ikh}|^alpha
@@ -25,12 +26,15 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .quadrature import _spread
 from .spectral import SpectralFunction, as_exponent
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 #: Most point x harmonic elements :meth:`ModulusCurve._pow_sum` holds at once.
 BLOCK_ELEMENTS = 2**15
+#: Most points the resolution floor of a shift scan may ask for.
+MAX_SCAN_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,6 @@ class Breakpoints:
         return np.concatenate(tags), np.concatenate(pts)
 
 
-def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tag i repeated counts[i] times, and the rank of each entry in its run."""
-    tag = np.repeat(np.arange(counts.size), counts)
-    return tag, np.arange(tag.size) - (np.cumsum(counts) - counts)[tag]
-
-
 @dataclass(frozen=True)
 class ShapeFunction:
     """Even shift weight: nonnegative, bounded, zero at the origin.
@@ -100,6 +98,10 @@ class ShapeFunction:
     def __call__(self, t):
         return self.eval(t)
 
+    def nondecreasing_on(self, tau: float) -> bool:
+        """Whether the shape is declared nondecreasing on [0, tau]."""
+        return self.cap_point is not None and self.cap_point >= tau * (1.0 - 1e-12)
+
 
 @dataclass(frozen=True)
 class ModulusGrid:
@@ -113,6 +115,20 @@ class ModulusGrid:
             raise ValueError(f"base_points must be >= 64, got {self.base_points}")
         if self.refine_iters < 0:
             raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
+
+    def scan_points(self, kmax: float, u: float) -> int:
+        """Points of a scan of [0, u]: at least 8 per shortest period.
+
+        That is max(base_points, ceil(8 kmax u / 2 pi) + 1); a floor above
+        :data:`MAX_SCAN_POINTS` raises instead of allocating.
+        """
+        floor = math.ceil(8.0 * kmax * u / (2.0 * math.pi)) + 1
+        if floor > MAX_SCAN_POINTS:
+            raise ValueError(
+                f"shift scan of k_max*u = {kmax * u:g} needs {floor} points, "
+                f"above the cap of {MAX_SCAN_POINTS}"
+            )
+        return max(self.base_points, floor)
 
 
 def check_shape(shape: ShapeFunction, probe_points: int = 257) -> None:
@@ -253,13 +269,14 @@ def _golden_max(
 class ModulusCurve:
     """Running supremum of the p-th power shift sum of one spectrum on [0, u].
 
-    Construction scans the window once and refines, by golden-section
-    search, every local maximum of the shift sum among the interior grid
-    points and the last cell [h_{N-2}, u].  A query at t <= u returns the
-    largest of g(t), the grid values at or below t and the refined peaks
-    located at or below t; no search runs inside the partial cell ending at
-    t.  Scaling the spectrum scales all values exactly, and queries are
-    monotone in t by construction.
+    Construction scans the window once, at least 8 points per period of the
+    highest harmonic (:meth:`ModulusGrid.scan_points`), and refines, by
+    golden-section search, every local maximum of the shift sum among the
+    interior grid points and the last cell [h_{N-2}, u].  A query at t <= u
+    returns the largest of g(t), the grid values at or below t and the
+    refined peaks located at or below t; no search runs inside the partial
+    cell ending at t.  Scaling the spectrum scales all values exactly, and
+    queries are monotone in t by construction.
     """
 
     def __init__(
@@ -292,7 +309,7 @@ class ModulusCurve:
             or (cap is not None and self._kmax * self.u <= cap)
         )
         if not self._fast:
-            self._hs = np.linspace(0.0, self.u, self.grid.base_points)
+            self._hs = np.linspace(0.0, self.u, self.grid.scan_points(self._kmax, self.u))
             gv = self._pow_sum(self._hs)
             self._run_max = np.maximum.accumulate(gv)
             interior = np.flatnonzero(
@@ -401,7 +418,7 @@ def difference_modulus_oracle(
         mult = np.abs(1.0 - np.exp(-1j * np.multiply.outer(h, ks)))
         return mult ** (alpha * p) @ ws
 
-    hs = np.linspace(0.0, t, grid.base_points)
+    hs = np.linspace(0.0, t, grid.scan_points(float(np.abs(ks).max()), t))
     dv = d(hs)
     best = float(dv.max())
     cells = np.flatnonzero((dv[1:-1] >= dv[:-2]) & (dv[1:-1] >= dv[2:])) + 1

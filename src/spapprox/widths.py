@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .averaging import WeightMeasure, averaged_pow_modulus
+from .averaging import WeightMeasure, averaged_pow_modulus, dilated_integrals
 from .jackson import (
     InfReport,
     default_k_max,
@@ -37,13 +37,12 @@ from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from 
     DEFAULT_BUDGET,
     DEFAULT_TOL,
     adaptive_simpson,
-    simpson_integrals,
 )
 from .sampling import random_full_spectrum
 from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation, sp_norm
 
-#: Number of window points used by majorant-mode membership checks.
+#: Number of windows bounded by a majorant-mode class.
 MEMBERSHIP_U_POINTS = 64
 
 
@@ -52,7 +51,6 @@ class Majorant:
     """Continuous increasing window bound with value 0 at 0."""
 
     eval: Callable[[np.ndarray], np.ndarray]
-    probe_points: int = 256
     label: str = ""
 
     def __call__(self, u):
@@ -66,7 +64,6 @@ def majorant(
     probe_span: float = 2.0 * math.pi,
 ) -> Majorant:
     """Validate monotonicity on linear and log probe grids and wrap ``fn``."""
-    m = Majorant(eval=fn, probe_points=probe_points, label=label)
     lin = np.linspace(0.0, probe_span, probe_points)
     log = np.logspace(-6, 3, probe_points)
     for probe in (lin, log):
@@ -78,7 +75,7 @@ def majorant(
     v0 = float(np.asarray(fn(np.array([0.0])), dtype=float)[0])
     if abs(v0) > 1e-12:
         raise ValueError(f"majorant {label!r} must vanish at 0, got {v0}")
-    return m
+    return Majorant(eval=fn, label=label)
 
 
 def linear_majorant() -> Majorant:
@@ -111,6 +108,20 @@ class SmoothnessClass:
     def mode(self) -> str:
         return "fixed_n" if self.n is not None else "majorant"
 
+    def windows(self) -> np.ndarray:
+        """Windows the constraint bounds: tau/n alone, or tau*j/64 for j = 1..64."""
+        tau = self.mu.tau
+        if self.omega is None:
+            return np.array([tau / self.n])
+        return tau * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
+
+    def bound(self, u) -> np.ndarray:
+        """Bound on the averaged modulus at the windows ``u``: 1, or omega(u)."""
+        u = np.asarray(u, dtype=float)
+        if self.omega is None:
+            return np.ones(u.shape)
+        return np.asarray(self.omega.eval(u), dtype=float)
+
 
 def _resolve_n(cls: SmoothnessClass, n: int | None) -> int:
     if cls.n is not None:
@@ -135,26 +146,23 @@ def _require_monotone_even(psi: PsiSequence, horizon: int) -> None:
         )
 
 
+def _constraint(f: SpectralFunction, cls: SmoothnessClass, grid: ModulusGrid | None):
+    """(averaged moduli of the roughened f on the class windows, their bounds)."""
+    p = as_exponent(cls.p)
+    us = cls.windows()
+    curve = ModulusCurve(psi_derivative(f, cls.psi), p, cls.shape, us[-1], grid)
+    return averaged_pow_modulus(curve, cls.mu, us) ** (1.0 / p), cls.bound(us)
+
+
 def membership(
     f: SpectralFunction,
     cls: SmoothnessClass,
     grid: ModulusGrid | None = None,
     tol: float = 1e-9,
-    u_points: int = MEMBERSHIP_U_POINTS,
 ) -> bool:
     """Constraint check for one spectrum (up to additive slack ``tol``)."""
-    p = as_exponent(cls.p)
-    rough = psi_derivative(f, cls.psi)
-    tau = cls.mu.tau
-    if cls.mode == "fixed_n":
-        u = tau / cls.n
-        curve = ModulusCurve(rough, p, cls.shape, u, grid)
-        value = averaged_pow_modulus(curve, cls.mu, u) ** (1.0 / p)
-        return value <= 1.0 + tol
-    curve = ModulusCurve(rough, p, cls.shape, tau, grid)
-    us = tau * np.arange(1, u_points + 1) / u_points
-    values = averaged_pow_modulus(curve, cls.mu, us) ** (1.0 / p)
-    return bool(np.all(values <= np.asarray(cls.omega.eval(us), dtype=float) + tol))
+    values, targets = _constraint(f, cls, grid)
+    return bool(np.all(values <= targets + tol))
 
 
 @dataclass(frozen=True)
@@ -185,21 +193,10 @@ def width_closed_form(
     """Closed-form width value, or the two-sided interval when uncertified."""
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
-    shape, mu, psi = cls.shape, cls.mu, cls.psi
-    if shape.cap_point is None or shape.cap_point < mu.tau * (1.0 - 1e-12):
-        raise ValueError(
-            f"width formulas need the shape nondecreasing on [0, {mu.tau:g}]"
-        )
-    _require_monotone_even(psi, horizon=max(4 * n, 64))
-    report = inf_report if inf_report is not None else inf_quantity(n, shape, p, mu, k_max)
-    ref = shape_mass(shape, p, mu)
-    psi_n = abs(psi(n))
-    lower = (mu.total_mass / ref) ** (1.0 / p) * psi_n
-    upper = (mu.total_mass / report.value) ** (1.0 / p) * psi_n
-    if cls.mode == "majorant":
-        scale = float(np.asarray(cls.omega.eval(np.array([mu.tau / n])), dtype=float)[0])
-        lower *= scale
-        upper *= scale
+    lower = bernstein_radius(cls, n)
+    report = inf_report if inf_report is not None else inf_quantity(n, cls.shape, p, cls.mu, k_max)
+    ref = shape_mass(cls.shape, p, cls.mu)
+    upper = lower * (ref / report.value) ** (1.0 / p)
     certified = abs(report.value - ref) <= EQUIV_REL_TOL * abs(ref)
     return WidthValue(
         lower=lower,
@@ -208,7 +205,7 @@ def width_closed_form(
         value=lower if certified else None,
         n=n,
         dimensions=(2 * n - 1, 2 * n),
-        shape_certification="declared" if shape.sup_exact else "probe-grid only",
+        shape_certification="declared" if cls.shape.sup_exact else "probe-grid only",
     )
 
 
@@ -220,17 +217,14 @@ def bernstein_radius(cls: SmoothnessClass, n: int | None = None) -> float:
     """
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
-    if cls.shape.cap_point is None or cls.shape.cap_point < cls.mu.tau * (1.0 - 1e-12):
+    if not cls.shape.nondecreasing_on(cls.mu.tau):
         raise ValueError(
-            f"the ball embedding needs the shape nondecreasing on [0, {cls.mu.tau:g}]"
+            f"width formulas need the shape nondecreasing on [0, {cls.mu.tau:g}]"
         )
     _require_monotone_even(cls.psi, horizon=max(4 * n, 64))
-    radius = (cls.mu.total_mass / shape_mass(cls.shape, p, cls.mu)) ** (1.0 / p) * abs(
-        cls.psi(n)
-    )
-    if cls.mode == "majorant":
-        radius *= float(np.asarray(cls.omega.eval(np.array([cls.mu.tau / n])), dtype=float)[0])
-    return radius
+    mass = shape_mass(cls.shape, p, cls.mu)
+    scale = float(cls.bound(np.array([cls.mu.tau / n]))[0])
+    return (cls.mu.total_mass / mass) ** (1.0 / p) * abs(cls.psi(n)) * scale
 
 
 @dataclass(frozen=True)
@@ -301,36 +295,23 @@ def upper_certificate(
     samples: int = 200,
     seed: int = 0,
     grid: ModulusGrid | None = None,
-    support_factor: int = 8,
 ) -> UpperEvidence:
     """Max tail norm over random members rescaled onto the constraint boundary.
 
-    Samples have support up to ``support_factor * n``; each is scaled so
-    the averaged-modulus constraint is active, then its order-n tail norm is
-    recorded.  Samples whose constraint values all vanish cannot be scaled
-    and are reported as non-bracketing.
+    Samples have support up to 8n; each is scaled so the averaged-modulus
+    constraint is active, then its order-n tail norm is recorded.  Samples
+    whose constraint values all vanish cannot be scaled and are reported as
+    non-bracketing.
     """
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
-    tau = cls.mu.tau
     rng = np.random.default_rng(seed)
     max_en = 0.0
     argmax: int | None = None
     non_bracketing = 0
     for i in range(samples):
-        sample = random_full_spectrum(rng, support_factor * n)
-        rough = psi_derivative(sample, cls.psi)
-        if cls.mode == "fixed_n":
-            u = tau / n
-            curve = ModulusCurve(rough, p, cls.shape, u, grid)
-            values = np.array([averaged_pow_modulus(curve, cls.mu, u) ** (1.0 / p)])
-            targets = np.ones(1)
-        else:
-            curve = ModulusCurve(rough, p, cls.shape, tau, grid)
-            us = tau * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
-            values = averaged_pow_modulus(curve, cls.mu, us) ** (1.0 / p)
-            targets = np.asarray(cls.omega.eval(us), dtype=float)
-        scale = _active_scale(values, targets)
+        sample = random_full_spectrum(rng, 8 * n)
+        scale = _active_scale(*_constraint(sample, cls, grid))
         if scale is None:
             non_bracketing += 1
             continue
@@ -422,27 +403,14 @@ def _capped_shape_integrals(
         raise ValueError("the window-scaling condition needs a declared cap point")
     a = shape.cap_point
 
-    def capped(t):
-        return np.asarray(
-            shape.eval(np.minimum(np.abs(np.asarray(t, dtype=float)), a)), dtype=float
-        )
+    def capped_pow(t):
+        return np.asarray(shape.eval(np.minimum(np.abs(t), a)), dtype=float) ** p
 
-    totals = np.zeros(xis.size)
-    if mu.density is not None:
-        totals += simpson_integrals(
-            lambda s, i: capped(xis[i] * s) ** p * np.asarray(mu.density(s), dtype=float),
-            np.zeros(xis.size),
-            np.full(xis.size, mu.tau),
-            tol=tol,
-            budget=budget,
-            initial_panels=np.maximum(64, (2 * xis * mu.tau / math.pi).astype(np.intp) + 1),
-            context=lambda i: f"capped shape integral (xi={xis[i]:g})",
-        )
-    if mu.atoms:
-        locs, masses = np.array(mu.atoms).T
-        args = np.multiply.outer(xis, locs)
-        totals += capped(args.ravel()).reshape(args.shape) ** p @ masses
-    return totals
+    return dilated_integrals(
+        capped_pow, mu, xis, tol=tol, budget=budget,
+        initial_panels=np.maximum(64, (2 * xis * mu.tau / math.pi).astype(np.intp) + 1),
+        context=lambda i: f"capped shape integral (xi={xis[i]:g})",
+    )
 
 
 def majorant_condition_check(
@@ -462,30 +430,20 @@ def majorant_condition_check(
     for all (xi, u) on the grids.  Equality holds identically at xi = 1.
     Defaults: xi log-spaced on [1e-2, 1e2], u linear on (0, cap_point].
     """
-    if shape.cap_point is None:
-        raise ValueError("the window-scaling condition needs a declared cap point")
     p = as_exponent(p)
-    a = shape.cap_point
     xis = np.logspace(-2, 2, 64) if xi_grid is None else np.asarray(xi_grid, dtype=float)
+    lhs_roots = _capped_shape_integrals(shape, p, mu, xis) ** (1.0 / p)
     us = (
-        a * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
+        shape.cap_point * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
         if u_grid is None
         else np.asarray(u_grid, dtype=float)
     )
-    rhs_root = shape_mass(shape, p, mu) ** (1.0 / p)
-    omega_us = np.asarray(omega.eval(us), dtype=float)
-    worst = -math.inf
-    worst_xi = worst_u = math.nan
-    ok = True
-    lhs_roots = _capped_shape_integrals(shape, p, mu, xis) ** (1.0 / p)
-    for xi, lhs_root in zip(xis, lhs_roots):
-        lhs = np.asarray(omega.eval(us / xi), dtype=float) * lhs_root
-        rhs = omega_us * rhs_root
-        rel = lhs / rhs - 1.0
-        j = int(np.argmax(rel))
-        if rel[j] > worst:
-            worst = float(rel[j])
-            worst_xi, worst_u = float(xi), float(us[j])
-        if rel[j] > rel_tol:
-            ok = False
+    rhs = np.asarray(omega.eval(us), dtype=float) * shape_mass(shape, p, mu) ** (1.0 / p)
+    # row i holds the dilation xi_i
+    lhs = np.asarray(omega.eval(us / xis[:, None]), dtype=float) * lhs_roots[:, None]
+    rel = lhs / rhs - 1.0
+    i, j = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    worst = float(rel[i, j])
+    ok = worst <= rel_tol
+    worst_xi, worst_u = float(xis[i]), float(us[j])
     return MajorantCheck(ok=ok, worst_rel_margin=worst, worst_xi=worst_xi, worst_u=worst_u)

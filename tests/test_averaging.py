@@ -6,6 +6,7 @@ import pytest
 from spapprox.averaging import (
     atom_measure,
     averaged_modulus,
+    dilated_integrals,
     mu1,
     mu2,
     stieltjes_integral,
@@ -122,6 +123,37 @@ WINDOW_WEIGHTS = {
         1.5, density=np.cos, atoms=[(0.0, 0.3), (0.9, 1.2)], label="cos+atoms"
     ),
 }
+
+
+class TestDilatedIntegrals:
+    """integral_0^tau F(theta s) dmu(s) over a batch of dilations."""
+
+    def test_density_and_atoms_against_closed_forms(self):
+        # F(t) = t^2: density part theta^2 int_0^1.5 s^2 cos s ds, atoms
+        # theta^2 sum m s^2
+        mu = WINDOW_WEIGHTS["atoms+density"]()
+        thetas = np.array([0.5, 1.0, 3.0])
+        dens = 1.5**2 * np.sin(1.5) + 2 * 1.5 * np.cos(1.5) - 2 * np.sin(1.5)
+        atoms = 0.3 * 0.0**2 + 1.2 * 0.9**2
+        values = dilated_integrals(lambda t: np.asarray(t, float) ** 2, mu, thetas)
+        np.testing.assert_allclose(values, thetas**2 * (dens + atoms), rtol=1e-10)
+
+    def test_atom_sums(self):
+        mu = atom_measure(2.0, [(0.5, 3.0), (2.0, 1.0)])
+        sums = mu.atom_sums(lambda t: np.asarray(t, float) ** 2, [1.0, 2.0])
+        assert sums.tolist() == pytest.approx([3.0 * 0.25 + 4.0, 4 * (3.0 * 0.25 + 4.0)])
+        assert mu2(1.0).atom_sums(np.sin, [1.0, 2.0]).tolist() == [0.0, 0.0]
+
+    def test_atom_sums_reject_non_finite_values(self):
+        mu = atom_measure(2.0, [(0.5, 3.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            mu.atom_sums(lambda t: np.full(np.shape(t), np.nan), [1.0])
+
+    def test_stieltjes_is_the_call_at_u_over_tau(self):
+        mu = WINDOW_WEIGHTS["tabulated"]()
+        us = np.array([0.4, 1.1, 2.0])
+        via_dilation = dilated_integrals(np.cos, mu, us / mu.tau)
+        np.testing.assert_array_equal(stieltjes_integral(np.cos, mu, us), via_dilation)
 
 
 class TestWindowBatch:

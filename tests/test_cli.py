@@ -285,3 +285,58 @@ class TestMainEntry:
         assert rc == 1
         report = json.loads(out.read_text())
         assert report["ok"] is False
+
+
+class TestSingleCommandInputs:
+    @pytest.mark.parametrize(
+        "flag,payload,key",
+        [
+            ("--psi", {"values": {"1": [1.0, 0.0]}}, "bound"),
+            ("--mu", {"label": "no points"}, "points"),
+            ("--phi", {"points": [[0, 0], [1, 1]]}, "sup_value"),
+            ("--mu", [[0.0, 1.0], [1.0, 2.0]], None),
+        ],
+    )
+    def test_malformed_tabulated_file_is_a_config_error(
+        self, tmp_path, capsys, flag, payload, key
+    ):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(payload))
+        args = {"--phi": "phi_alpha:1", "--mu": "mu1", "--psi": "power:1"}
+        args[flag] = f"tab:{table}"
+        rc = main([
+            "widths", "value", "--p", "2", "--tau", "pi", "--n", "1", "--k-max", "8",
+            *[item for pair in args.items() for item in pair], "--no-timestamp",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tabulated")
+        assert (f"misses key '{key}'" if key else "must hold a JSON object") in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["jackson", "inf", "--n", "1"],
+            ["widths", "value", "--psi", "power:1", "--n", "1"],
+            ["widths", "majorant-check", "--omega", "linear"],
+        ],
+    )
+    def test_commands_that_scan_nothing_reject_the_scan_flags(self, command):
+        rc = main([
+            *command, "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1", "--tau", "pi",
+            "--grid-points", "64",
+        ])
+        assert rc == 2
+
+    def test_commands_that_scan_take_the_scan_flags(self, tmp_path):
+        spec_path = tmp_path / "f.json"
+        spec_path.write_text(json.dumps([{"k": 3, "re": 1.0, "im": 0.0}]))
+        out = tmp_path / "bound.json"
+        rc = main([
+            "jackson", "bound", "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1",
+            "--tau", "pi", "--psi", "power:1", "--function", str(spec_path),
+            "--n", "2", "--k-max", "16", "--grid-points", "128", "--refine-iters", "10",
+            "--out", str(out), "--no-timestamp",
+        ])
+        assert rc == 0
+        assert json.loads(out.read_text())["holds"] is True

@@ -310,3 +310,26 @@ class TestSharpnessCertificate:
             f = random_sparse_spectrum(rng, 12, 5)
             res = jackson_bound(f, power(1), phi_alpha(1), 2, mu, n=2, inf_report=report)
             assert res.holds and res.holds_plain
+
+
+class TestNonFiniteAtAnAtom:
+    """A shape infinite at a dilated atom is an error, not a value."""
+
+    @staticmethod
+    def shape():
+        def _eval(t):
+            t = np.abs(np.asarray(t, dtype=float))
+            return np.where(t == 1.0, np.inf, 2.0 * np.abs(np.sin(0.5 * t)))
+
+        return ShapeFunction(eval=_eval, cap_point=np.pi, sup_value=2.0)
+
+    MU = atom_measure(2.0, [(1.0, 1.0), (1.5, 0.5)])
+
+    def test_shape_mass_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            shape_mass(self.shape(), 1.0, self.MU)
+
+    def test_inf_quantity_raises(self):
+        # theta = 1 meets the pole; the other dilations are finite
+        with pytest.raises(ValueError, match="non-finite"):
+            inf_quantity(1, self.shape(), 1.0, self.MU, k_max=4)

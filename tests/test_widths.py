@@ -7,12 +7,14 @@ from spapprox.averaging import mu1, mu2, stieltjes_integral
 from spapprox.jackson import extremal_function
 from spapprox.psi import PsiSequence, power, psi_derivative
 from spapprox.quadrature import adaptive_simpson
+from spapprox.sampling import random_full_spectrum
 from spapprox.smoothness import phi_alpha
 from spapprox.spectral import SpectralFunction, best_approximation, sp_norm
 from spapprox.widths import (
     SmoothnessClass,
     _active_scale,
     _capped_shape_integrals,
+    _constraint,
     bernstein_radius,
     certify_widths,
     linear_majorant,
@@ -60,6 +62,19 @@ class TestClassValidation:
     def test_mode_names(self):
         assert fixed_class().mode == "fixed_n"
         assert solved_linear_majorant_class().mode == "majorant"
+
+    def test_fixed_mode_windows_and_bound(self):
+        cls = fixed_class(n=4)
+        assert cls.windows().tolist() == [np.pi / 4]
+        assert cls.bound(np.array([0.1, 2.0])).tolist() == [1.0, 1.0]
+
+    def test_majorant_mode_windows_and_bound(self):
+        cls = solved_linear_majorant_class()
+        us = cls.windows()
+        assert us.shape == (64,)
+        assert (us[0], us[-1]) == (TAU34 / 64, TAU34)
+        np.testing.assert_allclose(np.diff(us), TAU34 / 64, rtol=1e-12)
+        assert cls.bound(us).tolist() == us.tolist()
 
     def test_non_monotone_multiplier_rejected(self):
         rising = PsiSequence(eval=lambda k: complex(abs(k)), bound=1e9)
@@ -181,6 +196,22 @@ class TestMembership:
         assert np.all(scale * values[:-1] < us[:-1] - 1e-3)
         assert membership((0.998 * scale) * f, cls)
         assert not membership(scale * f, cls)
+
+
+    def test_fixed_mode_values_are_pinned(self):
+        # values of the single-window route that both fixed-mode checks ran
+        # before they shared one constraint path
+        cls = fixed_class(p=2, alpha=1, r=1, n=2)
+        f = random_full_spectrum(np.random.default_rng(31), 16)
+        values, targets = _constraint(f, cls, None)
+        assert values.tolist() == pytest.approx([109.36773347821956], rel=1e-13, abs=0.0)
+        assert targets.tolist() == [1.0]
+        scale = 1.0 / float(values[0])
+        assert membership((scale * (1.0 - 1e-8)) * f, cls)
+        assert not membership((scale * (1.0 + 1e-8)) * f, cls)
+        ev = upper_certificate(cls, samples=6, seed=31)
+        assert ev.max_en == pytest.approx(0.06382224470457717, rel=1e-13, abs=0.0)
+        assert (ev.argmax_index, ev.non_bracketing) == (5, 0)
 
 
 class TestActiveScale:
