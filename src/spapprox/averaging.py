@@ -19,6 +19,8 @@ from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, adaptive_simpson, simpson_i
 from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent
 
+#: Points of the grid on which :func:`weight_measure` probes a density.
+DENSITY_PROBE_POINTS = 257
 
 @dataclass(frozen=True)
 class WeightMeasure:
@@ -58,7 +60,6 @@ def weight_measure(
     density: Callable[[np.ndarray], np.ndarray] | None = None,
     atoms: Sequence[tuple[float, float]] = (),
     label: str = "",
-    probe_points: int = 257,
     breakpoints: Sequence[float] = (),
     density_mass: float | None = None,
 ) -> WeightMeasure:
@@ -81,7 +82,7 @@ def weight_measure(
             raise ValueError(f"atom mass must be positive, got {m}")
     mass = sum(m for _, m in atoms)
     if density is not None:
-        probe = np.linspace(0.0, tau, probe_points)
+        probe = np.linspace(0.0, tau, DENSITY_PROBE_POINTS)
         dens = np.asarray(density(probe), dtype=float)
         if not np.all(np.isfinite(dens)):
             raise ValueError(f"density of {label!r} is not finite on [0, {tau}]")

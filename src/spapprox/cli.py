@@ -10,6 +10,10 @@ One executable, three families of commands:
 * ``spapprox jackson inf|sharp|bound`` evaluates single configurations.
 * ``spapprox widths value|certify|majorant-check`` does the same for widths.
 
+Both are tables over library calls: :data:`SUITES` holds each suite's row
+runner, defaults, tolerance, CSV columns and provenance; :data:`COMMANDS`
+holds each single-shot command's flags, library call, report and exit rule.
+
 Objects are selected by name: shapes as ``phi_alpha:<a>`` or ``tab:<path>``,
 measures as ``mu1``/``mu2``/``atoms:<json>``/``tab:<path>`` (plus ``--tau``),
 multipliers as ``power:<r>``/``const:<c>``/``tab:<path>``, majorants as
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -28,18 +33,13 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .averaging import WeightMeasure, atom_measure, mu1, mu2, tabulated_density
-from .jackson import (
-    closed_form_inf,
-    inf_quantity,
-    jackson_bound,
-    sharp_constant,
-    sharpness_certificate,
-)
+from .jackson import closed_form_inf, inf_quantity, jackson_bound, sharpness_certificate
 from .psi import PsiSequence, const_multiplier, power, tabulated_psi
 from .sampling import random_sparse_spectrum
 from .smoothness import (
@@ -60,8 +60,6 @@ from .widths import (
     majorant_condition_check,
     width_closed_form,
 )
-
-SUITES = ("a6101", "sharpness", "jackson-fuzz", "widths-certify", "modulus-oracle")
 
 
 class ConfigError(ValueError):
@@ -91,7 +89,8 @@ def parse_scalar(text) -> float:
 
 
 def _load_tab(token: str, kind: str, build):
-    """``build`` applied to a ``tab:<path>`` JSON file; a missing key is a config error."""
+    """``build`` applied to a ``tab:<path>`` JSON file; a missing key or a
+    value of the wrong type is a config error."""
     with open(token[4:], encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -100,6 +99,8 @@ def _load_tab(token: str, kind: str, build):
         return build(data)
     except KeyError as exc:
         raise ConfigError(f"tabulated {kind} file misses key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"tabulated {kind} file holds a malformed value: {exc}") from exc
 
 
 def parse_shape(token: str) -> ShapeFunction:
@@ -122,10 +123,10 @@ def parse_measure(token: str, tau: float) -> WeightMeasure:
         return mu2(tau)
     if token.startswith("atoms:"):
         try:
-            atoms = json.loads(token[6:])
-        except json.JSONDecodeError as exc:
+            atoms = [(float(t), float(m)) for t, m in json.loads(token[6:])]
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad atom list in {token!r}: {exc}") from exc
-        return atom_measure(tau, [(float(t), float(m)) for t, m in atoms])
+        return atom_measure(tau, atoms)
     if token.startswith("tab:"):
         return _load_tab(token, "measure", lambda data: tabulated_density(
             tau, data["points"], label=data.get("label", "tabulated")
@@ -168,69 +169,25 @@ def load_spectrum(path: str) -> SpectralFunction:
 # ---------------------------------------------------------------------------
 # suite configuration
 
-_SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
-    "a6101": {
-        "lambdas": [1, 2, 3, 4, 5],
-        "n": [1],
-        "k_factor": 64,
-    },
-    "sharpness": {
-        "p": [1.0, 2.0],
-        "alpha": [1.0, 2.0],
-        "r": [0.0, 1.0, 2.0],
-        "n": [1, 2, 4],
-        "mu": "mu1",
-        "tau": "pi",
-        "k_factor": 16,
-        "constant_scale": 1.0,  # fault-injection knob for CI failure paths
-    },
-    "jackson-fuzz": {
-        "samples": 1000,
-        "p": [1.0, 1.5, 2.0, 3.0],
-        "psi": ["power:0", "power:1"],
-        "alpha": 1.0,
-        "mu": "mu1",
-        "tau": "pi",
-        "n": [2],
-        "max_order": 32,
-        "max_terms": 8,
-        "k_factor": 16,
-    },
-    "widths-certify": {
-        "sets": [
-            {"p": 2.0, "alpha": 1.0, "mu": "mu1", "tau": "pi", "psi": "power:1"},
-            {"p": 2.0, "alpha": 1.0, "mu": "mu2", "tau": "3pi/4", "psi": "power:1"},
-        ],
-        "n": [1, 2],
-        "samples": 200,
-        "k_factor": 16,
-    },
-    "modulus-oracle": {
-        "cases": 200,
-        "alphas": [0.5, 1.0, 2.0, 3.0],
-        "p": [1.0, 1.5, 2.0, 3.0],
-        "max_order": 16,
-        "max_terms": 6,
-    },
-}
-
-_SUITE_TOLERANCE = {
-    "a6101": 1e-9,
-    "sharpness": 1e-6,
-    "jackson-fuzz": 1e-9,
-    "widths-certify": 1e-6,
-    "modulus-oracle": 1e-6,
-}
-
-_CSV_COLUMNS = {
-    "a6101": ["lambda", "n", "value", "expected", "rel_err", "argmin_k", "attained_at_n", "provenance", "pass"],
-    "sharpness": ["p", "alpha", "r", "n", "ratio", "constant", "rel_gap", "provenance", "pass"],
-    "jackson-fuzz": ["p", "psi", "n", "cases", "violations", "violations_plain", "provenance", "pass"],
-    "widths-certify": ["set", "mode", "n", "closed_form", "certified", "lower_failures", "upper_max_en", "verdict", "provenance", "pass"],
-    "modulus-oracle": ["case", "alpha", "p", "t", "value", "oracle", "rel_diff", "provenance", "pass"],
-}
-
 _TOP_KEYS = {"suite", "seed", "format", "out", "no_timestamp", "tolerance", "params"}
+#: Keys a ``widths-certify`` set may add to those of its default sets.
+_SET_OPTIONAL_KEYS = {"name", "omega"}
+_SCALAR = (int, float, str)
+
+
+def _fits(value, default) -> bool:
+    """Whether a suite parameter has the shape of its default: a list whose
+    items fit the default's first item, a set object holding scalars at the
+    default set's keys and no unknown keys, or a scalar."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(item, default[0]) for item in value)
+    if isinstance(default, dict):
+        return (
+            isinstance(value, dict)
+            and set(value) <= set(default) | _SET_OPTIONAL_KEYS
+            and all(isinstance(value.get(key), _SCALAR) for key in default)
+        )
+    return isinstance(value, _SCALAR)
 
 
 @dataclass
@@ -250,18 +207,24 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
-        allowed = set(_SUITE_DEFAULTS[self.suite])
-        unknown = set(self.params) - allowed
+        if self.tolerance is not None and not isinstance(self.tolerance, (int, float)):
+            raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
+        defaults = SUITES[self.suite].defaults
+        unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigError(
                 f"unknown parameter key(s) {sorted(unknown)} for suite {self.suite!r}; "
-                f"allowed: {sorted(allowed)}"
+                f"allowed: {sorted(defaults)}"
             )
-        merged = dict(_SUITE_DEFAULTS[self.suite])
-        merged.update(self.params)
-        self.params = merged
+        for key, value in self.params.items():
+            if not _fits(value, defaults[key]):
+                raise ConfigError(
+                    f"parameter {key!r} of suite {self.suite!r} must have the shape of "
+                    f"{defaults[key]!r}, got {value!r}"
+                )
+        self.params = {**defaults, **self.params}
         if self.tolerance is None:
-            self.tolerance = _SUITE_TOLERANCE[self.suite]
+            self.tolerance = SUITES[self.suite].tolerance
 
 
 def load_config(path: str) -> SuiteConfig:
@@ -279,24 +242,29 @@ def load_config(path: str) -> SuiteConfig:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(_TOP_KEYS)}")
     if "suite" not in raw:
         raise ConfigError(f"{path}: missing required key 'suite'")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}: params must be an object, got {params!r}")
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: seed must be an integer, got {raw['seed']!r}") from exc
     return SuiteConfig(
         suite=raw["suite"],
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         format=raw.get("format", "json"),
         out=raw.get("out"),
         no_timestamp=bool(raw.get("no_timestamp", False)),
         tolerance=raw.get("tolerance"),
-        params=dict(raw.get("params", {})),
+        params=dict(params),
     )
 
 
 # ---------------------------------------------------------------------------
-# suite implementations
+# suite implementations: each yields its rows, without the provenance
 
 
-def _suite_a6101(cfg: SuiteConfig) -> list[dict]:
-    rows = []
-    tol = cfg.tolerance
+def _suite_a6101(cfg: SuiteConfig) -> Iterator[dict]:
     measure = mu1(math.pi)
     for lam in cfg.params["lambdas"]:
         shape = phi_alpha(2.0 * float(lam))  # with p=1 the weight power is lam
@@ -305,7 +273,7 @@ def _suite_a6101(cfg: SuiteConfig) -> list[dict]:
             value = report.value / 2.0 ** float(lam)
             expected = closed_form_inf(int(lam))
             rel = abs(value - expected) / expected
-            rows.append({
+            yield {
                 "lambda": int(lam),
                 "n": int(n),
                 "value": value,
@@ -313,15 +281,11 @@ def _suite_a6101(cfg: SuiteConfig) -> list[dict]:
                 "rel_err": rel,
                 "argmin_k": report.argmin_k,
                 "attained_at_n": report.attained_at_n,
-                "provenance": "paper_constant",
-                "pass": bool(rel <= tol and report.attained_at_n),
-            })
-    return rows
+                "pass": bool(rel <= cfg.tolerance and report.attained_at_n),
+            }
 
 
-def _suite_sharpness(cfg: SuiteConfig) -> list[dict]:
-    rows = []
-    tol = cfg.tolerance
+def _suite_sharpness(cfg: SuiteConfig) -> Iterator[dict]:
     tau = parse_scalar(cfg.params["tau"])
     scale = float(cfg.params["constant_scale"])
     for p in cfg.params["p"]:
@@ -336,7 +300,7 @@ def _suite_sharpness(cfg: SuiteConfig) -> list[dict]:
                     )
                     expected = cert.constant * scale
                     rel_gap = abs(cert.ratio - expected) / expected
-                    rows.append({
+                    yield {
                         "p": float(p),
                         "alpha": float(alpha),
                         "r": float(r),
@@ -344,14 +308,11 @@ def _suite_sharpness(cfg: SuiteConfig) -> list[dict]:
                         "ratio": cert.ratio,
                         "constant": expected,
                         "rel_gap": rel_gap,
-                        "provenance": "paper_constant",
-                        "pass": bool(rel_gap <= tol),
-                    })
-    return rows
+                        "pass": bool(rel_gap <= cfg.tolerance),
+                    }
 
 
-def _suite_jackson_fuzz(cfg: SuiteConfig) -> list[dict]:
-    rows = []
+def _suite_jackson_fuzz(cfg: SuiteConfig) -> Iterator[dict]:
     tau = parse_scalar(cfg.params["tau"])
     measure = parse_measure(cfg.params["mu"], tau)
     shape = phi_alpha(parse_scalar(cfg.params["alpha"]))
@@ -375,17 +336,15 @@ def _suite_jackson_fuzz(cfg: SuiteConfig) -> list[dict]:
                     )
                     violations += not result.holds
                     violations_plain += not result.holds_plain
-                rows.append({
+                yield {
                     "p": float(p),
                     "psi": psi_token,
                     "n": int(n),
                     "cases": samples,
                     "violations": violations,
                     "violations_plain": violations_plain,
-                    "provenance": "oracle",
                     "pass": bool(violations == 0 and violations_plain == 0),
-                })
-    return rows
+                }
 
 
 def _build_class(psi, shape, p, measure, n: int, omega_token: str | None) -> SmoothnessClass:
@@ -397,9 +356,7 @@ def _build_class(psi, shape, p, measure, n: int, omega_token: str | None) -> Smo
     return SmoothnessClass(psi=psi, shape=shape, p=p, mu=measure, n=n)
 
 
-def _suite_widths_certify(cfg: SuiteConfig) -> list[dict]:
-    rows = []
-    tol = cfg.tolerance
+def _suite_widths_certify(cfg: SuiteConfig) -> Iterator[dict]:
     for idx, spec in enumerate(cfg.params["sets"]):
         tau = parse_scalar(spec["tau"])
         measure = parse_measure(spec["mu"], tau)
@@ -409,9 +366,9 @@ def _suite_widths_certify(cfg: SuiteConfig) -> list[dict]:
             cls = _build_class(psi, shape, float(spec["p"]), measure, int(n), spec.get("omega"))
             cert = certify_widths(
                 cls, int(n), samples=int(cfg.params["samples"]), seed=cfg.seed,
-                tol=tol, k_max=int(cfg.params["k_factor"]) * int(n) + 16,
+                tol=cfg.tolerance, k_max=int(cfg.params["k_factor"]) * int(n) + 16,
             )
-            rows.append({
+            yield {
                 "set": spec.get("name", f"set{idx}"),
                 "mode": cls.mode,
                 "n": int(n),
@@ -420,15 +377,11 @@ def _suite_widths_certify(cfg: SuiteConfig) -> list[dict]:
                 "lower_failures": cert.lower_evidence.failures,
                 "upper_max_en": cert.upper_evidence.max_en,
                 "verdict": cert.verdict,
-                "provenance": "closed_form",
                 "pass": bool(cert.verdict == "consistent"),
-            })
-    return rows
+            }
 
 
-def _suite_modulus_oracle(cfg: SuiteConfig) -> list[dict]:
-    rows = []
-    tol = cfg.tolerance
+def _suite_modulus_oracle(cfg: SuiteConfig) -> Iterator[dict]:
     rng = np.random.default_rng(cfg.seed)
     alphas = [float(a) for a in cfg.params["alphas"]]
     ps = [float(p) for p in cfg.params["p"]]
@@ -440,7 +393,7 @@ def _suite_modulus_oracle(cfg: SuiteConfig) -> list[dict]:
         value = generalized_modulus(f, p, phi_alpha(alpha), t)
         oracle = difference_modulus_oracle(f, p, alpha, t)
         rel = abs(value - oracle) / max(oracle, 1e-300)
-        rows.append({
+        yield {
             "case": case,
             "alpha": alpha,
             "p": p,
@@ -448,24 +401,64 @@ def _suite_modulus_oracle(cfg: SuiteConfig) -> list[dict]:
             "value": value,
             "oracle": oracle,
             "rel_diff": rel,
-            "provenance": "oracle",
-            "pass": bool(rel <= tol),
-        })
-    return rows
+            "pass": bool(rel <= cfg.tolerance),
+        }
 
 
-_SUITE_RUNNERS = {
-    "a6101": _suite_a6101,
-    "sharpness": _suite_sharpness,
-    "jackson-fuzz": _suite_jackson_fuzz,
-    "widths-certify": _suite_widths_certify,
-    "modulus-oracle": _suite_modulus_oracle,
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite: its row runner, the provenance of its rows,
+    its default tolerance, its CSV columns (``provenance`` and ``pass``
+    follow) and its parameter defaults, which also fix each parameter's shape."""
+
+    run: Callable[[SuiteConfig], Iterator[dict]]
+    provenance: str
+    tolerance: float
+    columns: tuple[str, ...]
+    defaults: dict[str, Any]
+
+
+SUITES: dict[str, Suite] = {
+    "a6101": Suite(
+        _suite_a6101, "paper_constant", 1e-9,
+        ("lambda", "n", "value", "expected", "rel_err", "argmin_k", "attained_at_n"),
+        {"lambdas": [1, 2, 3, 4, 5], "n": [1], "k_factor": 64},
+    ),
+    "sharpness": Suite(
+        _suite_sharpness, "paper_constant", 1e-6,
+        ("p", "alpha", "r", "n", "ratio", "constant", "rel_gap"),
+        {"p": [1.0, 2.0], "alpha": [1.0, 2.0], "r": [0.0, 1.0, 2.0], "n": [1, 2, 4],
+         "mu": "mu1", "tau": "pi", "k_factor": 16,
+         "constant_scale": 1.0},  # fault-injection knob for CI failure paths
+    ),
+    "jackson-fuzz": Suite(
+        _suite_jackson_fuzz, "oracle", 1e-9,
+        ("p", "psi", "n", "cases", "violations", "violations_plain"),
+        {"samples": 1000, "p": [1.0, 1.5, 2.0, 3.0], "psi": ["power:0", "power:1"],
+         "alpha": 1.0, "mu": "mu1", "tau": "pi", "n": [2], "max_order": 32, "max_terms": 8,
+         "k_factor": 16},
+    ),
+    "widths-certify": Suite(
+        _suite_widths_certify, "closed_form", 1e-6,
+        ("set", "mode", "n", "closed_form", "certified", "lower_failures", "upper_max_en",
+         "verdict"),
+        {"sets": [{"p": 2.0, "alpha": 1.0, "mu": "mu1", "tau": "pi", "psi": "power:1"},
+                  {"p": 2.0, "alpha": 1.0, "mu": "mu2", "tau": "3pi/4", "psi": "power:1"}],
+         "n": [1, 2], "samples": 200, "k_factor": 16},
+    ),
+    "modulus-oracle": Suite(
+        _suite_modulus_oracle, "oracle", 1e-6,
+        ("case", "alpha", "p", "t", "value", "oracle", "rel_diff"),
+        {"cases": 200, "alphas": [0.5, 1.0, 2.0, 3.0], "p": [1.0, 1.5, 2.0, 3.0],
+         "max_order": 16, "max_terms": 6},
+    ),
 }
 
 
 def run_suite(cfg: SuiteConfig) -> tuple[dict, int]:
     """Execute the suite; returns (report, exit_status)."""
-    rows = _SUITE_RUNNERS[cfg.suite](cfg)
+    suite = SUITES[cfg.suite]
+    rows = [{**row, "provenance": suite.provenance} for row in suite.run(cfg)]
     ok = all(row["pass"] for row in rows)
     report = {
         "suite": cfg.suite,
@@ -479,18 +472,151 @@ def run_suite(cfg: SuiteConfig) -> tuple[dict, int]:
     return report, 0 if ok else 1
 
 
-def _render(report: dict, fmt: str, suite: str | None = None) -> str:
+# ---------------------------------------------------------------------------
+# single-shot commands
+
+
+def _asdict(result, omit: tuple[str, ...] = ()) -> dict:
+    """``dataclasses.asdict`` of a result, tuples as lists, without the fields
+    named in ``omit`` at any depth."""
+    return dataclasses.asdict(result, dict_factory=lambda pairs: {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in pairs if key not in omit
+    })
+
+
+def _sharp_holds(report) -> bool:
+    return report.rel_gap <= 1e-6
+
+
+def _certificate_report(cert) -> dict:
+    """The certificate with its closed form flattened to the value and its
+    certification, and its evidence under ``lower`` and ``upper``."""
+    report = _asdict(cert, omit=("failed_indices", "argmax_index"))
+    closed = report.pop("closed_form")
+    report["closed_form"], report["certified"] = closed["value"], closed["certified"]
+    report["lower"] = report.pop("lower_evidence")
+    report["upper"] = report.pop("upper_evidence")
+    return report
+
+
+@dataclass(frozen=True)
+class Command:
+    """One single-shot command: its extra flags, its library call on the
+    parsed arguments and objects, its report of the result, and its exit rule."""
+
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    call: Callable[[argparse.Namespace, SimpleNamespace], Any]
+    report: Callable[[Any], dict] = _asdict
+    passed: Callable[[Any], bool] = lambda result: True
+
+
+_COMMON_FLAGS = (
+    ("--out", {"help": "write the report here instead of stdout"}),
+    ("--format", {"choices": ("json", "csv"), "default": None}),
+    ("--no-timestamp", {"action": "store_true"}),
+)
+_OBJECT_FLAGS = (
+    ("--phi", {"required": True, "help": "shape, e.g. phi_alpha:1"}),
+    ("--p", {"required": True, "help": "norm exponent"}),
+    ("--mu", {"required": True, "help": "measure: mu1|mu2|atoms:<json>|tab:<path>"}),
+    ("--tau", {"required": True, "help": "measure support length (floats or pi forms)"}),
+)
+_PSI = ("--psi", {"required": True, "help": "multiplier, e.g. power:1"})
+_SCAN = (  # only the commands that scan a spectrum's shift supremum
+    ("--grid-points", {"type": int, "default": 4096,
+                       "help": "least scan points for the shift supremum"}),
+    ("--refine-iters", {"type": int, "default": 40,
+                        "help": "golden-section refinement iterations"}),
+)
+_N = ("--n", {"type": int, "required": True})
+_K_MAX = ("--k-max", {"type": int, "default": None})
+_OMEGA = ("--omega", {"help": "majorant for majorant-mode classes"})
+
+_GROUP_HELP = {"jackson": "direct-estimate evaluations", "widths": "width values and certificates"}
+
+COMMANDS: dict[str, dict[str, Command]] = {
+    "jackson": {
+        "inf": Command(
+            "windowed dilation infimum", (_N, _K_MAX),
+            lambda a, o: inf_quantity(a.n, o.shape, o.p, o.mu, k_max=a.k_max),
+        ),
+        "sharp": Command(
+            "sharp constant and attained ratio", (_PSI, *_SCAN, _N, _K_MAX),
+            lambda a, o: sharpness_certificate(
+                o.shape, o.p, o.mu, o.psi, a.n, grid=o.grid, k_max=a.k_max
+            ),
+            report=lambda r: {**_asdict(r), "holds": _sharp_holds(r)},
+            passed=_sharp_holds,
+        ),
+        "bound": Command(
+            "check the estimate on one spectrum",
+            (_PSI, *_SCAN, ("--function", {"required": True, "help": "spectrum JSON file"}),
+             _N, _K_MAX),
+            lambda a, o: jackson_bound(
+                load_spectrum(a.function), o.psi, o.shape, o.p, o.mu, a.n,
+                k_max=a.k_max, grid=o.grid,
+            ),
+            passed=lambda r: r.holds and r.holds_plain,
+        ),
+    },
+    "widths": {
+        "value": Command(
+            "closed form or two-sided interval", (_PSI, _N, _OMEGA, _K_MAX),
+            lambda a, o: width_closed_form(
+                _build_class(o.psi, o.shape, o.p, o.mu, a.n, a.omega), a.n, k_max=a.k_max
+            ),
+            report=lambda r: _asdict(r, omit=("n",)),
+        ),
+        "certify": Command(
+            "two-sided sampling certificates",
+            (_PSI, *_SCAN, _N, _OMEGA, ("--samples", {"type": int, "default": 200}),
+             ("--seed", {"type": int, "default": 0}), _K_MAX),
+            lambda a, o: certify_widths(
+                _build_class(o.psi, o.shape, o.p, o.mu, a.n, a.omega), a.n,
+                samples=a.samples, seed=a.seed, grid=o.grid, k_max=a.k_max,
+            ),
+            report=_certificate_report,
+            passed=lambda r: r.verdict == "consistent",
+        ),
+        "majorant-check": Command(
+            "window-scaling condition on a grid", (("--omega", {"required": True}),),
+            lambda a, o: majorant_condition_check(parse_majorant(a.omega), o.shape, o.p, o.mu),
+            passed=lambda r: r.ok,
+        ),
+    },
+}
+
+
+def _objects(args) -> SimpleNamespace:
+    """The measure, shape and exponent of every command, and the scan grid
+    and multiplier of those that take them."""
+    tau = parse_scalar(args.tau)
+    mu = parse_measure(args.mu, tau)
+    shape = parse_shape(args.phi)
+    p = parse_scalar(args.p)
+    grid = ModulusGrid(args.grid_points, args.refine_iters) if "grid_points" in args else None
+    psi = parse_psi(args.psi) if "psi" in args else None
+    return SimpleNamespace(mu=mu, shape=shape, p=p, grid=grid, psi=psi)
+
+
+# ---------------------------------------------------------------------------
+# rendering, argument parsing and dispatch
+
+
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+    if "suite" in report:
+        rows = report["rows"]
+        columns = [*SUITES[report["suite"]].columns, "provenance", "pass"]
+    else:
+        rows, columns = [report], sorted(report)
     buf = io.StringIO()
-    columns = _CSV_COLUMNS.get(suite or report.get("suite", ""), None)
-    rows = report.get("rows", [report])
-    if columns is None:
-        columns = sorted(rows[0]) if rows else []
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -499,8 +625,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -514,28 +638,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# argument parsing and dispatch
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--no-timestamp", action="store_true")
-
-
-def _add_objects(parser: argparse.ArgumentParser, *, psi: bool = True, scan: bool = False) -> None:
-    parser.add_argument("--phi", required=True, help="shape, e.g. phi_alpha:1")
-    parser.add_argument("--p", required=True, help="norm exponent")
-    parser.add_argument("--mu", required=True, help="measure: mu1|mu2|atoms:<json>|tab:<path>")
-    parser.add_argument("--tau", required=True, help="measure support length (floats or pi forms)")
-    if psi:
-        parser.add_argument("--psi", required=True, help="multiplier, e.g. power:1")
-    if scan:  # only the commands that scan a spectrum's shift supremum
-        parser.add_argument("--grid-points", type=int, default=4096,
-                            help="least scan points for the shift supremum")
-        parser.add_argument("--refine-iters", type=int, default=40,
-                            help="golden-section refinement iterations")
+def _add_flags(parser: argparse.ArgumentParser, *flags: tuple[str, dict]) -> None:
+    for name, options in flags:
+        parser.add_argument(name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,148 +648,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spapprox", description="verification suites and single-shot evaluations"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_suite = sub.add_parser("suite", help="run a named verification suite")
-    p_suite.add_argument("--config", help="JSON suite configuration")
-    p_suite.add_argument("--suite", choices=SUITES, help="suite name (overrides config)")
-    p_suite.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    _add_common(p_suite)
-
-    p_jack = sub.add_parser("jackson", help="direct-estimate evaluations")
-    jack_sub = p_jack.add_subparsers(dest="subcommand", required=True)
-
-    p_inf = jack_sub.add_parser("inf", help="windowed dilation infimum")
-    _add_objects(p_inf, psi=False)
-    p_inf.add_argument("--n", type=int, required=True)
-    p_inf.add_argument("--k-max", type=int, default=None)
-    _add_common(p_inf)
-
-    p_sharp = jack_sub.add_parser("sharp", help="sharp constant and attained ratio")
-    _add_objects(p_sharp, scan=True)
-    p_sharp.add_argument("--n", type=int, required=True)
-    p_sharp.add_argument("--k-max", type=int, default=None)
-    _add_common(p_sharp)
-
-    p_bound = jack_sub.add_parser("bound", help="check the estimate on one spectrum")
-    _add_objects(p_bound, scan=True)
-    p_bound.add_argument("--function", required=True, help="spectrum JSON file")
-    p_bound.add_argument("--n", type=int, required=True)
-    p_bound.add_argument("--k-max", type=int, default=None)
-    _add_common(p_bound)
-
-    p_wid = sub.add_parser("widths", help="width values and certificates")
-    wid_sub = p_wid.add_subparsers(dest="subcommand", required=True)
-
-    p_val = wid_sub.add_parser("value", help="closed form or two-sided interval")
-    _add_objects(p_val)
-    p_val.add_argument("--n", type=int, required=True)
-    p_val.add_argument("--omega", help="majorant for majorant-mode classes")
-    p_val.add_argument("--k-max", type=int, default=None)
-    _add_common(p_val)
-
-    p_cert = wid_sub.add_parser("certify", help="two-sided sampling certificates")
-    _add_objects(p_cert, scan=True)
-    p_cert.add_argument("--n", type=int, required=True)
-    p_cert.add_argument("--omega", help="majorant for majorant-mode classes")
-    p_cert.add_argument("--samples", type=int, default=200)
-    p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--k-max", type=int, default=None)
-    _add_common(p_cert)
-
-    p_maj = wid_sub.add_parser("majorant-check", help="window-scaling condition on a grid")
-    _add_objects(p_maj, psi=False)
-    p_maj.add_argument("--omega", required=True)
-    _add_common(p_maj)
-
+    _add_flags(
+        sub.add_parser("suite", help="run a named verification suite"),
+        ("--config", {"help": "JSON suite configuration"}),
+        ("--suite", {"choices": SUITES, "help": "suite name (overrides config)"}),
+        ("--seed", {"type": int, "help": "RNG seed (overrides config)"}),
+        *_COMMON_FLAGS,
+    )
+    for group, commands in COMMANDS.items():
+        group_sub = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+            dest="subcommand", required=True
+        )
+        for name, command in commands.items():
+            _add_flags(
+                group_sub.add_parser(name, help=command.help),
+                *_OBJECT_FLAGS, *command.flags, *_COMMON_FLAGS,
+            )
     return parser
 
 
-def _run_single(args) -> tuple[dict, int]:
-    tau = parse_scalar(args.tau)
-    measure = parse_measure(args.mu, tau)
-    shape = parse_shape(args.phi)
-    p = parse_scalar(args.p)
-    grid = ModulusGrid(args.grid_points, args.refine_iters) if "grid_points" in args else None
-
-    if args.command == "jackson" and args.subcommand == "inf":
-        report = inf_quantity(args.n, shape, p, measure, k_max=args.k_max)
-        return {
-            "value": report.value,
-            "argmin_k": report.argmin_k,
-            "k_max": report.k_max,
-            "attained_at_n": report.attained_at_n,
-        }, 0
-
-    if args.command == "jackson" and args.subcommand == "sharp":
-        psi = parse_psi(args.psi)
-        cert = sharpness_certificate(shape, p, measure, psi, args.n, grid=grid, k_max=args.k_max)
-        ok = cert.rel_gap <= 1e-6
-        return {
-            "constant": cert.constant,
-            "ratio": cert.ratio,
-            "rel_gap": cert.rel_gap,
-            "holds": ok,
-        }, 0 if ok else 1
-
-    if args.command == "jackson" and args.subcommand == "bound":
-        psi = parse_psi(args.psi)
-        f = load_spectrum(args.function)
-        result = jackson_bound(f, psi, shape, p, measure, args.n, k_max=args.k_max, grid=grid)
-        return {
-            "lhs": result.lhs,
-            "bound": result.bound,
-            "holds": result.holds,
-            "bound_plain": result.bound_plain,
-            "holds_plain": result.holds_plain,
-        }, 0 if result.holds and result.holds_plain else 1
-
-    if args.command == "widths" and args.subcommand == "value":
-        cls = _build_class(parse_psi(args.psi), shape, p, measure, args.n, args.omega)
-        value = width_closed_form(cls, args.n, k_max=args.k_max)
-        return {
-            "lower": value.lower,
-            "upper": value.upper,
-            "certified": value.certified,
-            "value": value.value,
-            "dimensions": list(value.dimensions),
-            "shape_certification": value.shape_certification,
-        }, 0
-
-    if args.command == "widths" and args.subcommand == "certify":
-        cls = _build_class(parse_psi(args.psi), shape, p, measure, args.n, args.omega)
-        cert = certify_widths(
-            cls, args.n, samples=args.samples, seed=args.seed, grid=grid,
-            k_max=args.k_max,
-        )
-        ok = cert.verdict == "consistent"
-        return {
-            "closed_form": cert.closed_form.value,
-            "certified": cert.closed_form.certified,
-            "lower": {
-                "samples": cert.lower_evidence.samples,
-                "failures": cert.lower_evidence.failures,
-                "radius": cert.lower_evidence.radius,
-            },
-            "upper": {
-                "samples": cert.upper_evidence.samples,
-                "max_en": cert.upper_evidence.max_en,
-                "non_bracketing": cert.upper_evidence.non_bracketing,
-            },
-            "dimensions": list(cert.dimensions),
-            "verdict": cert.verdict,
-        }, 0 if ok else 1
-
-    if args.command == "widths" and args.subcommand == "majorant-check":
-        omega = parse_majorant(args.omega)
-        check = majorant_condition_check(omega, shape, p, measure)
-        return {
-            "ok": check.ok,
-            "worst_rel_margin": check.worst_rel_margin,
-            "worst_xi": check.worst_xi,
-            "worst_u": check.worst_u,
-        }, 0 if check.ok else 1
-
-    raise ConfigError(f"unhandled command {args.command} {args.subcommand}")
+def _suite_config(args) -> SuiteConfig:
+    """The suite run the config file and the command-line overrides describe."""
+    if args.config:
+        cfg = load_config(args.config)
+        if args.suite and args.suite != cfg.suite:
+            # switching suites drops config params and tolerance (they are per-suite)
+            cfg = dataclasses.replace(cfg, suite=args.suite, params={}, tolerance=None)
+    elif args.suite:
+        cfg = SuiteConfig(suite=args.suite)
+    else:
+        raise ConfigError("suite runs need --config or --suite")
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.no_timestamp:
+        cfg.no_timestamp = True
+    if args.format is not None:
+        cfg.format = args.format
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -697,34 +697,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "suite":
-            if args.config:
-                cfg = load_config(args.config)
-                if args.suite and args.suite != cfg.suite:
-                    # switching suites drops config params (they are per-suite)
-                    cfg = SuiteConfig(
-                        suite=args.suite, seed=cfg.seed, format=cfg.format,
-                        out=cfg.out, no_timestamp=cfg.no_timestamp,
-                    )
-            elif args.suite:
-                cfg = SuiteConfig(suite=args.suite)
-            else:
-                raise ConfigError("suite runs need --config or --suite")
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.no_timestamp:
-                cfg.no_timestamp = True
-            if args.format is not None:
-                cfg.format = args.format
-            out = args.out or cfg.out
+            cfg = _suite_config(args)
             report, status = run_suite(cfg)
-            _emit(_render(report, cfg.format, cfg.suite), out)
+            _emit(_render(report, cfg.format), args.out or cfg.out)
             return status
 
-        report, status = _run_single(args)
+        command = COMMANDS[args.command][args.subcommand]
+        result = command.call(args, _objects(args))
+        report = command.report(result)
         if not args.no_timestamp:
             report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         _emit(_render(report, args.format or "json"), args.out)
-        return status
+        return 0 if command.passed(result) else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

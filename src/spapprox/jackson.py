@@ -195,8 +195,12 @@ def equiv_condition_check(
 ) -> bool:
     """True iff the windowed infimum equals the undilated shape integral."""
     report = inf_report if inf_report is not None else inf_quantity(n, shape, p, mu, k_max)
-    ref = shape_mass(shape, p, mu)
-    return abs(report.value - ref) <= EQUIV_REL_TOL * abs(ref)
+    return _equivalent(report.value, shape_mass(shape, p, mu))
+
+
+def _equivalent(infimum: float, mass: float) -> bool:
+    """The equivalence condition: the window infimum equals the shape mass."""
+    return abs(infimum - mass) <= EQUIV_REL_TOL * abs(mass)
 
 
 @dataclass(frozen=True)
@@ -282,12 +286,14 @@ def sharp_constant(
         raise SharpnessNotCertifiedError(
             "sharpness not certified: tail supremum is not attained at |k| = n"
         )
-    if not equiv_condition_check(n, shape, p, mu, k_max, inf_report):
+    report = inf_report if inf_report is not None else inf_quantity(n, shape, p, mu, k_max)
+    mass = shape_mass(shape, p, mu)
+    if not _equivalent(report.value, mass):
         raise SharpnessNotCertifiedError(
             "sharpness not certified: dilated-integral infimum differs from "
             "the undilated shape integral"
         )
-    return (mu.total_mass / shape_mass(shape, p, mu)) ** (1.0 / p) * info.value
+    return (mu.total_mass / mass) ** (1.0 / p) * info.value
 
 
 def extremal_function(

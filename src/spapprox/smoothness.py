@@ -35,6 +35,8 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 BLOCK_ELEMENTS = 2**15
 #: Most points the resolution floor of a shift scan may ask for.
 MAX_SCAN_POINTS = 2**20
+#: Points of each probe grid of :func:`check_shape`.
+SHAPE_PROBE_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,13 @@ class ModulusGrid:
         return max(self.base_points, floor)
 
 
-def check_shape(shape: ShapeFunction, probe_points: int = 257) -> None:
+def check_shape(shape: ShapeFunction) -> None:
     """Probe-grid validation of the shape invariants; raises ValueError."""
     sup = shape.sup_value
     if not (sup > 0 and math.isfinite(sup)):
         raise ValueError(f"sup_value must be a positive real, got {sup}")
     span = 2.0 * (shape.cap_point if shape.cap_point is not None else math.pi)
-    ts = np.linspace(0.0, span, probe_points)
+    ts = np.linspace(0.0, span, SHAPE_PROBE_POINTS)
     vals = np.asarray(shape.eval(ts), dtype=float)
     neg_vals = np.asarray(shape.eval(-ts), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -153,7 +155,7 @@ def check_shape(shape: ShapeFunction, probe_points: int = 257) -> None:
     if shape.cap_point is not None:
         if shape.cap_point <= 0:
             raise ValueError(f"cap_point must be positive, got {shape.cap_point}")
-        tc = np.linspace(0.0, shape.cap_point, probe_points)
+        tc = np.linspace(0.0, shape.cap_point, SHAPE_PROBE_POINTS)
         vc = np.asarray(shape.eval(tc), dtype=float)
         if np.any(np.diff(vc) < -1e-9 * max(1.0, sup)):
             raise ValueError(

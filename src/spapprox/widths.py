@@ -25,13 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .averaging import WeightMeasure, averaged_pow_modulus, dilated_integrals
-from .jackson import (
-    InfReport,
-    default_k_max,
-    inf_quantity,
-    shape_mass,
-    EQUIV_REL_TOL,
-)
+from .jackson import InfReport, _equivalent, inf_quantity, shape_mass
 from .psi import PsiSequence, is_monotone_even, psi_derivative
 from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
     DEFAULT_BUDGET,
@@ -44,6 +38,8 @@ from .spectral import SpectralFunction, as_exponent, best_approximation, sp_norm
 
 #: Number of windows bounded by a majorant-mode class.
 MEMBERSHIP_U_POINTS = 64
+#: Points of each probe grid on which :func:`majorant` checks monotonicity.
+MAJORANT_PROBE_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -57,15 +53,10 @@ class Majorant:
         return self.eval(u)
 
 
-def majorant(
-    fn: Callable[[np.ndarray], np.ndarray],
-    label: str = "",
-    probe_points: int = 256,
-    probe_span: float = 2.0 * math.pi,
-) -> Majorant:
+def majorant(fn: Callable[[np.ndarray], np.ndarray], label: str = "") -> Majorant:
     """Validate monotonicity on linear and log probe grids and wrap ``fn``."""
-    lin = np.linspace(0.0, probe_span, probe_points)
-    log = np.logspace(-6, 3, probe_points)
+    lin = np.linspace(0.0, 2.0 * math.pi, MAJORANT_PROBE_POINTS)
+    log = np.logspace(-6, 3, MAJORANT_PROBE_POINTS)
     for probe in (lin, log):
         vals = np.asarray(fn(probe), dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -193,11 +184,10 @@ def width_closed_form(
     """Closed-form width value, or the two-sided interval when uncertified."""
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
-    lower = bernstein_radius(cls, n)
+    lower, mass = _radius_and_mass(cls, n)
     report = inf_report if inf_report is not None else inf_quantity(n, cls.shape, p, cls.mu, k_max)
-    ref = shape_mass(cls.shape, p, cls.mu)
-    upper = lower * (ref / report.value) ** (1.0 / p)
-    certified = abs(report.value - ref) <= EQUIV_REL_TOL * abs(ref)
+    upper = lower * (mass / report.value) ** (1.0 / p)
+    certified = _equivalent(report.value, mass)
     return WidthValue(
         lower=lower,
         upper=upper,
@@ -215,7 +205,11 @@ def bernstein_radius(cls: SmoothnessClass, n: int | None = None) -> float:
     Equals the certified closed form; in majorant mode the fixed-mode radius
     is scaled by omega(tau/n).
     """
-    n = _resolve_n(cls, n)
+    return _radius_and_mass(cls, _resolve_n(cls, n))[0]
+
+
+def _radius_and_mass(cls: SmoothnessClass, n: int) -> tuple[float, float]:
+    """:func:`bernstein_radius` and the shape mass it is computed from."""
     p = as_exponent(cls.p)
     if not cls.shape.nondecreasing_on(cls.mu.tau):
         raise ValueError(
@@ -224,7 +218,7 @@ def bernstein_radius(cls: SmoothnessClass, n: int | None = None) -> float:
     _require_monotone_even(cls.psi, horizon=max(4 * n, 64))
     mass = shape_mass(cls.shape, p, cls.mu)
     scale = float(cls.bound(np.array([cls.mu.tau / n]))[0])
-    return (cls.mu.total_mass / mass) ** (1.0 / p) * abs(cls.psi(n)) * scale
+    return (cls.mu.total_mass / mass) ** (1.0 / p) * abs(cls.psi(n)) * scale, mass
 
 
 @dataclass(frozen=True)
@@ -253,6 +247,14 @@ def lower_certificate(
     """
     n = _resolve_n(cls, n)
     radius = bernstein_radius(cls, n) * radius_scale
+    return _sphere_evidence(cls, n, radius, samples, seed, grid, tol)
+
+
+def _sphere_evidence(
+    cls: SmoothnessClass, n: int, radius: float, samples: int, seed: int,
+    grid: ModulusGrid | None, tol: float,
+) -> LowerEvidence:
+    """Membership of random order-n polynomials scaled onto the sphere of ``radius``."""
     rng = np.random.default_rng(seed)
     failed: list[int] = []
     for i in range(samples):
@@ -348,7 +350,7 @@ def certify_widths(
     """Run both certificates against the closed form (or interval)."""
     n = _resolve_n(cls, n)
     value = width_closed_form(cls, n, k_max)
-    lower = lower_certificate(cls, n, samples, seed, grid, tol)
+    lower = _sphere_evidence(cls, n, value.lower, samples, seed, grid, tol)
     upper = upper_certificate(cls, n, samples, seed + 1, grid)
     reference = value.value if value.certified else value.upper
     violated = lower.failures > 0 or upper.max_en > reference + tol

@@ -82,6 +82,42 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r":1:"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "payload,match",
+        [
+            ({"suite": "a6101", "params": 5}, "params must be an object"),
+            ({"suite": "a6101", "seed": [1]}, "seed must be an integer"),
+            ({"suite": "a6101", "tolerance": "1e-6"}, "tolerance must be a number"),
+            ({"suite": "a6101", "params": {"lambdas": 5}}, "'lambdas'"),
+            ({"suite": "a6101", "params": {"lambdas": [[1]]}}, "'lambdas'"),
+            ({"suite": "a6101", "params": {"k_factor": [8]}}, "'k_factor'"),
+            ({"suite": "sharpness", "params": {"tau": None}}, "'tau'"),
+            ({"suite": "widths-certify", "params": {"sets": [5]}}, "'sets'"),
+            ({"suite": "widths-certify",
+              "params": {"sets": [{"p": 2, "alpha": 1, "mu": "mu1", "psi": "power:1"}]}},
+             "'sets'"),
+            ({"suite": "widths-certify",
+              "params": {"sets": [{"p": [2], "alpha": 1, "mu": "mu1", "tau": "pi",
+                                   "psi": "power:1"}]}},
+             "'sets'"),
+            ({"suite": "widths-certify",
+              "params": {"sets": [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi",
+                                   "psi": "power:1", "omgea": "linear"}]}},
+             "'sets'"),
+        ],
+    )
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, payload, match):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["suite", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_set_keys_beyond_the_defaults(self):
+        sets = [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi", "psi": "power:1",
+                 "name": "named", "omega": "linear"}]
+        assert SuiteConfig(suite="widths-certify", params={"sets": sets}).params["sets"] == sets
+
     def test_defaults_merged(self):
         cfg = SuiteConfig(suite="a6101", params={"k_factor": 8})
         assert cfg.params["k_factor"] == 8
@@ -287,18 +323,98 @@ class TestMainEntry:
         assert report["ok"] is False
 
 
+_OBJECTS = ["--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1", "--tau", "pi"]
+
+
+class TestReportShape:
+    """Key sets and CSV headers of every report, pinned."""
+
+    @pytest.mark.parametrize(
+        "command,status,keys",
+        [
+            (["jackson", "inf", "--n", "1", "--k-max", "8"], 0,
+             {"value": None, "argmin_k": None, "k_max": None, "attained_at_n": None}),
+            (["jackson", "sharp", "--psi", "power:1", "--n", "1", "--k-max", "8"], 0,
+             {"constant": None, "ratio": None, "rel_gap": None, "holds": None}),
+            (["jackson", "bound", "--psi", "power:1", "--n", "2", "--k-max", "16"], 0,
+             {"lhs": None, "bound": None, "holds": None, "bound_plain": None,
+              "holds_plain": None}),
+            (["widths", "value", "--psi", "power:1", "--n", "1", "--k-max", "8"], 0,
+             {"lower": None, "upper": None, "certified": None, "value": None,
+              "dimensions": None, "shape_certification": None}),
+            (["widths", "certify", "--psi", "power:1", "--n", "1", "--k-max", "8",
+              "--samples", "2"], 0,
+             {"closed_form": None, "certified": None,
+              "lower": {"samples": None, "failures": None, "radius": None},
+              "upper": {"samples": None, "max_en": None, "non_bracketing": None},
+              "dimensions": None, "verdict": None}),
+            (["widths", "majorant-check", "--omega", "linear"], 1,
+             {"ok": None, "worst_rel_margin": None, "worst_xi": None, "worst_u": None}),
+        ],
+        ids=["inf", "sharp", "bound", "value", "certify", "majorant-check"],
+    )
+    def test_single_command_keys_and_csv_header(self, tmp_path, command, status, keys):
+        spec_path = tmp_path / "f.json"
+        spec_path.write_text(json.dumps([{"k": 3, "re": 1.0, "im": 0.0}]))
+        if command[1] == "bound":
+            command = [*command, "--function", str(spec_path)]
+
+        def key_shape(report):
+            return {k: key_shape(v) if isinstance(v, dict) else None for k, v in report.items()}
+
+        out = tmp_path / "report"
+        assert main([*command, *_OBJECTS, "--out", str(out), "--no-timestamp"]) == status
+        assert key_shape(json.loads(out.read_text())) == keys
+        assert main([*command, *_OBJECTS, "--out", str(out), "--no-timestamp",
+                     "--format", "csv"]) == status
+        header, row = out.read_text().splitlines()
+        assert header == ",".join(sorted(keys))
+
+    @pytest.mark.parametrize(
+        "suite,params,rows,header",
+        [
+            ("a6101", {"lambdas": []}, 0,
+             "lambda,n,value,expected,rel_err,argmin_k,attained_at_n,provenance,pass"),
+            ("a6101", {"lambdas": [1], "k_factor": 8}, 1,
+             "lambda,n,value,expected,rel_err,argmin_k,attained_at_n,provenance,pass"),
+            ("sharpness", {"p": []}, 0,
+             "p,alpha,r,n,ratio,constant,rel_gap,provenance,pass"),
+            ("jackson-fuzz", {"p": []}, 0,
+             "p,psi,n,cases,violations,violations_plain,provenance,pass"),
+            ("widths-certify", {"sets": []}, 0,
+             "set,mode,n,closed_form,certified,lower_failures,upper_max_en,verdict,"
+             "provenance,pass"),
+            ("modulus-oracle", {"cases": 0}, 0,
+             "case,alpha,p,t,value,oracle,rel_diff,provenance,pass"),
+            ("modulus-oracle", {"cases": 2}, 2,
+             "case,alpha,p,t,value,oracle,rel_diff,provenance,pass"),
+        ],
+    )
+    def test_suite_csv_header(self, tmp_path, suite, params, rows, header):
+        cfg = write_config(tmp_path, {"suite": suite, "params": params, "format": "csv",
+                                      "no_timestamp": True})
+        out = tmp_path / "report.csv"
+        assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+
+
 class TestSingleCommandInputs:
     @pytest.mark.parametrize(
-        "flag,payload,key",
+        "flag,payload,message",
         [
-            ("--psi", {"values": {"1": [1.0, 0.0]}}, "bound"),
-            ("--mu", {"label": "no points"}, "points"),
-            ("--phi", {"points": [[0, 0], [1, 1]]}, "sup_value"),
-            ("--mu", [[0.0, 1.0], [1.0, 2.0]], None),
+            ("--psi", {"values": {"1": [1.0, 0.0]}}, "misses key 'bound'"),
+            ("--mu", {"label": "no points"}, "misses key 'points'"),
+            ("--phi", {"points": [[0, 0], [1, 1]]}, "misses key 'sup_value'"),
+            ("--mu", [[0.0, 1.0], [1.0, 2.0]], "must hold a JSON object"),
+            ("--phi", {"points": 5, "sup_value": 1.0}, "holds a malformed value"),
+            ("--psi", {"values": {"1": 5}, "bound": 1.0}, "holds a malformed value"),
+            ("--psi", {"values": [1.0], "bound": 1.0}, "holds a malformed value"),
         ],
     )
     def test_malformed_tabulated_file_is_a_config_error(
-        self, tmp_path, capsys, flag, payload, key
+        self, tmp_path, capsys, flag, payload, message
     ):
         table = tmp_path / "table.json"
         table.write_text(json.dumps(payload))
@@ -311,7 +427,16 @@ class TestSingleCommandInputs:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: tabulated")
-        assert (f"misses key '{key}'" if key else "must hold a JSON object") in err
+        assert message in err
+
+    @pytest.mark.parametrize("atoms", ["[1,2]", "[[0.5,[1]]]", "[[0.5,1,2]]", "5"])
+    def test_malformed_atom_list_is_a_config_error(self, capsys, atoms):
+        rc = main([
+            "jackson", "inf", "--phi", "phi_alpha:1", "--p", "2", "--mu", f"atoms:{atoms}",
+            "--tau", "pi", "--n", "1", "--k-max", "8", "--no-timestamp",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: bad atom list")
 
     @pytest.mark.parametrize(
         "command",

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from spapprox import jackson
 from spapprox.averaging import mu1, mu2, stieltjes_integral
-from spapprox.jackson import extremal_function
+from spapprox.jackson import extremal_function, sharpness_certificate
 from spapprox.psi import PsiSequence, power, psi_derivative
 from spapprox.quadrature import adaptive_simpson
 from spapprox.sampling import random_full_spectrum
@@ -291,6 +292,30 @@ class TestCertify:
         assert cert.verdict == "consistent"
         assert cert.dimensions == (3, 4)
         assert cert.closed_form.certified
+
+    @pytest.mark.parametrize(
+        "certificate",
+        [
+            lambda: certify_widths(fixed_class(n=2), samples=2, seed=5, k_max=16),
+            lambda: certify_widths(
+                solved_linear_majorant_class(), 2, samples=2, seed=5, k_max=16
+            ),
+            lambda: sharpness_certificate(phi_alpha(1), 2, mu1(np.pi), power(1), 2, k_max=16),
+        ],
+        ids=["fixed", "majorant", "sharpness"],
+    )
+    def test_one_shape_mass_pass_per_certificate(self, monkeypatch, certificate):
+        # the shape mass is the only dilated integral taken at theta = 1 alone
+        passes = []
+        batched = jackson._dilated_shape_integrals
+
+        def counting(shape, p, mu, thetas, tol, budget):
+            passes.append(thetas.size == 1 and thetas[0] == 1.0)
+            return batched(shape, p, mu, thetas, tol, budget)
+
+        monkeypatch.setattr(jackson, "_dilated_shape_integrals", counting)
+        certificate()
+        assert sum(passes) == 1
 
     def test_homogeneity_violation_detected(self):
         # inflating the ball radius must surface as lower-certificate failures
