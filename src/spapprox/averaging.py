@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import DEFAULT_BUDGET, DEFAULT_TOL, adaptive_simpson, simpson_integrals
+from .quadrature import DEFAULT_BUDGET, adaptive_simpson, simpson_integrals
 from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent
 
@@ -140,8 +140,6 @@ def dilated_integrals(
     mu: WeightMeasure,
     thetas,
     *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
     initial_panels=64,
     context: Callable[[int], str] = lambda i: "dilated integral",
 ) -> np.ndarray:
@@ -150,8 +148,9 @@ def dilated_integrals(
     The density parts are one batched adaptive Simpson pass over [0, tau]
     (a single dilation goes through :func:`adaptive_simpson`), integral i
     starting from ``initial_panels`` uniform panels (a count, or one per
-    dilation); :meth:`WeightMeasure.atom_sums` adds the atoms.
-    ``context(i)`` names integral i in errors.
+    dilation), with the integrator's tolerance and :data:`DEFAULT_BUDGET`;
+    :meth:`WeightMeasure.atom_sums` adds the atoms.  ``context(i)`` names
+    integral i in errors.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     totals = np.zeros(thetas.size)
@@ -164,25 +163,18 @@ def dilated_integrals(
         # perfbench's tracer counts quadrature
         if thetas.size == 1:
             totals += adaptive_simpson(
-                lambda s: integrand(s, 0), 0.0, mu.tau, tol=tol, budget=budget,
+                lambda s: integrand(s, 0), 0.0, mu.tau, budget=DEFAULT_BUDGET,
                 initial_panels=int(np.max(initial_panels)), context=context(0),
             )
         else:
             totals += simpson_integrals(
                 integrand, np.zeros(thetas.size), np.full(thetas.size, mu.tau),
-                tol=tol, budget=budget, initial_panels=initial_panels, context=context,
+                budget=DEFAULT_BUDGET, initial_panels=initial_panels, context=context,
             )
     return totals + mu.atom_sums(F, thetas)
 
 
-def stieltjes_integral(
-    g: Callable[[np.ndarray], np.ndarray],
-    mu: WeightMeasure,
-    u,
-    *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-):
+def stieltjes_integral(g: Callable[[np.ndarray], np.ndarray], mu: WeightMeasure, u):
     """Integral of g over [0, u] against the weight rescaled from [0, tau].
 
     The substitution t = u s / tau makes it the dilated integral of g at
@@ -195,7 +187,7 @@ def stieltjes_integral(
     if not np.all(windows > 0):
         raise ValueError(f"window length must be positive, got {u}")
     totals = dilated_integrals(
-        g, mu, windows / mu.tau, tol=tol, budget=budget,
+        g, mu, windows / mu.tau,
         context=lambda i: f"stieltjes[{mu.label or 'measure'}] (u={windows[i]:g})",
     )
     return float(totals[0]) if us.ndim == 0 else totals

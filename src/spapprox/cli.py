@@ -39,7 +39,13 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from .averaging import WeightMeasure, atom_measure, mu1, mu2, tabulated_density
-from .jackson import closed_form_inf, inf_quantity, jackson_bound, sharpness_certificate
+from .jackson import (
+    SharpnessNotCertifiedError,
+    closed_form_inf,
+    inf_quantity,
+    jackson_bound,
+    sharpness_certificate,
+)
 from .psi import PsiSequence, const_multiplier, power, tabulated_psi
 from .sampling import random_sparse_spectrum
 from .smoothness import (
@@ -103,7 +109,14 @@ def _load_tab(token: str, kind: str, build):
         raise ConfigError(f"tabulated {kind} file holds a malformed value: {exc}") from exc
 
 
+def _require_token(token, kind: str) -> None:
+    """An object token must be a string; a number or a list is a config error."""
+    if not isinstance(token, str):
+        raise ConfigError(f"{kind} token must be a string, got {token!r}")
+
+
 def parse_shape(token: str) -> ShapeFunction:
+    _require_token(token, "shape")
     if token.startswith("phi_alpha:"):
         return phi_alpha(parse_scalar(token.split(":", 1)[1]))
     if token.startswith("tab:"):
@@ -117,6 +130,7 @@ def parse_shape(token: str) -> ShapeFunction:
 
 
 def parse_measure(token: str, tau: float) -> WeightMeasure:
+    _require_token(token, "measure")
     if token == "mu1":
         return mu1(tau)
     if token == "mu2":
@@ -135,6 +149,7 @@ def parse_measure(token: str, tau: float) -> WeightMeasure:
 
 
 def parse_psi(token: str) -> PsiSequence:
+    _require_token(token, "multiplier")
     if token.startswith("power:"):
         return power(parse_scalar(token.split(":", 1)[1]))
     if token.startswith("const:"):
@@ -151,6 +166,7 @@ def parse_psi(token: str) -> PsiSequence:
 
 
 def parse_majorant(token: str) -> Majorant:
+    _require_token(token, "majorant")
     if token == "linear":
         return linear_majorant()
     if token.startswith("power:"):
@@ -207,6 +223,8 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a file path string, got {self.out!r}")
         if self.tolerance is not None and not isinstance(self.tolerance, (int, float)):
             raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
         defaults = SUITES[self.suite].defaults
@@ -295,9 +313,15 @@ def _suite_sharpness(cfg: SuiteConfig) -> Iterator[dict]:
             for n in cfg.params["n"]:
                 k_max = int(cfg.params["k_factor"]) * int(n) + 16
                 for r in cfg.params["r"]:
-                    cert = sharpness_certificate(
-                        shape, float(p), measure, power(float(r)), int(n), k_max=k_max
-                    )
+                    try:
+                        cert = sharpness_certificate(
+                            shape, float(p), measure, power(float(r)), int(n), k_max=k_max
+                        )
+                    except SharpnessNotCertifiedError as exc:
+                        raise SharpnessNotCertifiedError(
+                            f"row p={float(p):g}, alpha={float(alpha):g}, r={float(r):g}, "
+                            f"n={int(n)}: {exc}"
+                        ) from exc
                     expected = cert.constant * scale
                     rel_gap = abs(cert.ratio - expected) / expected
                     yield {
@@ -349,7 +373,7 @@ def _suite_jackson_fuzz(cfg: SuiteConfig) -> Iterator[dict]:
 
 def _build_class(psi, shape, p, measure, n: int, omega_token: str | None) -> SmoothnessClass:
     """Majorant-mode class when a majorant token is given, else fixed at n."""
-    if omega_token:
+    if omega_token is not None:
         return SmoothnessClass(
             psi=psi, shape=shape, p=p, mu=measure, omega=parse_majorant(omega_token)
         )
@@ -427,7 +451,7 @@ SUITES: dict[str, Suite] = {
     "sharpness": Suite(
         _suite_sharpness, "paper_constant", 1e-6,
         ("p", "alpha", "r", "n", "ratio", "constant", "rel_gap"),
-        {"p": [1.0, 2.0], "alpha": [1.0, 2.0], "r": [0.0, 1.0, 2.0], "n": [1, 2, 4],
+        {"p": [1.0, 2.0], "alpha": [2.0, 4.0], "r": [0.0, 1.0, 2.0], "n": [1, 2, 4],
          "mu": "mu1", "tau": "pi", "k_factor": 16,
          "constant_scale": 1.0},  # fault-injection knob for CI failure paths
     ),

@@ -28,7 +28,6 @@ from .averaging import (
 from .psi import PsiSequence, psi_derivative, tail_sup_info
 from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
     DEFAULT_BUDGET,
-    DEFAULT_TOL,
     _spread,
     adaptive_simpson,
     tanh_sinh_panels,
@@ -50,17 +49,9 @@ def default_k_max(n: int) -> int:
     return 64 * n + 1024
 
 
-def shape_mass(
-    shape: ShapeFunction,
-    p,
-    mu: WeightMeasure,
-    *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+def shape_mass(shape: ShapeFunction, p, mu: WeightMeasure) -> float:
     """integral_0^tau shape(t)^p dmu(t): the dilated integral at theta = 1."""
-    p = as_exponent(p)
-    return float(_dilated_shape_integrals(shape, p, mu, np.ones(1), tol, budget)[0])
+    return float(_dilated_shape_integrals(shape, as_exponent(p), mu, np.ones(1))[0])
 
 
 def _split_panels(tags, points, tau: float, count: int):
@@ -85,8 +76,7 @@ def _split_panels(tags, points, tau: float, count: int):
 
 
 def _dilated_shape_integrals(
-    shape: ShapeFunction, p: float, mu: WeightMeasure, thetas: np.ndarray,
-    tol: float, budget: int,
+    shape: ShapeFunction, p: float, mu: WeightMeasure, thetas: np.ndarray
 ) -> np.ndarray:
     """integral_0^tau shape(theta * t)^p dmu(t) for every theta in one pass.
 
@@ -94,7 +84,8 @@ def _dilated_shape_integrals(
     the shape's declared breakpoints divided by theta and at the density's
     breakpoints; a shape that declares none starts from
     max(64, 2 theta tau / pi + 1) uniform panels and relies on bisection.
-    The atoms add :meth:`WeightMeasure.atom_sums`.
+    Each integral may use :data:`DEFAULT_BUDGET` evaluations.  The atoms add
+    :meth:`WeightMeasure.atom_sums`.
     """
     tau = mu.tau
     totals = mu.atom_sums(lambda t: np.asarray(shape.eval(t), dtype=float) ** p, thetas)
@@ -117,7 +108,7 @@ def _dilated_shape_integrals(
             )
 
         totals += tanh_sinh_panels(
-            integrand, left, right, owner, tol=tol, budget=budget,
+            integrand, left, right, owner, budget=DEFAULT_BUDGET,
             context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
         )
     return totals
@@ -146,9 +137,6 @@ def inf_quantity(
     p,
     mu: WeightMeasure,
     k_max: int | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
 ) -> InfReport:
     """Minimum over k in [n, k_max] of the dilated shape integral.
 
@@ -161,7 +149,7 @@ def inf_quantity(
         raise ValueError(f"k_max must be >= n, got {k_max} < {n}")
     p = as_exponent(p)
     thetas = np.arange(n, k_max + 1) / n
-    values = _dilated_shape_integrals(shape, p, mu, thetas, tol, budget)
+    values = _dilated_shape_integrals(shape, p, mu, thetas)
     vmin = float(values.min())
     argmin = n + int(np.argmax(values <= vmin * (1.0 + ARGMIN_REL_TOL)))
     attained = argmin == n
@@ -191,11 +179,9 @@ def equiv_condition_check(
     p,
     mu: WeightMeasure,
     k_max: int | None = None,
-    inf_report: InfReport | None = None,
 ) -> bool:
     """True iff the windowed infimum equals the undilated shape integral."""
-    report = inf_report if inf_report is not None else inf_quantity(n, shape, p, mu, k_max)
-    return _equivalent(report.value, shape_mass(shape, p, mu))
+    return _equivalent(inf_quantity(n, shape, p, mu, k_max).value, shape_mass(shape, p, mu))
 
 
 def _equivalent(infimum: float, mass: float) -> bool:
@@ -242,14 +228,8 @@ def jackson_bound(
     factor = (mu.total_mass / report.value) ** (1.0 / p) * tail_sup_info(psi, n).value
     u = mu.tau / n
     curve = ModulusCurve(rough, p, shape, u, grid)
-    if rough.is_zero():
-        omega_avg = 0.0
-        omega_plain = 0.0
-    else:
-        omega_avg = averaged_pow_modulus(curve, mu, u) ** (1.0 / p)
-        omega_plain = curve.value(u)
-    bound = factor * omega_avg
-    bound_plain = factor * omega_plain
+    bound = factor * averaged_pow_modulus(curve, mu, u) ** (1.0 / p)
+    bound_plain = factor * curve.value(u)
     return JacksonBound(
         lhs=lhs,
         bound=bound,

@@ -84,23 +84,20 @@ def tabulated_psi(
     bound: float,
     zero_policy: str = "annihilate",
     monotone_even: bool = False,
-    horizon: int | None = None,
     label: str = "tabulated",
 ) -> PsiSequence:
     """Multiplier given by an explicit finite table; 0 outside the table.
 
-    The default scan horizon is the largest tabulated |k| (beyond it the
-    sequence is identically 0).
+    The scan horizon is the largest tabulated |k| (beyond it the sequence is
+    identically 0).
     """
     frozen = {int(k): complex(v) for k, v in table.items()}
-    if horizon is None:
-        horizon = max((abs(k) for k in frozen), default=1) or 1
     return PsiSequence(
         eval=lambda k: frozen.get(k, 0j),
         bound=float(bound),
         zero_policy=zero_policy,
         monotone_even=monotone_even,
-        horizon=horizon,
+        horizon=max((abs(k) for k in frozen), default=1) or 1,
         label=label,
     )
 
@@ -148,21 +145,21 @@ class TailSup:
     scanned_to: int
 
 
-def tail_sup_info(psi: PsiSequence, n: int, horizon: int | None = None) -> TailSup:
+def tail_sup_info(psi: PsiSequence, n: int) -> TailSup:
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if psi.monotone_even:
         return TailSup(max(abs(psi(n)), abs(psi(-n))), certified=True, scanned_to=n)
-    stop = int(horizon if horizon is not None else psi.horizon)
+    stop = int(psi.horizon)
     best = 0.0
     for k in range(n, stop + 1):
         best = max(best, abs(psi(k)), abs(psi(-k)))
     return TailSup(best, certified=False, scanned_to=stop)
 
 
-def tail_sup(psi: PsiSequence, n: int, horizon: int | None = None) -> float:
+def tail_sup(psi: PsiSequence, n: int) -> float:
     """Tail supremum sup over |k| >= n of |psi(k)| (scanned or short-circuited)."""
-    return tail_sup_info(psi, n, horizon).value
+    return tail_sup_info(psi, n).value
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,9 @@ def _tanh_sinh_rule(level: int, t_max: float) -> tuple[np.ndarray, int, np.ndarr
 #: Levels 3 and 4 on |t| <= 3.25: 105 nodes, of which the coarse rule uses
 #: 53.  Beyond 3.25 the nodes lie within 5e-18 half-widths of an end.
 _TS_DIST, _TS_SPLIT, _TS_WEIGHTS = _tanh_sinh_rule(3, 3.25)
-_TS_REL_FLOOR = 1e-12
-_TS_MAX_PASSES = 64
+#: Relative floor and bisection limit of both integrators.
+_REL_FLOOR = 1e-12
+_MAX_PASSES = 64
 
 
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,26 +97,21 @@ def adaptive_simpson(
     b: float,
     *,
     tol: float = DEFAULT_TOL,
-    rtol: float = 1e-12,
     budget: int = DEFAULT_BUDGET,
     initial_panels: int = 64,
-    max_passes: int = 64,
     context: str = "quadrature",
 ) -> float:
     """Integrate ``g`` over ``[a, b]`` to absolute tolerance ``tol``.
 
-    ``rtol`` is a relative floor so that integrands of huge magnitude stop
-    refining at machine-level accuracy instead of chasing an unreachable
-    absolute target.  ``initial_panels`` sets the uniform starting
-    subdivision; callers integrating oscillatory functions should scale it
-    with the expected number of oscillations so that the error estimate is
-    trustworthy.  This is the one-integral call of :func:`simpson_integrals`.
+    ``initial_panels`` sets the uniform starting subdivision; callers
+    integrating oscillatory functions should scale it with the expected
+    number of oscillations so that the error estimate is trustworthy.  This
+    is the one-integral call of :func:`simpson_integrals`.
     """
     return float(
         simpson_integrals(
             lambda t, i: g(t), [a], [b],
-            tol=tol, rtol=rtol, budget=budget, initial_panels=initial_panels,
-            max_passes=max_passes, context=lambda i: context,
+            tol=tol, budget=budget, initial_panels=initial_panels, context=lambda i: context,
         )[0]
     )
 
@@ -126,10 +122,8 @@ def simpson_integrals(
     b,
     *,
     tol: float = DEFAULT_TOL,
-    rtol: float = 1e-12,
     budget: int = DEFAULT_BUDGET,
     initial_panels=64,
-    max_passes: int = 64,
     context: Callable[[int], str] = lambda i: f"integral {i}",
 ) -> np.ndarray:
     """Integrate many functions at once, integral ``i`` over ``[a[i], b[i]]``.
@@ -138,9 +132,10 @@ def simpson_integrals(
     to.  Integral ``i`` starts from ``initial_panels`` (a count, or one per
     integral) uniform Simpson panels; a panel is accepted when its
     Richardson error estimate is within its width's share of ``tol`` or
-    within ``rtol`` of its value, otherwise it is bisected, at most
-    ``max_passes`` times.  Every integral refines on its own: the points,
-    the passes and the ``budget`` of each are those of a separate
+    within the relative floor 1e-12 of its value (so that integrands of huge
+    magnitude stop at machine-level accuracy), otherwise it is bisected, at
+    most 64 times.  Every integral refines on its own: the points, the
+    passes and the ``budget`` of each are those of a separate
     :func:`adaptive_simpson` call.  ``context(i)`` names integral ``i`` in
     errors.  The integrand is called once for the starting points and twice
     per pass.
@@ -178,7 +173,7 @@ def simpson_integrals(
     # Local acceptance threshold proportional to panel width keeps the
     # accumulated error below tol after the Richardson correction.
     scale = 15.0 * tol / np.where(live, b - a, 1.0)
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         mid_l = 0.5 * (left + mid)
         mid_r = 0.5 * (mid + right)
         # no integral has used more points than the busiest start plus every
@@ -203,7 +198,7 @@ def simpson_integrals(
         err = s_left + s_right - estimate
         refined = s_left + s_right
         done = np.abs(err) <= np.maximum(
-            scale[owner] * (right - left), 15.0 * rtol * np.abs(refined)
+            scale[owner] * (right - left), 15.0 * _REL_FLOOR * np.abs(refined)
         )
         totals += np.bincount(owner, np.where(done, refined + err / 15.0, 0.0), minlength=count)
         if done.all():
@@ -220,7 +215,7 @@ def simpson_integrals(
         f_m = np.concatenate([f_ml[keep], f_mr[keep]])
         estimate = np.concatenate([s_left[keep], s_right[keep]])
     raise QuadratureBudgetError(
-        f"{context(int(owner[0]))}: refinement depth {max_passes} exceeded"
+        f"{context(int(owner[0]))}: refinement depth {_MAX_PASSES} exceeded"
     )
 
 
@@ -259,7 +254,7 @@ def tanh_sinh_panels(
     used = np.zeros(count, dtype=np.int64)
     nodes, split = _TS_DIST.size, _TS_SPLIT
     per_block = max(BLOCK_NODES // nodes, 1)
-    for _ in range(_TS_MAX_PASSES):
+    for _ in range(_MAX_PASSES):
         used += nodes * np.bincount(owner, minlength=count)
         over = np.flatnonzero(used > budget)
         if over.size:
@@ -283,7 +278,7 @@ def tanh_sinh_panels(
             fx = fx.reshape(xs.shape)
             fine, coarse = (fx @ _TS_WEIGHTS).T * half
             done = np.abs(fine - coarse) <= np.maximum(
-                tol * (b - a) / span[o], _TS_REL_FLOOR * np.abs(fine)
+                tol * (b - a) / span[o], _REL_FLOOR * np.abs(fine)
             )
             totals += np.bincount(o[done], fine[done], minlength=count)
             if not done.all():
@@ -296,5 +291,5 @@ def tanh_sinh_panels(
         right = np.concatenate([mid, b])
         owner = np.concatenate([o, o])
     raise QuadratureBudgetError(
-        f"{context(int(owner[0]))}: refinement depth {_TS_MAX_PASSES} exceeded"
+        f"{context(int(owner[0]))}: refinement depth {_MAX_PASSES} exceeded"
     )

@@ -25,13 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .averaging import WeightMeasure, averaged_pow_modulus, dilated_integrals
-from .jackson import InfReport, _equivalent, inf_quantity, shape_mass
+from .jackson import _equivalent, inf_quantity, shape_mass
 from .psi import PsiSequence, is_monotone_even, psi_derivative
-from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
-    DEFAULT_BUDGET,
-    DEFAULT_TOL,
-    adaptive_simpson,
-)
+from .quadrature import adaptive_simpson  # noqa: F401  stays importable from here
 from .sampling import random_full_spectrum
 from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation, sp_norm
@@ -179,13 +175,12 @@ def width_closed_form(
     cls: SmoothnessClass,
     n: int | None = None,
     k_max: int | None = None,
-    inf_report: InfReport | None = None,
 ) -> WidthValue:
     """Closed-form width value, or the two-sided interval when uncertified."""
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
     lower, mass = _radius_and_mass(cls, n)
-    report = inf_report if inf_report is not None else inf_quantity(n, cls.shape, p, cls.mu, k_max)
+    report = inf_quantity(n, cls.shape, p, cls.mu, k_max)
     upper = lower * (mass / report.value) ** (1.0 / p)
     certified = _equivalent(report.value, mass)
     return WidthValue(
@@ -373,28 +368,17 @@ class MajorantCheck:
     worst_u: float
 
 
-def capped_shape_integral(
-    shape: ShapeFunction,
-    p,
-    mu: WeightMeasure,
-    xi: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+def capped_shape_integral(shape: ShapeFunction, p, mu: WeightMeasure, xi: float) -> float:
     """integral_0^tau shape_capped(xi * s)^p dmu(s).
 
     ``shape_capped`` freezes the shape at its cap point, where it attains its
     supremum; this is the dilated mass entering the window-scaling condition.
     """
-    return float(
-        _capped_shape_integrals(shape, as_exponent(p), mu, np.array([xi]), tol, budget)[0]
-    )
+    return float(_capped_shape_integrals(shape, as_exponent(p), mu, np.array([xi]))[0])
 
 
 def _capped_shape_integrals(
-    shape: ShapeFunction, p: float, mu: WeightMeasure, xis: np.ndarray,
-    tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
+    shape: ShapeFunction, p: float, mu: WeightMeasure, xis: np.ndarray
 ) -> np.ndarray:
     """:func:`capped_shape_integral` at every xi in one batched pass.
 
@@ -409,7 +393,7 @@ def _capped_shape_integrals(
         return np.asarray(shape.eval(np.minimum(np.abs(t), a)), dtype=float) ** p
 
     return dilated_integrals(
-        capped_pow, mu, xis, tol=tol, budget=budget,
+        capped_pow, mu, xis,
         initial_panels=np.maximum(64, (2 * xis * mu.tau / math.pi).astype(np.intp) + 1),
         context=lambda i: f"capped shape integral (xi={xis[i]:g})",
     )
@@ -421,31 +405,26 @@ def majorant_condition_check(
     p,
     mu: WeightMeasure,
     xi_grid: np.ndarray | None = None,
-    u_grid: np.ndarray | None = None,
-    rel_tol: float = 1e-9,
 ) -> MajorantCheck:
     """Grid check of the window-scaling inequality
 
         omega(u/xi) * (capped dilated mass at xi)^(1/p)
             <= omega(u) * (shape mass)^(1/p)
 
-    for all (xi, u) on the grids.  Equality holds identically at xi = 1.
-    Defaults: xi log-spaced on [1e-2, 1e2], u linear on (0, cap_point].
+    for all (xi, u) on the grids, up to a relative margin of 1e-9.  Equality
+    holds identically at xi = 1.  u runs over cap_point * j / 64 for
+    j = 1..64; xi defaults to 64 points log-spaced on [1e-2, 1e2].
     """
     p = as_exponent(p)
     xis = np.logspace(-2, 2, 64) if xi_grid is None else np.asarray(xi_grid, dtype=float)
     lhs_roots = _capped_shape_integrals(shape, p, mu, xis) ** (1.0 / p)
-    us = (
-        shape.cap_point * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
-        if u_grid is None
-        else np.asarray(u_grid, dtype=float)
-    )
+    us = shape.cap_point * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
     rhs = np.asarray(omega.eval(us), dtype=float) * shape_mass(shape, p, mu) ** (1.0 / p)
     # row i holds the dilation xi_i
     lhs = np.asarray(omega.eval(us / xis[:, None]), dtype=float) * lhs_roots[:, None]
     rel = lhs / rhs - 1.0
     i, j = np.unravel_index(int(np.argmax(rel)), rel.shape)
     worst = float(rel[i, j])
-    ok = worst <= rel_tol
+    ok = worst <= 1e-9
     worst_xi, worst_u = float(xis[i]), float(us[j])
     return MajorantCheck(ok=ok, worst_rel_margin=worst, worst_xi=worst_xi, worst_u=worst_u)

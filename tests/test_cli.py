@@ -39,6 +39,8 @@ class TestParsers:
         assert parse_shape("phi_alpha:1.5").sup_value == pytest.approx(2**1.5)
         with pytest.raises(ConfigError):
             parse_shape("bogus:1")
+        with pytest.raises(ConfigError, match="shape token must be a string"):
+            parse_shape(5)
 
     def test_measure(self):
         assert parse_measure("mu1", np.pi).label == "mu1"
@@ -104,6 +106,8 @@ class TestConfig:
               "params": {"sets": [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi",
                                    "psi": "power:1", "omgea": "linear"}]}},
              "'sets'"),
+            ({"suite": "a6101", "out": 5, "params": {"lambdas": []}}, "out must be"),
+            ({"suite": "a6101", "out": ["x"], "params": {"lambdas": []}}, "out must be"),
         ],
     )
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, payload, match):
@@ -199,6 +203,40 @@ class TestMainEntry:
     def test_exit_2_on_unknown_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"suite": "a6101", "wrong": True})
         assert main(["suite", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"suite": "sharpness", "params": {"mu": 5}}, "measure token must be a string, got 5"),
+            ({"suite": "jackson-fuzz", "params": {"psi": [5]}},
+             "multiplier token must be a string, got 5"),
+            ({"suite": "widths-certify",
+              "params": {"sets": [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi",
+                                   "psi": "power:1", "omega": 7}]}},
+             "majorant token must be a string, got 7"),
+            ({"suite": "widths-certify",
+              "params": {"sets": [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi",
+                                   "psi": "power:1", "omega": 0}]}},
+             "majorant token must be a string, got 0"),
+        ],
+        ids=["mu", "psi", "omega", "omega-zero"],
+    )
+    def test_exit_2_on_a_number_for_an_object_token(self, tmp_path, capsys, payload, message):
+        assert main(["suite", "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_sharpness_defaults_pass(self, capsys):
+        assert main(["suite", "--suite", "sharpness", "--no-timestamp"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["rows"]) == 36
+
+    def test_sharpness_at_alpha_p_one_stays_uncertified(self, tmp_path, capsys):
+        # on mu1(pi) the infimum 8/pi is not attained when alpha * p = 1
+        path = write_config(tmp_path, {"suite": "sharpness", "params": {
+            "p": [1.0], "alpha": [1.0], "r": [0.0], "n": [1]}})
+        assert main(["suite", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row p=1, alpha=1, r=0, n=1: sharpness not certified")
 
     def test_suite_by_name_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 No linter ships with the project, so this is the unused-import check
 (pyflakes F401) written against the ``ast`` module.
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spapprox"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "spapprox"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -41,7 +42,9 @@ def unused_imports(path: Path) -> list[str]:
     return unused
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda path: path.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

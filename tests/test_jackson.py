@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from spapprox.jackson import (
     sharpness_certificate,
 )
 from spapprox.psi import power, tabulated_psi
-from spapprox.quadrature import DEFAULT_BUDGET, DEFAULT_TOL, QuadratureBudgetError, adaptive_simpson
+from spapprox.quadrature import QuadratureBudgetError, adaptive_simpson
 from spapprox.sampling import random_sparse_spectrum
 from spapprox.smoothness import ShapeFunction, phi_alpha, tabulated_shape
 from spapprox.spectral import SpectralFunction, best_approximation
@@ -29,9 +30,7 @@ LAMS = [0.25, 0.5, 1.0, 1.5, 2.0, 4.0]
 
 
 def dilated(shape, p, mu, thetas):
-    return jackson._dilated_shape_integrals(
-        shape, p, mu, np.asarray(thetas, dtype=float), DEFAULT_TOL, DEFAULT_BUDGET
-    )
+    return jackson._dilated_shape_integrals(shape, p, mu, np.asarray(thetas, dtype=float))
 
 
 class TestClosedFormInf:
@@ -145,9 +144,10 @@ class TestLowFractionalOrder:
         for value, theta in zip(got, (17.0, 369.0)):
             assert value == pytest.approx(cusp_panel_quad(lam, theta), rel=1e-10)
 
-    def test_tiny_budget_raises_with_theta(self):
+    def test_tiny_budget_raises_with_theta(self, monkeypatch):
+        monkeypatch.setattr(jackson, "DEFAULT_BUDGET", 300)
         with pytest.raises(QuadratureBudgetError, match=r"theta=\d+.*budget 300"):
-            inf_quantity(1, phi_alpha(0.25), 1, mu1(np.pi), k_max=40, budget=300)
+            inf_quantity(1, phi_alpha(0.25), 1, mu1(np.pi), k_max=40)
 
 
 def simpson_reference(shape, p, mu, theta):
@@ -212,6 +212,21 @@ class TestJacksonBound:
         res = jackson_bound(f, power(1), phi_alpha(1), 2, mu1(np.pi), n=2, k_max=16)
         assert res.lhs == 0.0
         assert res.holds and res.holds_plain
+
+    @pytest.mark.parametrize("mu", [mu1(np.pi), mu2(TAU34)], ids=["mu1", "mu2"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_constant_spectrum_has_zero_bounds(self, mu, p):
+        # power:1 annihilates the constant, so the roughened spectrum is empty
+        # and the bounds take no shape evaluation
+        shape = phi_alpha(1)
+        report = inf_quantity(2, shape, p, mu, k_max=16)
+        evals = []
+        counting = dataclasses.replace(shape, eval=lambda t: evals.append(t) or shape.eval(t))
+        f = SpectralFunction({0: 2.0 - 1j})
+        res = jackson_bound(f, power(1), counting, p, mu, n=2, inf_report=report)
+        assert res.lhs == res.bound == res.bound_plain == 0.0
+        assert res.holds and res.holds_plain
+        assert evals == []
 
     def test_random_spectra_hold_and_bounds_are_ordered(self):
         rng = np.random.default_rng(61)

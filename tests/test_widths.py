@@ -309,9 +309,9 @@ class TestCertify:
         passes = []
         batched = jackson._dilated_shape_integrals
 
-        def counting(shape, p, mu, thetas, tol, budget):
+        def counting(shape, p, mu, thetas):
             passes.append(thetas.size == 1 and thetas[0] == 1.0)
-            return batched(shape, p, mu, thetas, tol, budget)
+            return batched(shape, p, mu, thetas)
 
         monkeypatch.setattr(jackson, "_dilated_shape_integrals", counting)
         certificate()
