@@ -140,36 +140,30 @@ def dilated_integrals(
     mu: WeightMeasure,
     thetas,
     *,
-    initial_panels=64,
     context: Callable[[int], str] = lambda i: "dilated integral",
 ) -> np.ndarray:
     """integral_0^tau F(theta_i s) dmu(s) for every dilation theta_i.
 
-    The density parts are one batched adaptive Simpson pass over [0, tau]
-    (a single dilation goes through :func:`adaptive_simpson`), integral i
-    starting from ``initial_panels`` uniform panels (a count, or one per
-    dilation), with the integrator's tolerance and :data:`DEFAULT_BUDGET`;
-    :meth:`WeightMeasure.atom_sums` adds the atoms.  ``context(i)`` names
-    integral i in errors.
+    One dilation integrates its density part by :func:`adaptive_simpson` on
+    [0, tau]; a batch is one :func:`simpson_integrals` pass on shared nodes
+    of F, integral i being integral_0^(theta_i tau) F(t) density(t /
+    theta_i) / theta_i dt; both at :data:`DEFAULT_BUDGET`.  The atoms add
+    :meth:`WeightMeasure.atom_sums`.  ``context(i)`` names integral i in errors.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     totals = np.zeros(thetas.size)
     if mu.density is not None:
-
-        def integrand(s, i):
-            return np.asarray(F(thetas[i] * s), dtype=float) * np.asarray(mu.density(s), float)
-
         # one dilation goes through adaptive_simpson by name, where
         # perfbench's tracer counts quadrature
         if thetas.size == 1:
             totals += adaptive_simpson(
-                lambda s: integrand(s, 0), 0.0, mu.tau, budget=DEFAULT_BUDGET,
-                initial_panels=int(np.max(initial_panels)), context=context(0),
+                lambda s: np.asarray(F(thetas[0] * s), dtype=float) * mu.density(s),
+                0.0, mu.tau, budget=DEFAULT_BUDGET, context=context(0),
             )
-        else:
+        else:  # theta tau / theta may round above tau
             totals += simpson_integrals(
-                integrand, np.zeros(thetas.size), np.full(thetas.size, mu.tau),
-                budget=DEFAULT_BUDGET, initial_panels=initial_panels, context=context,
+                F, lambda t, i: mu.density(np.minimum(t / thetas[i], mu.tau)) / thetas[i],
+                0.0, thetas * mu.tau, budget=DEFAULT_BUDGET, context=context,
             )
     return totals + mu.atom_sums(F, thetas)
 
@@ -179,8 +173,8 @@ def stieltjes_integral(g: Callable[[np.ndarray], np.ndarray], mu: WeightMeasure,
 
     The substitution t = u s / tau makes it the dilated integral of g at
     theta = u / tau.  ``u`` may be a 1-D array of windows: they are then
-    integrated in one batched pass, each with the points of its own
-    single-window integral, and an array is returned.
+    integrated in one batched pass on the nodes of g they share, and an
+    array is returned.
     """
     us = np.asarray(u, dtype=float)
     windows = np.atleast_1d(us)

@@ -191,19 +191,20 @@ _SET_OPTIONAL_KEYS = {"name", "omega"}
 _SCALAR = (int, float, str)
 
 
-def _fits(value, default) -> bool:
+def _fits(value, default, key: str | None = None) -> bool:
     """Whether a suite parameter has the shape of its default: a list whose
-    items fit the default's first item, a set object holding scalars at the
-    default set's keys and no unknown keys, or a scalar."""
+    items fit the default's first item, a set object whose values fit the default
+    set's, or a scalar, a number for a number (text too at a scalar tau or alpha)."""
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(item, default[0]) for item in value)
     if isinstance(default, dict):
         return (
             isinstance(value, dict)
             and set(value) <= set(default) | _SET_OPTIONAL_KEYS
-            and all(isinstance(value.get(key), _SCALAR) for key in default)
+            and all(_fits(value.get(k), default[k], k) for k in default)
         )
-    return isinstance(value, _SCALAR)
+    number = isinstance(default, (int, float)) and key not in ("tau", "alpha")
+    return isinstance(value, (int, float) if number else _SCALAR)
 
 
 @dataclass
@@ -235,7 +236,7 @@ class SuiteConfig:
                 f"allowed: {sorted(defaults)}"
             )
         for key, value in self.params.items():
-            if not _fits(value, defaults[key]):
+            if not _fits(value, defaults[key], key):
                 raise ConfigError(
                     f"parameter {key!r} of suite {self.suite!r} must have the shape of "
                     f"{defaults[key]!r}, got {value!r}"

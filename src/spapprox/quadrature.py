@@ -6,19 +6,19 @@ every non-converged panel once per pass, and accounts for each point
 evaluation against a hard budget.  Running out of budget raises, it never
 truncates silently.
 
-* :func:`simpson_integrals` integrates many functions at once, each over
-  its own interval, with adaptive Simpson panels tagged with the integral
-  they belong to; every integral refines on its own.  It serves the weight
-  integral ``averaging.dilated_integrals`` (averaged moduli, the capped
-  shape integrals of the window-scaling condition).  :func:`adaptive_simpson`
-  is its one-integral call, for weight masses and a single dilation.
+* :func:`simpson_integrals` integrates F w_i over nested intervals [a, b_i]
+  by adaptive Simpson on one node set: F is evaluated once per node for all
+  integrals, w_i is a cheap factor per integral.  It serves the batch of
+  ``averaging.dilated_integrals``, the averaged moduli of one curve over
+  many windows.  :func:`adaptive_simpson` is its one-integral call (w = 1),
+  for weight masses and a single dilation.
 * :func:`tanh_sinh_panels` integrates many integrals at once from panels
   tagged with the integral they belong to.  Each panel gets a nested pair of
   double-exponential (tanh-sinh) rules, which converge exponentially even
   with an algebraic singularity of any order at a panel end (Takahasi and
   Mori, 1974).  Callers that know where their integrand is not smooth put
-  panel edges there (breakpoint seeding, as in QUADPACK).  The shape mass
-  and every dilated shape integral of the windowed infimum go through it.
+  panel edges there (breakpoint seeding, as in QUADPACK).  Every dilated
+  shape integral, capped or not, goes through it.
 """
 
 from __future__ import annotations
@@ -106,107 +106,114 @@ def adaptive_simpson(
     ``initial_panels`` sets the uniform starting subdivision; callers
     integrating oscillatory functions should scale it with the expected
     number of oscillations so that the error estimate is trustworthy.  This
-    is the one-integral call of :func:`simpson_integrals`.
+    is the one-integral call of :func:`simpson_integrals`, with w = 1.
     """
-    return float(
-        simpson_integrals(
-            lambda t, i: g(t), [a], [b],
-            tol=tol, budget=budget, initial_panels=initial_panels, context=lambda i: context,
-        )[0]
-    )
+    return float(simpson_integrals(
+        g, None, a, [b], tol=tol, budget=budget, initial_panels=initial_panels,
+        context=lambda i: context,
+    )[0])
 
 
 def simpson_integrals(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a,
+    F: Callable[[np.ndarray], np.ndarray],
+    w: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    a: float,
     b,
     *,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    initial_panels=64,
+    initial_panels: int = 64,
     context: Callable[[int], str] = lambda i: f"integral {i}",
 ) -> np.ndarray:
-    """Integrate many functions at once, integral ``i`` over ``[a[i], b[i]]``.
+    """integral_a^b[i] F(t) w(t, i) dt for every i, on one shared node set.
 
-    ``g(t, i)`` gets the points and, pointwise, the integral each belongs
-    to.  Integral ``i`` starts from ``initial_panels`` (a count, or one per
-    integral) uniform Simpson panels; a panel is accepted when its
-    Richardson error estimate is within its width's share of ``tol`` or
-    within the relative floor 1e-12 of its value (so that integrands of huge
-    magnitude stop at machine-level accuracy), otherwise it is bisected, at
-    most 64 times.  Every integral refines on its own: the points, the
-    passes and the ``budget`` of each are those of a separate
-    :func:`adaptive_simpson` call.  ``context(i)`` names integral ``i`` in
-    errors.  The integrand is called once for the starting points and twice
-    per pass.
+    ``F`` is evaluated once per node for all integrals; ``w(t, i)`` gets
+    points and, pointwise, the integral each belongs to (None means w = 1).
+    Every b[i] is a panel edge: the cell between consecutive ends c < d
+    starts with ceil(initial_panels (d - c) / (d - a)) uniform panels, so
+    integral i starts from at least ``initial_panels`` panels of width at
+    most (b[i] - a) / initial_panels (one integral: exactly that many).  It
+    accepts a panel inside [a, b[i]] when the Richardson error estimate of
+    F w_i there is within the panel's width share of ``tol`` or the relative
+    floor 1e-12 of its value; a panel is bisected, at most 64 times, while
+    an integral that covers it rejects.  The ``budget`` of integral i counts
+    the nodes in [a, b[i]]; ``context(i)`` names it in errors.  F is called
+    once for the starting nodes and twice per pass.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if np.any(b < a):
         i = int(np.argmax(b < a))
-        raise ValueError(f"{context(i)}: inverted interval [{a[i]}, {b[i]}]")
-    count = a.size
-    totals = np.zeros(count)
-    # an integral of zero length is 0 and costs no point
-    live = b > a
-    if not live.any():
+        raise ValueError(f"{context(i)}: inverted interval [{a}, {b[i]}]")
+    totals = np.zeros(b.size)
+    live = np.flatnonzero(b > a)  # an integral of zero length is 0 and covers no panel
+    if not live.size:
         return totals
-    panels = np.where(live, np.maximum(np.asarray(initial_panels, dtype=np.intp), 1), 0)
+    ends = np.unique(b[live])
+    edges = np.concatenate([[a], ends])
+    width = np.diff(edges)
+    panels = np.ceil(max(initial_panels, 1) * (width / (ends - a))).astype(np.intp)
+    cell_of = np.searchsorted(ends, b)  # integral i covers cells 0..cell_of[i]
 
-    # the starting points of integral i are np.linspace(a[i], b[i], 2 P_i + 1)
-    points = np.where(live, 2 * panels + 1, 0)
-    first = np.cumsum(points) - points
-    pt_owner, rank = _spread(points)
-    step = (b - a) / np.maximum(2 * panels, 1)
-    xs = rank * step[pt_owner] + a[pt_owner]
-    xs[(first + points - 1)[live]] = b[live]
-    fx = np.asarray(g(xs, pt_owner), dtype=float)
-    _check_finite(fx, xs, pt_owner, context)
-    bound, history = int(points.max()), []
-
-    owner, rank = _spread(panels)
-    at = first[owner] + 2 * rank
+    # the starting nodes of cell c are np.linspace(edges[c], edges[c + 1], 2 P_c + 1)
+    cell, rank = _spread(2 * panels)
+    xs = np.append(rank * (width / (2 * panels))[cell] + edges[cell], ends[-1])
+    fx = np.asarray(F(xs), dtype=float)
+    # pair k is integral owner[k] on the panel of nodes at[k]..at[k] + 2, and
+    # the pairs of one panel are adjacent
+    panel = 2 * np.arange(panels.sum())
+    at, owner = np.nonzero(cell[panel][:, None] <= cell_of[live])
+    at, owner = panel[at], live[owner]
     left, mid, right = xs[at], xs[at + 1], xs[at + 2]
     f_l, f_m, f_r = fx[at], fx[at + 1], fx[at + 2]
+    if w is not None:
+        f_l, f_m, f_r = (v * w(t, owner) for v, t in ((f_l, left), (f_m, mid), (f_r, right)))
+    for v, t in ((f_l, left), (f_m, mid), (f_r, right)):
+        _check_finite(v, t, owner, context)
     estimate = (right - left) / 6.0 * (f_l + 4.0 * f_m + f_r)
+    bound, history = int(xs.size), []
 
     # Local acceptance threshold proportional to panel width keeps the
     # accumulated error below tol after the Richardson correction.
-    scale = 15.0 * tol / np.where(live, b - a, 1.0)
+    scale = 15.0 * tol / np.where(b > a, b - a, 1.0)
     for _ in range(_MAX_PASSES):
-        mid_l = 0.5 * (left + mid)
-        mid_r = 0.5 * (mid + right)
-        # no integral has used more points than the busiest start plus every
-        # point since; only past the budget is each integral counted exactly
-        bound += 2 * owner.size
-        history.append(owner)
+        ix = grp = slice(None)  # one integral has one pair per panel
+        if live.size > 1:  # F at the first pair of each panel, handed on by grp
+            lead = np.append(True, (left[1:] != left[:-1]) | (right[1:] != right[:-1]))
+            ix, grp = lead, np.cumsum(lead) - 1
+        # no integral holds more nodes than all; past the budget, count each
+        history.append(right[ix])
+        bound += 2 * history[-1].size
         if bound > budget:
-            used = points + 2 * sum(np.bincount(o, minlength=count) for o in history)
-            if np.any(used > budget):
-                i = int(np.argmax(used > budget))
+            cells = np.searchsorted(ends, np.concatenate(history))
+            used = 2 * np.cumsum(panels + np.bincount(cells, minlength=ends.size)) + 1
+            over = live[used[cell_of[live]] > budget]
+            if over.size:
+                i = int(over[0])
                 raise QuadratureBudgetError(
                     f"{context(i)}: evaluation budget {budget} exhausted "
                     f"({int(np.sum(owner == i))} panels still refining)"
                 )
-        f_ml = np.asarray(g(mid_l, owner), dtype=float)
-        f_mr = np.asarray(g(mid_r, owner), dtype=float)
+        mid_l = 0.5 * (left + mid)
+        mid_r = 0.5 * (mid + right)
+        f_ml = np.asarray(F(mid_l[ix]), dtype=float)[grp]
+        f_mr = np.asarray(F(mid_r[ix]), dtype=float)[grp]
+        if w is not None:
+            f_ml, f_mr = f_ml * w(mid_l, owner), f_mr * w(mid_r, owner)
         _check_finite(f_ml, mid_l, owner, context)
         _check_finite(f_mr, mid_r, owner, context)
-
         s_left = (mid - left) / 6.0 * (f_l + 4.0 * f_ml + f_m)
         s_right = (right - mid) / 6.0 * (f_m + 4.0 * f_mr + f_r)
-        err = s_left + s_right - estimate
         refined = s_left + s_right
+        err = refined - estimate
         done = np.abs(err) <= np.maximum(
             scale[owner] * (right - left), 15.0 * _REL_FLOOR * np.abs(refined)
         )
-        totals += np.bincount(owner, np.where(done, refined + err / 15.0, 0.0), minlength=count)
+        totals += np.bincount(owner, np.where(done, refined + err / 15.0, 0.0), minlength=b.size)
         if done.all():
             return totals
 
         keep = ~done
-        owner = owner[keep]
-        owner = np.concatenate([owner, owner])
+        owner = np.concatenate([owner[keep], owner[keep]])
         left = np.concatenate([left[keep], mid[keep]])
         right = np.concatenate([mid[keep], right[keep]])
         mid = np.concatenate([mid_l[keep], mid_r[keep]])

@@ -19,17 +19,17 @@ evaluated; the certificates sandwich the closed form instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .averaging import WeightMeasure, averaged_pow_modulus, dilated_integrals
-from .jackson import _equivalent, inf_quantity, shape_mass
+from .averaging import WeightMeasure, averaged_pow_modulus
+from .jackson import _dilated_shape_integrals, _equivalent, inf_quantity, shape_mass
 from .psi import PsiSequence, is_monotone_even, psi_derivative
 from .quadrature import adaptive_simpson  # noqa: F401  stays importable from here
 from .sampling import random_full_spectrum
-from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
+from .smoothness import Breakpoints, ModulusCurve, ModulusGrid, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation, sp_norm
 
 #: Number of windows bounded by a majorant-mode class.
@@ -372,7 +372,7 @@ def capped_shape_integral(shape: ShapeFunction, p, mu: WeightMeasure, xi: float)
     """integral_0^tau shape_capped(xi * s)^p dmu(s).
 
     ``shape_capped`` freezes the shape at its cap point, where it attains its
-    supremum; this is the dilated mass entering the window-scaling condition.
+    supremum; this tanh-sinh integral is the mass in the window-scaling condition.
     """
     return float(_capped_shape_integrals(shape, as_exponent(p), mu, np.array([xi]))[0])
 
@@ -380,23 +380,19 @@ def capped_shape_integral(shape: ShapeFunction, p, mu: WeightMeasure, xi: float)
 def _capped_shape_integrals(
     shape: ShapeFunction, p: float, mu: WeightMeasure, xis: np.ndarray
 ) -> np.ndarray:
-    """:func:`capped_shape_integral` at every xi in one batched pass.
+    """:func:`capped_shape_integral` at every xi in one batched tanh-sinh pass.
 
-    Integral i starts from max(64, floor(2 xi_i tau / pi) + 1) uniform
-    Simpson panels.
+    The capped shape is a dilated shape integral of its own: its eval is
+    shape(min(|t|, cap)), and its breakpoints are the shape's inside
+    (0, cap) plus the cap point (none when the shape declares none).
     """
     if shape.cap_point is None:
         raise ValueError("the window-scaling condition needs a declared cap point")
-    a = shape.cap_point
-
-    def capped_pow(t):
-        return np.asarray(shape.eval(np.minimum(np.abs(t), a)), dtype=float) ** p
-
-    return dilated_integrals(
-        capped_pow, mu, xis,
-        initial_panels=np.maximum(64, (2 * xis * mu.tau / math.pi).astype(np.intp) + 1),
-        context=lambda i: f"capped shape integral (xi={xis[i]:g})",
-    )
+    cap, kinks = shape.cap_point, shape.breakpoints
+    if kinks is not None:
+        kinks = Breakpoints(points=(*kinks.inside([cap])[1].tolist(), cap))
+    capped = replace(shape, eval=lambda t: shape.eval(np.minimum(abs(t), cap)), breakpoints=kinks)
+    return _dilated_shape_integrals(capped, p, mu, xis)
 
 
 def majorant_condition_check(
@@ -413,7 +409,8 @@ def majorant_condition_check(
 
     for all (xi, u) on the grids, up to a relative margin of 1e-9.  Equality
     holds identically at xi = 1.  u runs over cap_point * j / 64 for
-    j = 1..64; xi defaults to 64 points log-spaced on [1e-2, 1e2].
+    j = 1..64; xi defaults to 64 points log-spaced on [1e-2, 1e2].  The
+    capped masses of all xi are one tanh-sinh pass.
     """
     p = as_exponent(p)
     xis = np.logspace(-2, 2, 64) if xi_grid is None else np.asarray(xi_grid, dtype=float)

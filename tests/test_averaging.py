@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from spapprox.averaging import (
     atom_measure,
     averaged_modulus,
+    averaged_pow_modulus,
     dilated_integrals,
     mu1,
     mu2,
@@ -156,50 +158,86 @@ class TestDilatedIntegrals:
         np.testing.assert_array_equal(stieltjes_integral(np.cos, mu, us), via_dilation)
 
 
+def running_sup_kinks(curve, points=4097, steps=60):
+    """Where the running supremum of ``curve`` turns between rising and flat,
+    located by bisection on a scan of [0, curve.u]."""
+
+    def flat(t):
+        return curve.pow_values(t) > curve._pow_sum(t) * (1.0 + 1e-12)
+
+    ts = np.linspace(0.0, curve.u, points)
+    state = flat(ts)
+    lo, hi = ts[:-1][state[:-1] != state[1:]], ts[1:][state[:-1] != state[1:]]
+    side = flat(lo)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        same = flat(mid) == side
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestWindowBatch:
     """All windows of one curve in one pass, against one integral per window."""
 
     @pytest.mark.parametrize("weight", sorted(WINDOW_WEIGHTS))
-    def test_matches_one_adaptive_simpson_per_window(self, weight, monkeypatch):
-        from spapprox import averaging
-
+    def test_matches_one_adaptive_simpson_per_window(self, weight):
         mu = WINDOW_WEIGHTS[weight]()
         f = random_full_spectrum(np.random.default_rng(5), 8)
         curve = ModulusCurve(f, 1.5, phi_alpha(1), mu.tau)
         us = mu.tau * np.arange(1, 65) / 64
+        values = averaged_pow_modulus(curve, mu, us)
+        reference = np.array([averaged_pow_modulus(curve, mu, u) for u in us])
+        np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0.0)
 
-        batch_points = np.zeros(us.size, dtype=int)
-        batched = averaging.simpson_integrals
+    @pytest.mark.parametrize("weight", ["mu1", "mu2", "tabulated", "atoms+density"])
+    def test_matches_quad_split_at_the_curve_kinks(self, weight):
+        mu = WINDOW_WEIGHTS[weight]()
+        f = random_full_spectrum(np.random.default_rng(5), 8)
+        curve = ModulusCurve(f, 1.5, phi_alpha(1), mu.tau)
+        us = mu.tau * np.arange(1, 65) / 64
+        kinks = running_sup_kinks(curve)
+        atoms = np.array(mu.atoms).reshape(-1, 2)
+        want = []
+        for u in us:
+            theta = u / mu.tau
+            points = np.concatenate([kinks[kinks < u] / theta, mu.breakpoints])
+            density, _ = quad(
+                lambda s: curve.pow_values(theta * s)[0] * mu.density(np.array([s]))[0],
+                0.0, mu.tau, points=points, limit=1000, epsabs=1e-13, epsrel=1e-12,
+            )
+            want.append(density + curve.pow_values(theta * atoms[:, 0]) @ atoms[:, 1])
+        np.testing.assert_allclose(stieltjes_integral(curve.pow_values, mu, us), want, rtol=1e-10)
 
-        def counting_batch(g, a, b, **kw):
-            def counted(t, i):
-                np.add.at(batch_points, i, 1)
-                return g(t, i)
+    def test_windows_share_the_nodes_of_the_curve(self):
+        mu = mu2(3 * np.pi / 4)
+        f = random_full_spectrum(np.random.default_rng(5), 8)
+        curve = ModulusCurve(f, 1.5, phi_alpha(1), mu.tau)
+        us = mu.tau * np.arange(1, 65) / 64
+        points = []
 
-            return batched(counted, a, b, **kw)
+        def counted(t):
+            points.append(np.size(t))
+            return curve.pow_values(t)
 
-        monkeypatch.setattr(averaging, "simpson_integrals", counting_batch)
-        values = averaging.averaged_pow_modulus(curve, mu, us)
+        stieltjes_integral(counted, mu, us)
+        shared = sum(points)
+        points.clear()
+        for u in us:
+            stieltjes_integral(counted, mu, u)
+        assert shared <= sum(points) / 10
 
-        single_points = []
-        single = averaging.adaptive_simpson
+    def test_constant_integrand_is_exact_without_bisection(self):
+        # each window's panels end at its own end: nothing is left to bisect
+        mu = mu2(3 * np.pi / 4)
+        sizes = []
 
-        def counting_single(g, a, b, **kw):
-            single_points.append(0)
+        def one(t):
+            sizes.append(np.size(t))
+            return np.ones(np.shape(t))
 
-            def counted(t):
-                single_points[-1] += np.size(t)
-                return g(t)
-
-            return single(counted, a, b, **kw)
-
-        monkeypatch.setattr(averaging, "adaptive_simpson", counting_single)
-        reference = np.array([averaging.averaged_pow_modulus(curve, mu, u) for u in us])
-        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0.0)
-        if mu.density is None:
-            assert not single_points and not batch_points.any()
-        else:
-            assert batch_points.tolist() == single_points
+        us = mu.tau * np.arange(1, 65) / 64
+        np.testing.assert_allclose(stieltjes_integral(one, mu, us), mu.tau, rtol=1e-14)
+        assert len(sizes) == 3  # the starting nodes and one pass
 
     def test_budget_error_names_its_window(self, monkeypatch):
         from spapprox import averaging
@@ -218,8 +256,6 @@ class TestWindowBatch:
         f = SpectralFunction({3: 1.0})
         curve = ModulusCurve(f, 2, phi_alpha(1), np.pi)
         assert type(stieltjes_integral(curve.pow_values, mu1(np.pi), np.pi / 2)) is float
-        from spapprox.averaging import averaged_pow_modulus
-
         assert type(averaged_pow_modulus(curve, mu1(np.pi), np.pi / 2)) is float
         assert averaged_pow_modulus(curve, mu1(np.pi), np.array([np.pi / 2])).shape == (1,)
 
@@ -290,7 +326,6 @@ class TestAveragedModulus:
         shape = phi_alpha(1)
         mu = mu2(np.pi)
         curve = ModulusCurve(f, 2, shape, np.pi)
-        from spapprox.averaging import averaged_pow_modulus
 
         for u in (0.3, 1.0, np.pi):
             reused = averaged_pow_modulus(curve, mu, u) ** 0.5

@@ -108,6 +108,8 @@ class TestConfig:
              "'sets'"),
             ({"suite": "a6101", "out": 5, "params": {"lambdas": []}}, "out must be"),
             ({"suite": "a6101", "out": ["x"], "params": {"lambdas": []}}, "out must be"),
+            ({"suite": "sharpness", "params": {"p": ["two"]}}, "parameter 'p'"),
+            ({"suite": "jackson-fuzz", "params": {"samples": "many"}}, "parameter 'samples'"),
         ],
     )
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, payload, match):
@@ -116,6 +118,14 @@ class TestConfig:
             load_config(path)
         assert main(["suite", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_tau_and_alpha_take_text(self):
+        cfg = SuiteConfig(suite="jackson-fuzz", params={"tau": "pi/2", "alpha": "1.5"})
+        assert (cfg.params["tau"], cfg.params["alpha"]) == ("pi/2", "1.5")
+        sets = [{"p": 2, "alpha": "1", "mu": "mu1", "tau": "3pi/4", "psi": "power:1"}]
+        assert SuiteConfig(suite="widths-certify", params={"sets": sets}).params["sets"] == sets
+        with pytest.raises(ConfigError, match="'alpha'"):
+            SuiteConfig(suite="sharpness", params={"alpha": ["2"]})
 
     def test_set_keys_beyond_the_defaults(self):
         sets = [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi", "psi": "power:1",

@@ -117,69 +117,85 @@ class TestTanhSinhPanels:
 
 
 class TestSimpsonIntegrals:
-    # integral i: cos(k_i t) + |t - c_i|^0.7 over [a_i, b_i], a kink inside
-    KS = np.array([1.0, 7.0, 40.0])
-    CS = np.array([0.3, 1.9, 0.0])
-    A = np.array([0.0, 0.5, -1.0])
-    B = np.array([1.0, 3.0, 2.5])
+    """integral_a^b[i] F(t) w(t, i) dt on one node set shared by every i."""
 
-    def integrand(self, t, i):
-        return np.cos(self.KS[i] * t) + np.abs(t - self.CS[i]) ** 0.7
+    # F has a kink at 0.9; the ends include a repeat and one below the kink
+    KS = np.array([0.0, 1.0, 3.0, 0.5])
+    B = np.array([1.0, 2.5, 0.3, 2.5])
+
+    @staticmethod
+    def F(t):
+        return np.cos(7.0 * t) + np.abs(t - 0.9) ** 0.7
+
+    def w(self, t, i):
+        return np.exp(-self.KS[i] * t)
 
     def test_each_integral_matches_its_own_adaptive_simpson(self):
-        panels = np.array([64, 100, 7])
-        seen = np.zeros(3, dtype=int)
+        seen = []
 
-        def counted(t, i):
-            np.add.at(seen, i, 1)
-            return self.integrand(t, i)
+        def counted(t):
+            seen.append(np.asarray(t).copy())
+            return self.F(t)
 
-        batch = simpson_integrals(counted, self.A, self.B, initial_panels=panels)
-        for i in range(3):
+        batch = simpson_integrals(counted, self.w, -1.0, self.B)
+        alone_points = 0
+        for i in range(self.B.size):
             points = []
 
             def one(t, i=i):
                 points.append(np.size(t))
-                return self.integrand(t, i)
+                return self.F(t) * np.exp(-self.KS[i] * t)
 
-            alone = adaptive_simpson(one, self.A[i], self.B[i], initial_panels=panels[i])
-            assert batch[i] == pytest.approx(alone, rel=1e-13, abs=0.0)
-            assert seen[i] == sum(points)
+            alone = adaptive_simpson(one, -1.0, self.B[i])
+            assert batch[i] == pytest.approx(alone, rel=1e-12, abs=0.0)
+            alone_points += sum(points)
+        shared = np.concatenate(seen)
+        assert np.unique(shared).size == shared.size  # no node is evaluated twice
+        assert shared.size < alone_points
 
     def test_zero_length_integral_costs_nothing(self):
-        calls = []
+        owners = []
 
-        def g(t, i):
-            calls.append(np.unique(i).tolist())
-            return np.sin(t)
+        def w(t, i):
+            owners.append(np.unique(i).tolist())
+            return np.ones(np.shape(t))
 
-        vals = simpson_integrals(g, [0.0, 1.0], [np.pi, 1.0])
+        vals = simpson_integrals(np.sin, w, 0.0, [np.pi, 0.0])
         assert vals[0] == pytest.approx(2.0, abs=1e-10)
         assert vals[1] == 0.0
-        assert all(c == [0] for c in calls)
+        assert all(o == [0] for o in owners)
 
     def test_inverted_interval_names_its_integral(self):
         with pytest.raises(ValueError, match="integral 1: inverted"):
-            simpson_integrals(lambda t, i: t, [0.0, 1.0], [1.0, 0.5])
+            simpson_integrals(lambda t: t, None, 0.0, [1.0, -0.5])
 
     def test_budget_error_names_its_integral(self):
-        # integral 0 is a parabola, exact on the starting panels; integral 1
-        # has an infinite-slope cusp and runs out of budget
-        def g(t, i):
-            return np.where(i == 0, t**2, np.abs(t) ** 0.1)
+        # a parabola below 0.6, exact on the starting panels of [0, 0.5];
+        # an infinite-slope cusp at 0.7, inside the second interval only
+        def F(t):
+            return np.where(t < 0.6, t**2, np.abs(t - 0.7) ** 0.1)
 
         with pytest.raises(QuadratureBudgetError, match="window 1: evaluation budget 300"):
             simpson_integrals(
-                g, [0.0, 0.0], [1.0, 1.0], tol=1e-14, budget=300,
+                F, None, 0.0, [0.5, 1.0], tol=1e-14, budget=300,
                 context=lambda i: f"window {i}",
             )
-        one = simpson_integrals(g, [0.0], [1.0], tol=1e-14, budget=300)
-        assert one[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+        one = simpson_integrals(F, None, 0.0, [0.5], tol=1e-14, budget=300)
+        assert one[0] == pytest.approx(0.5**3 / 3.0, rel=1e-14)
 
     def test_non_finite_value_names_its_integral(self):
-        def g(t, i):
+        # a pole of w on [0, 1] in integral 1; a pole of F at the node 0.75,
+        # which only the interval [0, 1] holds
+        def w(t, i):
             with np.errstate(divide="ignore"):
-                return np.where(i == 1, 1.0 / t, t)
+                return np.where(i == 1, 1.0 / t, 1.0)
 
         with pytest.raises(NonFiniteIntegrandError, match="integral 1: non-finite"):
-            simpson_integrals(g, [0.0, 0.0], [1.0, 1.0])
+            simpson_integrals(np.cos, w, 0.0, [1.0, 1.0])
+
+        def F(t):
+            with np.errstate(divide="ignore"):
+                return 1.0 / (t - 0.75)
+
+        with pytest.raises(NonFiniteIntegrandError, match=r"integral 1: .* t=\[0\.75"):
+            simpson_integrals(F, None, 0.0, [0.5, 1.0])

@@ -1,7 +1,8 @@
 """Settings that every caller leaves at their default are not parameters.
 
 The tolerance, relative floor, pass limit and budget of the integrators are
-fixed in ``quadrature``; no layer above it takes them.
+fixed in ``quadrature``; no layer above it takes them, nor a starting panel
+count.
 """
 
 import inspect
@@ -13,7 +14,7 @@ from spapprox import averaging, jackson, psi, quadrature, widths
 FIXED = [
     (quadrature.adaptive_simpson, {"rtol", "max_passes"}),
     (quadrature.simpson_integrals, {"rtol", "max_passes"}),
-    (averaging.dilated_integrals, {"tol", "budget"}),
+    (averaging.dilated_integrals, {"tol", "budget", "initial_panels"}),
     (averaging.stieltjes_integral, {"tol", "budget"}),
     (jackson.shape_mass, {"tol", "budget"}),
     (jackson._dilated_shape_integrals, {"tol", "budget"}),

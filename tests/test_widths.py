@@ -364,12 +364,31 @@ class TestMajorantCondition:
         batched = _capped_shape_integrals(shape, p, mu, xis)
         cap = shape.cap_point
         for xi, value in zip(xis, batched):
+            # Simpson up to the kink at cap / xi; the capped shape is flat beyond
+            kink = min(cap / xi, mu.tau)
             alone = adaptive_simpson(
-                lambda s: shape.eval(np.minimum(np.abs(xi * s), cap)) ** p,
-                0.0, mu.tau, initial_panels=max(64, int(2 * xi * mu.tau / math.pi) + 1),
-            )
+                lambda s: shape.eval(xi * s) ** p, 0.0, kink, tol=1e-14
+            ) + (mu.tau - kink) * shape.eval(np.array([cap]))[0] ** p
             assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
-            assert capped_shape_integral(shape, p, mu, xi) == value
+            assert capped_shape_integral(shape, p, mu, xi) == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha,p", [(1.0, 2.0), (4.0 / 3.0, 1.5)])
+    def test_capped_integrals_match_the_closed_form_at_lambda_two(self, alpha, p):
+        # shape^p = 2 (1 - cos t): 2 tau - 2 sin(xi tau) / xi while xi tau <= pi,
+        # else 2 pi / xi + 4 (tau - pi / xi); x - sin x by its series, which
+        # does not cancel at small x
+        tau = TAU34
+        xis = np.logspace(-2, 2, 64)
+        x = np.minimum(xis * tau, np.pi)
+        coef = [(-1.0) ** (j + 1) / math.factorial(2 * j + 1) for j in range(1, 30)]
+        x_minus_sin = np.array(coef) @ x ** np.arange(3, 60, 2)[:, None]
+        want = np.where(
+            xis * tau <= np.pi,
+            2 * x_minus_sin / xis,
+            2 * np.pi / xis + 4 * (tau - np.pi / xis),
+        )
+        got = _capped_shape_integrals(phi_alpha(alpha), p, mu2(tau), xis)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_check_matches_the_per_xi_margins(self):
         omega, shape, p, mu = linear_majorant(), phi_alpha(1), 2.0, mu2(TAU34)
