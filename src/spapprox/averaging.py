@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import DEFAULT_BUDGET, adaptive_simpson, simpson_integrals
-from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
+from .smoothness import ModulusCurve, ShapeFunction
 from .spectral import SpectralFunction, as_exponent
 
 #: Points of the grid on which :func:`weight_measure` probes a density.
@@ -205,7 +205,6 @@ def averaged_modulus(
     shape: ShapeFunction,
     mu: WeightMeasure,
     u: float,
-    grid: ModulusGrid | None = None,
 ) -> float:
     """Weighted mean of the modulus of smoothness over the window [0, u].
 
@@ -215,5 +214,5 @@ def averaged_modulus(
     p = as_exponent(p)
     if not (u > 0):
         raise ValueError(f"window length must be positive, got {u}")
-    curve = ModulusCurve(f, p, shape, u, grid)
+    curve = ModulusCurve(f, p, shape, u)
     return averaged_pow_modulus(curve, mu, u) ** (1.0 / p)

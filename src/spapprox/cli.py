@@ -49,7 +49,6 @@ from .jackson import (
 from .psi import PsiSequence, const_multiplier, power, tabulated_psi
 from .sampling import random_sparse_spectrum
 from .smoothness import (
-    ModulusGrid,
     ShapeFunction,
     difference_modulus_oracle,
     generalized_modulus,
@@ -87,6 +86,8 @@ def parse_scalar(text) -> float:
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise ConfigError(f"zero denominator in {text!r}")
         return num * math.pi / den
     try:
         return float(text)
@@ -191,6 +192,11 @@ _SET_OPTIONAL_KEYS = {"name", "omega"}
 _SCALAR = (int, float, str)
 
 
+def _of_type(value, types) -> bool:
+    """``isinstance``, except that a boolean is no number: JSON keeps them apart."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _fits(value, default, key: str | None = None) -> bool:
     """Whether a suite parameter has the shape of its default: a list whose
     items fit the default's first item, a set object whose values fit the default
@@ -204,7 +210,7 @@ def _fits(value, default, key: str | None = None) -> bool:
             and all(_fits(value.get(k), default[k], k) for k in default)
         )
     number = isinstance(default, (int, float)) and key not in ("tau", "alpha")
-    return isinstance(value, (int, float) if number else _SCALAR)
+    return _of_type(value, (int, float) if number else _SCALAR)
 
 
 @dataclass
@@ -226,8 +232,12 @@ class SuiteConfig:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a file path string, got {self.out!r}")
-        if self.tolerance is not None and not isinstance(self.tolerance, (int, float)):
+        if self.tolerance is not None and not _of_type(self.tolerance, (int, float)):
             raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
+        if not _of_type(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.no_timestamp, bool):
+            raise ConfigError(f"no_timestamp must be a boolean, got {self.no_timestamp!r}")
         defaults = SUITES[self.suite].defaults
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -264,16 +274,12 @@ def load_config(path: str) -> SuiteConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}: params must be an object, got {params!r}")
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: seed must be an integer, got {raw['seed']!r}") from exc
     return SuiteConfig(
         suite=raw["suite"],
-        seed=seed,
+        seed=raw.get("seed", 0),
         format=raw.get("format", "json"),
         out=raw.get("out"),
-        no_timestamp=bool(raw.get("no_timestamp", False)),
+        no_timestamp=raw.get("no_timestamp", False),
         tolerance=raw.get("tolerance"),
         params=dict(params),
     )
@@ -549,12 +555,6 @@ _OBJECT_FLAGS = (
     ("--tau", {"required": True, "help": "measure support length (floats or pi forms)"}),
 )
 _PSI = ("--psi", {"required": True, "help": "multiplier, e.g. power:1"})
-_SCAN = (  # only the commands that scan a spectrum's shift supremum
-    ("--grid-points", {"type": int, "default": 4096,
-                       "help": "least scan points for the shift supremum"}),
-    ("--refine-iters", {"type": int, "default": 40,
-                        "help": "golden-section refinement iterations"}),
-)
 _N = ("--n", {"type": int, "required": True})
 _K_MAX = ("--k-max", {"type": int, "default": None})
 _OMEGA = ("--omega", {"help": "majorant for majorant-mode classes"})
@@ -568,20 +568,16 @@ COMMANDS: dict[str, dict[str, Command]] = {
             lambda a, o: inf_quantity(a.n, o.shape, o.p, o.mu, k_max=a.k_max),
         ),
         "sharp": Command(
-            "sharp constant and attained ratio", (_PSI, *_SCAN, _N, _K_MAX),
-            lambda a, o: sharpness_certificate(
-                o.shape, o.p, o.mu, o.psi, a.n, grid=o.grid, k_max=a.k_max
-            ),
+            "sharp constant and attained ratio", (_PSI, _N, _K_MAX),
+            lambda a, o: sharpness_certificate(o.shape, o.p, o.mu, o.psi, a.n, k_max=a.k_max),
             report=lambda r: {**_asdict(r), "holds": _sharp_holds(r)},
             passed=_sharp_holds,
         ),
         "bound": Command(
             "check the estimate on one spectrum",
-            (_PSI, *_SCAN, ("--function", {"required": True, "help": "spectrum JSON file"}),
-             _N, _K_MAX),
+            (_PSI, ("--function", {"required": True, "help": "spectrum JSON file"}), _N, _K_MAX),
             lambda a, o: jackson_bound(
-                load_spectrum(a.function), o.psi, o.shape, o.p, o.mu, a.n,
-                k_max=a.k_max, grid=o.grid,
+                load_spectrum(a.function), o.psi, o.shape, o.p, o.mu, a.n, k_max=a.k_max
             ),
             passed=lambda r: r.holds and r.holds_plain,
         ),
@@ -596,11 +592,11 @@ COMMANDS: dict[str, dict[str, Command]] = {
         ),
         "certify": Command(
             "two-sided sampling certificates",
-            (_PSI, *_SCAN, _N, _OMEGA, ("--samples", {"type": int, "default": 200}),
+            (_PSI, _N, _OMEGA, ("--samples", {"type": int, "default": 200}),
              ("--seed", {"type": int, "default": 0}), _K_MAX),
             lambda a, o: certify_widths(
                 _build_class(o.psi, o.shape, o.p, o.mu, a.n, a.omega), a.n,
-                samples=a.samples, seed=a.seed, grid=o.grid, k_max=a.k_max,
+                samples=a.samples, seed=a.seed, k_max=a.k_max,
             ),
             report=_certificate_report,
             passed=lambda r: r.verdict == "consistent",
@@ -615,15 +611,14 @@ COMMANDS: dict[str, dict[str, Command]] = {
 
 
 def _objects(args) -> SimpleNamespace:
-    """The measure, shape and exponent of every command, and the scan grid
-    and multiplier of those that take them."""
+    """The measure, shape and exponent of every command, and the multiplier
+    of those that take one."""
     tau = parse_scalar(args.tau)
     mu = parse_measure(args.mu, tau)
     shape = parse_shape(args.phi)
     p = parse_scalar(args.p)
-    grid = ModulusGrid(args.grid_points, args.refine_iters) if "grid_points" in args else None
     psi = parse_psi(args.psi) if "psi" in args else None
-    return SimpleNamespace(mu=mu, shape=shape, p=p, grid=grid, psi=psi)
+    return SimpleNamespace(mu=mu, shape=shape, p=p, psi=psi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from 
     adaptive_simpson,
     tanh_sinh_panels,
 )
-from .smoothness import ModulusCurve, ModulusGrid, ShapeFunction
+from .smoothness import ModulusCurve, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation
 
 #: Relative slack for deciding the integer argmin and ties toward smaller k.
@@ -212,7 +212,6 @@ def jackson_bound(
     mu: WeightMeasure,
     n: int,
     k_max: int | None = None,
-    grid: ModulusGrid | None = None,
     inf_report: InfReport | None = None,
 ) -> JacksonBound:
     """Check the direct estimate for one spectrum.
@@ -227,7 +226,7 @@ def jackson_bound(
     lhs = best_approximation(f, p, n)
     factor = (mu.total_mass / report.value) ** (1.0 / p) * tail_sup_info(psi, n).value
     u = mu.tau / n
-    curve = ModulusCurve(rough, p, shape, u, grid)
+    curve = ModulusCurve(rough, p, shape, u)
     bound = factor * averaged_pow_modulus(curve, mu, u) ** (1.0 / p)
     bound_plain = factor * curve.value(u)
     return JacksonBound(
@@ -320,7 +319,6 @@ def sharpness_certificate(
     mu: WeightMeasure,
     psi: PsiSequence,
     n: int,
-    grid: ModulusGrid | None = None,
     k_max: int | None = None,
     inf_report: InfReport | None = None,
 ) -> SharpnessReport:
@@ -334,7 +332,7 @@ def sharpness_certificate(
     f_ext = extremal_function(n, psi, delta=1.0, gamma=0.0)
     lhs = best_approximation(f_ext, p, n)
     rough = psi_derivative(f_ext, psi)
-    omega_avg = averaged_modulus(rough, p, shape, mu, mu.tau / n, grid)
+    omega_avg = averaged_modulus(rough, p, shape, mu, mu.tau / n)
     ratio = lhs / omega_avg
     return SharpnessReport(
         ratio=ratio, constant=constant, rel_gap=abs(ratio - constant) / constant

@@ -29,11 +29,13 @@ from .jackson import _dilated_shape_integrals, _equivalent, inf_quantity, shape_
 from .psi import PsiSequence, is_monotone_even, psi_derivative
 from .quadrature import adaptive_simpson  # noqa: F401  stays importable from here
 from .sampling import random_full_spectrum
-from .smoothness import Breakpoints, ModulusCurve, ModulusGrid, ShapeFunction
+from .smoothness import Breakpoints, ModulusCurve, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation, sp_norm
 
 #: Number of windows bounded by a majorant-mode class.
 MEMBERSHIP_U_POINTS = 64
+#: Dilations xi, log-spaced on [1e-2, 1e2], of :func:`majorant_condition_check`.
+MAJORANT_XI_POINTS = 64
 #: Points of each probe grid on which :func:`majorant` checks monotonicity.
 MAJORANT_PROBE_POINTS = 256
 
@@ -133,22 +135,26 @@ def _require_monotone_even(psi: PsiSequence, horizon: int) -> None:
         )
 
 
-def _constraint(f: SpectralFunction, cls: SmoothnessClass, grid: ModulusGrid | None):
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"a certificate needs at least one sample, got {samples}")
+
+
+def _constraint(f: SpectralFunction, cls: SmoothnessClass):
     """(averaged moduli of the roughened f on the class windows, their bounds)."""
     p = as_exponent(cls.p)
     us = cls.windows()
-    curve = ModulusCurve(psi_derivative(f, cls.psi), p, cls.shape, us[-1], grid)
+    curve = ModulusCurve(psi_derivative(f, cls.psi), p, cls.shape, us[-1])
     return averaged_pow_modulus(curve, cls.mu, us) ** (1.0 / p), cls.bound(us)
 
 
 def membership(
     f: SpectralFunction,
     cls: SmoothnessClass,
-    grid: ModulusGrid | None = None,
     tol: float = 1e-9,
 ) -> bool:
     """Constraint check for one spectrum (up to additive slack ``tol``)."""
-    values, targets = _constraint(f, cls, grid)
+    values, targets = _constraint(f, cls)
     return bool(np.all(values <= targets + tol))
 
 
@@ -231,23 +237,22 @@ def lower_certificate(
     n: int | None = None,
     samples: int = 200,
     seed: int = 0,
-    grid: ModulusGrid | None = None,
     tol: float = 1e-6,
     radius_scale: float = 1.0,
 ) -> LowerEvidence:
     """Check membership of random order-n polynomials on the critical sphere.
 
     ``radius_scale`` inflates the sphere for exploratory sharpness probes;
-    failures are evidence, never errors.
+    failures are evidence, never errors.  Fewer than one sample raises.
     """
+    _require_samples(samples)
     n = _resolve_n(cls, n)
     radius = bernstein_radius(cls, n) * radius_scale
-    return _sphere_evidence(cls, n, radius, samples, seed, grid, tol)
+    return _sphere_evidence(cls, n, radius, samples, seed, tol)
 
 
 def _sphere_evidence(
-    cls: SmoothnessClass, n: int, radius: float, samples: int, seed: int,
-    grid: ModulusGrid | None, tol: float,
+    cls: SmoothnessClass, n: int, radius: float, samples: int, seed: int, tol: float,
 ) -> LowerEvidence:
     """Membership of random order-n polynomials scaled onto the sphere of ``radius``."""
     rng = np.random.default_rng(seed)
@@ -256,7 +261,7 @@ def _sphere_evidence(
         sample = random_full_spectrum(rng, n)
         norm = sp_norm(sample, cls.p)
         sample = (radius / norm) * sample
-        if not membership(sample, cls, grid, tol):
+        if not membership(sample, cls, tol):
             failed.append(i)
     return LowerEvidence(
         samples=samples, failures=len(failed), radius=radius,
@@ -291,15 +296,15 @@ def upper_certificate(
     n: int | None = None,
     samples: int = 200,
     seed: int = 0,
-    grid: ModulusGrid | None = None,
 ) -> UpperEvidence:
     """Max tail norm over random members rescaled onto the constraint boundary.
 
     Samples have support up to 8n; each is scaled so the averaged-modulus
     constraint is active, then its order-n tail norm is recorded.  Samples
     whose constraint values all vanish cannot be scaled and are reported as
-    non-bracketing.
+    non-bracketing.  Fewer than one sample raises.
     """
+    _require_samples(samples)
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
     rng = np.random.default_rng(seed)
@@ -308,7 +313,7 @@ def upper_certificate(
     non_bracketing = 0
     for i in range(samples):
         sample = random_full_spectrum(rng, 8 * n)
-        scale = _active_scale(*_constraint(sample, cls, grid))
+        scale = _active_scale(*_constraint(sample, cls))
         if scale is None:
             non_bracketing += 1
             continue
@@ -338,15 +343,18 @@ def certify_widths(
     n: int | None = None,
     samples: int = 200,
     seed: int = 0,
-    grid: ModulusGrid | None = None,
     tol: float = 1e-6,
     k_max: int | None = None,
 ) -> WidthCertificate:
-    """Run both certificates against the closed form (or interval)."""
+    """Run both certificates against the closed form (or interval).
+
+    Fewer than one sample raises before any integral is computed.
+    """
+    _require_samples(samples)
     n = _resolve_n(cls, n)
     value = width_closed_form(cls, n, k_max)
-    lower = _sphere_evidence(cls, n, value.lower, samples, seed, grid, tol)
-    upper = upper_certificate(cls, n, samples, seed + 1, grid)
+    lower = _sphere_evidence(cls, n, value.lower, samples, seed, tol)
+    upper = upper_certificate(cls, n, samples, seed + 1)
     reference = value.value if value.certified else value.upper
     violated = lower.failures > 0 or upper.max_en > reference + tol
     return WidthCertificate(
@@ -400,7 +408,6 @@ def majorant_condition_check(
     shape: ShapeFunction,
     p,
     mu: WeightMeasure,
-    xi_grid: np.ndarray | None = None,
 ) -> MajorantCheck:
     """Grid check of the window-scaling inequality
 
@@ -409,11 +416,11 @@ def majorant_condition_check(
 
     for all (xi, u) on the grids, up to a relative margin of 1e-9.  Equality
     holds identically at xi = 1.  u runs over cap_point * j / 64 for
-    j = 1..64; xi defaults to 64 points log-spaced on [1e-2, 1e2].  The
-    capped masses of all xi are one tanh-sinh pass.
+    j = 1..64, and xi over the fixed 64 points log-spaced on [1e-2, 1e2].
+    The capped masses of all xi are one tanh-sinh pass.
     """
     p = as_exponent(p)
-    xis = np.logspace(-2, 2, 64) if xi_grid is None else np.asarray(xi_grid, dtype=float)
+    xis = np.logspace(-2, 2, MAJORANT_XI_POINTS)
     lhs_roots = _capped_shape_integrals(shape, p, mu, xis) ** (1.0 / p)
     us = shape.cap_point * np.arange(1, MEMBERSHIP_U_POINTS + 1) / MEMBERSHIP_U_POINTS
     rhs = np.asarray(omega.eval(us), dtype=float) * shape_mass(shape, p, mu) ** (1.0 / p)

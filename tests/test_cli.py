@@ -35,6 +35,11 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_scalar("one")
 
+    @pytest.mark.parametrize("text", ["pi/0", "3pi/0.0"])
+    def test_zero_denominator_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="zero denominator"):
+            parse_scalar(text)
+
     def test_shape(self):
         assert parse_shape("phi_alpha:1.5").sup_value == pytest.approx(2**1.5)
         with pytest.raises(ConfigError):
@@ -110,6 +115,13 @@ class TestConfig:
             ({"suite": "a6101", "out": ["x"], "params": {"lambdas": []}}, "out must be"),
             ({"suite": "sharpness", "params": {"p": ["two"]}}, "parameter 'p'"),
             ({"suite": "jackson-fuzz", "params": {"samples": "many"}}, "parameter 'samples'"),
+            ({"suite": "a6101", "tolerance": True}, "tolerance must be a number"),
+            ({"suite": "jackson-fuzz", "params": {"samples": True}}, "parameter 'samples'"),
+            ({"suite": "a6101", "params": {"lambdas": [True]}}, "'lambdas'"),
+            ({"suite": "sharpness", "params": {"tau": True}}, "'tau'"),
+            ({"suite": "a6101", "no_timestamp": "false"}, "no_timestamp must be a boolean"),
+            ({"suite": "a6101", "seed": 1.7}, "seed must be an integer"),
+            ({"suite": "a6101", "seed": True}, "seed must be an integer"),
         ],
     )
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, payload, match):
@@ -209,6 +221,17 @@ class TestMainEntry:
     def test_exit_2_on_missing_config(self, capsys):
         assert main(["suite", "--config", "/nonexistent/cfg.json"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_2_on_a_zero_denominator(self, tmp_path, capsys):
+        rc = main([
+            "jackson", "inf", "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1",
+            "--tau", "pi/0", "--n", "1", "--no-timestamp",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: zero denominator")
+        path = write_config(tmp_path, {"suite": "sharpness", "params": {"tau": "pi/0"}})
+        assert main(["suite", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: zero denominator")
 
     def test_exit_2_on_unknown_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"suite": "a6101", "wrong": True})
@@ -492,24 +515,28 @@ class TestSingleCommandInputs:
             ["jackson", "inf", "--n", "1"],
             ["widths", "value", "--psi", "power:1", "--n", "1"],
             ["widths", "majorant-check", "--omega", "linear"],
+            ["jackson", "sharp", "--psi", "power:1", "--n", "1"],
+            ["jackson", "bound", "--psi", "power:1", "--function", "f.json", "--n", "1"],
+            ["widths", "certify", "--psi", "power:1", "--n", "1", "--samples", "1"],
         ],
     )
-    def test_commands_that_scan_nothing_reject_the_scan_flags(self, command):
+    def test_commands_that_scan_nothing_reject_the_scan_flags(self, capsys, command):
+        # the scan sets its own resolution: no command takes a scan grid
+        for flag in ("--grid-points", "--refine-iters"):
+            rc = main([
+                *command, "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1", "--tau", "pi",
+                flag, "64",
+            ])
+            assert rc == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_certificate_without_samples_exits_2(self, capsys):
         rc = main([
-            *command, "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1", "--tau", "pi",
-            "--grid-points", "64",
+            "widths", "certify", "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1",
+            "--tau", "pi", "--psi", "power:1", "--n", "1", "--samples", "0",
+            "--no-timestamp",
         ])
         assert rc == 2
-
-    def test_commands_that_scan_take_the_scan_flags(self, tmp_path):
-        spec_path = tmp_path / "f.json"
-        spec_path.write_text(json.dumps([{"k": 3, "re": 1.0, "im": 0.0}]))
-        out = tmp_path / "bound.json"
-        rc = main([
-            "jackson", "bound", "--phi", "phi_alpha:1", "--p", "2", "--mu", "mu1",
-            "--tau", "pi", "--psi", "power:1", "--function", str(spec_path),
-            "--n", "2", "--k-max", "16", "--grid-points", "128", "--refine-iters", "10",
-            "--out", str(out), "--no-timestamp",
-        ])
-        assert rc == 0
-        assert json.loads(out.read_text())["holds"] is True
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least one sample" in captured.err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spapprox import jackson
+from spapprox import jackson, widths
 from spapprox.averaging import mu1, mu2, stieltjes_integral
 from spapprox.jackson import extremal_function, sharpness_certificate
 from spapprox.psi import PsiSequence, power, psi_derivative
@@ -204,7 +204,7 @@ class TestMembership:
         # before they shared one constraint path
         cls = fixed_class(p=2, alpha=1, r=1, n=2)
         f = random_full_spectrum(np.random.default_rng(31), 16)
-        values, targets = _constraint(f, cls, None)
+        values, targets = _constraint(f, cls)
         assert values.tolist() == pytest.approx([109.36773347821956], rel=1e-13, abs=0.0)
         assert targets.tolist() == [1.0]
         scale = 1.0 / float(values[0])
@@ -238,8 +238,9 @@ class TestLowerCertificate:
             assert ev.samples == 25
 
     def test_empty_run(self):
-        ev = lower_certificate(fixed_class(), samples=0, seed=1)
-        assert ev.samples == 0 and ev.failures == 0
+        # a certificate with no samples would pass on no evidence
+        with pytest.raises(ValueError, match="at least one sample"):
+            lower_certificate(fixed_class(), samples=0, seed=1)
 
     def test_inflated_radius_probe_reports(self):
         # exploratory: an inflated ball should start leaking members
@@ -317,6 +318,17 @@ class TestCertify:
         certificate()
         assert sum(passes) == 1
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("certificate", [certify_widths, lower_certificate, upper_certificate])
+    def test_no_samples_raise_before_any_integral(self, monkeypatch, certificate, samples):
+        def unreachable(*args):
+            raise AssertionError("integrated before checking the sample count")
+
+        monkeypatch.setattr(jackson, "_dilated_shape_integrals", unreachable)
+        monkeypatch.setattr(widths, "_constraint", unreachable)
+        with pytest.raises(ValueError, match="at least one sample"):
+            certificate(fixed_class(n=1), 1, samples=samples)
+
     def test_homogeneity_violation_detected(self):
         # inflating the ball radius must surface as lower-certificate failures
         cls = fixed_class(p=2, alpha=1, r=1, n=2)
@@ -326,11 +338,9 @@ class TestCertify:
 
 class TestMajorantCondition:
     def test_unit_dilation_is_equality(self):
-        check = majorant_condition_check(
-            linear_majorant(), phi_alpha(1), 2, mu2(TAU34), xi_grid=np.array([1.0])
-        )
-        assert check.ok
-        assert check.worst_rel_margin == pytest.approx(0.0, abs=1e-12)
+        # at xi = 1 both sides of the window-scaling inequality hold the shape mass
+        capped = capped_shape_integral(phi_alpha(1), 2, mu2(TAU34), 1.0)
+        assert capped == pytest.approx(jackson.shape_mass(phi_alpha(1), 2, mu2(TAU34)), rel=1e-12)
 
     def test_solved_configuration_passes_default_grid(self):
         cls = solved_linear_majorant_class()
