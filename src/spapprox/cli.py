@@ -226,7 +226,7 @@ class SuiteConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.suite not in SUITES:
+        if not isinstance(self.suite, str) or self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; choose from {', '.join(SUITES)}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
@@ -251,6 +251,12 @@ class SuiteConfig:
                     f"parameter {key!r} of suite {self.suite!r} must have the shape of "
                     f"{defaults[key]!r}, got {value!r}"
                 )
+        if "samples" in self.params and self.params["samples"] < 1:
+            # a run over no sample checks nothing, so it cannot pass
+            raise ConfigError(
+                f"parameter 'samples' of suite {self.suite!r} must be at least 1, "
+                f"got {self.params['samples']!r}"
+            )
         self.params = {**defaults, **self.params}
         if self.tolerance is None:
             self.tolerance = SUITES[self.suite].tolerance

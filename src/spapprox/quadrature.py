@@ -1,17 +1,20 @@
-"""Budgeted vectorized quadrature: adaptive Simpson and tanh-sinh panels.
+"""Budgeted vectorized quadrature: adaptive Simpson, nested cells, tanh-sinh panels.
 
-Two integrators share one contract.  The integrand must be vectorized
+Three integrators share one contract.  The integrand must be vectorized
 (ndarray in, ndarray out); each routine keeps a work list of panels, splits
 every non-converged panel once per pass, and accounts for each point
 evaluation against a hard budget.  Running out of budget raises, it never
 truncates silently.
 
-* :func:`simpson_integrals` integrates F w_i over nested intervals [a, b_i]
-  by adaptive Simpson on one node set: F is evaluated once per node for all
-  integrals, w_i is a cheap factor per integral.  It serves the batch of
-  ``averaging.dilated_integrals``, the averaged moduli of one curve over
-  many windows.  :func:`adaptive_simpson` is its one-integral call (w = 1),
-  for weight masses and a single dilation.
+* :func:`adaptive_simpson` integrates one function over one interval; it
+  serves a single dilation of ``averaging.dilated_integrals``.
+* :func:`nested_integrals` integrates F w_i over nested intervals [a, b_i]
+  on cells shared by all of them: F is evaluated once per node for all
+  integrals, w_i is a cheap factor per (cell, integral) pair.  A cell with
+  a declared singular end gets a tanh-sinh pair, any other a Gauss-Kronrod
+  7/15 pair.  It serves the batch of ``averaging.dilated_integrals`` and
+  the rising stretches of the averaged moduli of one curve over many
+  windows.
 * :func:`tanh_sinh_panels` integrates many integrals at once from panels
   tagged with the integral they belong to.  Each panel gets a nested pair of
   double-exponential (tanh-sinh) rules, which converge exponentially even
@@ -60,7 +63,31 @@ def _tanh_sinh_rule(level: int, t_max: float) -> tuple[np.ndarray, int, np.ndarr
 #: Levels 3 and 4 on |t| <= 3.25: 105 nodes, of which the coarse rule uses
 #: 53.  Beyond 3.25 the nodes lie within 5e-18 half-widths of an end.
 _TS_DIST, _TS_SPLIT, _TS_WEIGHTS = _tanh_sinh_rule(3, 3.25)
-#: Relative floor and bisection limit of both integrators.
+#: Gauss-Kronrod 7/15 pair in the same layout: abscissae 0 <= x < 1 of the
+#: Kronrod rule, its weights, and the weights of the Gauss rule on every
+#: other abscissa (Piessens et al., QUADPACK, 1983).
+_GK_X = np.array([
+    0.0, 0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144845693013, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329,
+])
+_GK_KRONROD = np.array([
+    0.209482141084727828012999174891714, 0.204432940075298892414161999234649,
+    0.190350578064785409913256402421014, 0.169004726639267902826583426598550,
+    0.140653259715525918745189590510238, 0.104790010322250183839876322541518,
+    0.063092092629978553290700663189204, 0.022935322010529224963732008058970,
+])
+_GK_GAUSS = np.array([
+    0.417959183673469387755102040816327, 0.0, 0.381830050505118944950369775488975, 0.0,
+    0.279705391489276667901467771423780, 0.0, 0.129484966168869693270611432679082, 0.0,
+])
+_GK_DIST = np.concatenate([1.0 - _GK_X, 1.0 - _GK_X[1:]])
+_GK_SPLIT = _GK_X.size
+_GK_WEIGHTS = np.stack(
+    [np.concatenate([w, w[1:]]) for w in (_GK_KRONROD, _GK_GAUSS)], axis=1
+)
+#: Relative floor and bisection limit of every integrator.
 _REL_FLOOR = 1e-12
 _MAX_PASSES = 64
 
@@ -105,115 +132,60 @@ def adaptive_simpson(
 
     ``initial_panels`` sets the uniform starting subdivision; callers
     integrating oscillatory functions should scale it with the expected
-    number of oscillations so that the error estimate is trustworthy.  This
-    is the one-integral call of :func:`simpson_integrals`, with w = 1.
-    """
-    return float(simpson_integrals(
-        g, None, a, [b], tol=tol, budget=budget, initial_panels=initial_panels,
-        context=lambda i: context,
-    )[0])
-
-
-def simpson_integrals(
-    F: Callable[[np.ndarray], np.ndarray],
-    w: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
-    a: float,
-    b,
-    *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    initial_panels: int = 64,
-    context: Callable[[int], str] = lambda i: f"integral {i}",
-) -> np.ndarray:
-    """integral_a^b[i] F(t) w(t, i) dt for every i, on one shared node set.
-
-    ``F`` is evaluated once per node for all integrals; ``w(t, i)`` gets
-    points and, pointwise, the integral each belongs to (None means w = 1).
-    Every b[i] is a panel edge: the cell between consecutive ends c < d
-    starts with ceil(initial_panels (d - c) / (d - a)) uniform panels, so
-    integral i starts from at least ``initial_panels`` panels of width at
-    most (b[i] - a) / initial_panels (one integral: exactly that many).  It
-    accepts a panel inside [a, b[i]] when the Richardson error estimate of
-    F w_i there is within the panel's width share of ``tol`` or the relative
-    floor 1e-12 of its value; a panel is bisected, at most 64 times, while
-    an integral that covers it rejects.  The ``budget`` of integral i counts
-    the nodes in [a, b[i]]; ``context(i)`` names it in errors.  F is called
+    number of oscillations so that the error estimate is trustworthy.  A
+    panel is accepted when the Richardson error estimate there is within
+    its width share of ``tol`` or the relative floor 1e-12 of its value;
+    otherwise it is bisected, at most 64 times.  Every point counts against
+    ``budget``; ``context`` names the integral in errors.  ``g`` is called
     once for the starting nodes and twice per pass.
     """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if np.any(b < a):
-        i = int(np.argmax(b < a))
-        raise ValueError(f"{context(i)}: inverted interval [{a}, {b[i]}]")
-    totals = np.zeros(b.size)
-    live = np.flatnonzero(b > a)  # an integral of zero length is 0 and covers no panel
-    if not live.size:
-        return totals
-    ends = np.unique(b[live])
-    edges = np.concatenate([[a], ends])
-    width = np.diff(edges)
-    panels = np.ceil(max(initial_panels, 1) * (width / (ends - a))).astype(np.intp)
-    cell_of = np.searchsorted(ends, b)  # integral i covers cells 0..cell_of[i]
+    if b < a:
+        raise ValueError(f"{context}: inverted interval [{a}, {b}]")
+    if not b > a:
+        return 0.0
 
-    # the starting nodes of cell c are np.linspace(edges[c], edges[c + 1], 2 P_c + 1)
-    cell, rank = _spread(2 * panels)
-    xs = np.append(rank * (width / (2 * panels))[cell] + edges[cell], ends[-1])
-    fx = np.asarray(F(xs), dtype=float)
-    # pair k is integral owner[k] on the panel of nodes at[k]..at[k] + 2, and
-    # the pairs of one panel are adjacent
-    panel = 2 * np.arange(panels.sum())
-    at, owner = np.nonzero(cell[panel][:, None] <= cell_of[live])
-    at, owner = panel[at], live[owner]
-    left, mid, right = xs[at], xs[at + 1], xs[at + 2]
-    f_l, f_m, f_r = fx[at], fx[at + 1], fx[at + 2]
-    if w is not None:
-        f_l, f_m, f_r = (v * w(t, owner) for v, t in ((f_l, left), (f_m, mid), (f_r, right)))
+    def check(values, points):
+        _check_finite(values, points, np.zeros(values.size, dtype=np.intp), lambda i: context)
+
+    panels = max(initial_panels, 1)
+    xs = np.append(np.arange(2 * panels) * ((b - a) / (2 * panels)) + a, b)
+    fx = np.asarray(g(xs), dtype=float)
+    left, mid, right = xs[:-2:2], xs[1:-1:2], xs[2::2]
+    f_l, f_m, f_r = fx[:-2:2], fx[1:-1:2], fx[2::2]
     for v, t in ((f_l, left), (f_m, mid), (f_r, right)):
-        _check_finite(v, t, owner, context)
+        check(v, t)
     estimate = (right - left) / 6.0 * (f_l + 4.0 * f_m + f_r)
-    bound, history = int(xs.size), []
+    used, total = xs.size, 0.0
 
     # Local acceptance threshold proportional to panel width keeps the
     # accumulated error below tol after the Richardson correction.
-    scale = 15.0 * tol / np.where(b > a, b - a, 1.0)
+    scale = 15.0 * tol / (b - a)
     for _ in range(_MAX_PASSES):
-        ix = grp = slice(None)  # one integral has one pair per panel
-        if live.size > 1:  # F at the first pair of each panel, handed on by grp
-            lead = np.append(True, (left[1:] != left[:-1]) | (right[1:] != right[:-1]))
-            ix, grp = lead, np.cumsum(lead) - 1
-        # no integral holds more nodes than all; past the budget, count each
-        history.append(right[ix])
-        bound += 2 * history[-1].size
-        if bound > budget:
-            cells = np.searchsorted(ends, np.concatenate(history))
-            used = 2 * np.cumsum(panels + np.bincount(cells, minlength=ends.size)) + 1
-            over = live[used[cell_of[live]] > budget]
-            if over.size:
-                i = int(over[0])
-                raise QuadratureBudgetError(
-                    f"{context(i)}: evaluation budget {budget} exhausted "
-                    f"({int(np.sum(owner == i))} panels still refining)"
-                )
+        used += 2 * right.size
+        if used > budget:
+            raise QuadratureBudgetError(
+                f"{context}: evaluation budget {budget} exhausted "
+                f"({right.size} panels still refining)"
+            )
         mid_l = 0.5 * (left + mid)
         mid_r = 0.5 * (mid + right)
-        f_ml = np.asarray(F(mid_l[ix]), dtype=float)[grp]
-        f_mr = np.asarray(F(mid_r[ix]), dtype=float)[grp]
-        if w is not None:
-            f_ml, f_mr = f_ml * w(mid_l, owner), f_mr * w(mid_r, owner)
-        _check_finite(f_ml, mid_l, owner, context)
-        _check_finite(f_mr, mid_r, owner, context)
+        f_ml = np.asarray(g(mid_l), dtype=float)
+        f_mr = np.asarray(g(mid_r), dtype=float)
+        check(f_ml, mid_l)
+        check(f_mr, mid_r)
         s_left = (mid - left) / 6.0 * (f_l + 4.0 * f_ml + f_m)
         s_right = (right - mid) / 6.0 * (f_m + 4.0 * f_mr + f_r)
         refined = s_left + s_right
         err = refined - estimate
         done = np.abs(err) <= np.maximum(
-            scale[owner] * (right - left), 15.0 * _REL_FLOOR * np.abs(refined)
+            scale * (right - left), 15.0 * _REL_FLOOR * np.abs(refined)
         )
-        totals += np.bincount(owner, np.where(done, refined + err / 15.0, 0.0), minlength=b.size)
+        # a running sum, in panel order
+        total += float(np.cumsum(np.where(done, refined + err / 15.0, 0.0))[-1])
         if done.all():
-            return totals
+            return total
 
         keep = ~done
-        owner = np.concatenate([owner[keep], owner[keep]])
         left = np.concatenate([left[keep], mid[keep]])
         right = np.concatenate([mid[keep], right[keep]])
         mid = np.concatenate([mid_l[keep], mid_r[keep]])
@@ -221,8 +193,138 @@ def simpson_integrals(
         f_r = np.concatenate([f_m[keep], f_r[keep]])
         f_m = np.concatenate([f_ml[keep], f_mr[keep]])
         estimate = np.concatenate([s_left[keep], s_right[keep]])
+    raise QuadratureBudgetError(f"{context}: refinement depth {_MAX_PASSES} exceeded")
+
+
+def nested_integrals(
+    F: Callable[[np.ndarray], np.ndarray],
+    w: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: float,
+    b,
+    *,
+    support: tuple[np.ndarray, np.ndarray] | None = None,
+    breakpoints=(),
+    singular=(),
+    tol: float = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
+    context: Callable[[int], str] = lambda i: f"integral {i}",
+) -> np.ndarray:
+    """integral_a^b[i] F(t) w(t, i) dt for every i, on cells shared by all i.
+
+    ``support`` = (lo, hi) lists sorted disjoint stretches outside which the
+    integrand counts as 0 (None: all of [a, max b]).  The stretches are cut
+    into cells at every b[i], every point of ``breakpoints`` and every
+    point of ``singular``; integral i covers the cells inside [a, b[i]].  F
+    is evaluated once per node for all the integrals that cover its cell,
+    ``w(t, i)`` per (cell, integral) pair, with t of shape (pairs, nodes)
+    and i of shape (pairs, 1).  A cell with an end in
+    ``singular`` gets the nested tanh-sinh pair of :func:`tanh_sinh_panels`,
+    which converges exponentially with an algebraic singularity at that end;
+    any other cell gets the Gauss-Kronrod 7/15 pair (Piessens et al.,
+    QUADPACK, 1983).  Integral i accepts a cell when the two rules agree
+    within the cell's width share of ``tol`` in [a, b[i]], or within the
+    relative floor 1e-12; a cell is bisected, at most 64 times, while an
+    integral that covers it rejects, and only the rejecting integrals go on
+    to its halves (a half keeps the tanh-sinh pair only at a singular end).
+    The ``budget`` of integral i counts the nodes of the cells it
+    integrates; ``context(i)`` names it in errors.  F is called once per
+    pass, and pairs are weighted in blocks of at most :data:`BLOCK_NODES`
+    points.
+    """
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if np.any(b < a):
+        i = int(np.argmax(b < a))
+        raise ValueError(f"{context(i)}: inverted interval [{a}, {b[i]}]")
+    totals = np.zeros(b.size)
+    top = float(b.max()) if b.size else a
+    if not top > a:
+        return totals
+    singular = np.asarray(singular, dtype=float).ravel()
+    cuts = [[a, top], b, np.asarray(breakpoints, dtype=float).ravel(), singular]
+    if support is not None:
+        starts, stops = (np.asarray(x, dtype=float) for x in support)
+        cuts += [starts, stops]
+    edges = np.unique(np.concatenate(cuts))
+    edges = edges[(edges >= a) & (edges <= top)]
+    left, right = edges[:-1], edges[1:]
+    if support is not None:
+        mid = 0.5 * (left + right)
+        j = np.searchsorted(starts, mid, side="right") - 1
+        inside = (j >= 0) & (mid < stops[np.maximum(j, 0)])
+        left, right = left[inside], right[inside]
+    # a cell with a singular end gets tanh-sinh, and so does the half of it
+    # that keeps that end
+    sing_l, sing_r = np.isin(left, singular), np.isin(right, singular)
+    # pair k is integral win[k] on cell cell[k]: cell c belongs to every
+    # integral with b[i] >= right[c]
+    order = np.argsort(b, kind="stable")
+    first = np.searchsorted(b[order], right, side="left")
+    cell, rank = _spread(b.size - first)
+    win = order[first[cell] + rank]
+    scale = tol / np.where(b > a, b - a, 1.0)
+    used = np.zeros(b.size, dtype=np.int64)
+    rules = {False: (_GK_DIST, _GK_SPLIT, _GK_WEIGHTS), True: (_TS_DIST, _TS_SPLIT, _TS_WEIGHTS)}
+    for _ in range(_MAX_PASSES):
+        if not cell.size:
+            return totals
+        uses_ts = sing_l | sing_r
+        size = np.where(uses_ts, _TS_DIST.size, _GK_DIST.size)
+        used += np.bincount(win, size[cell], minlength=b.size).astype(np.int64)
+        over = np.flatnonzero(used > budget)
+        if over.size:
+            i = int(over[0])
+            raise QuadratureBudgetError(
+                f"{context(i)}: evaluation budget {budget} exhausted "
+                f"({int(np.sum(win == i))} cells still refining)"
+            )
+        # the nodes of every cell under its rule, all in one call of F
+        row = np.empty(left.size, dtype=np.intp)  # row of each cell in its group
+        groups = []
+        for flag, (dist, split, weights) in rules.items():
+            members = np.flatnonzero(uses_ts == flag)
+            row[members] = np.arange(members.size)
+            lo, hi = left[members], right[members]
+            half = 0.5 * (hi - lo)
+            xs = np.empty((members.size, dist.size))
+            xs[:, :split] = lo[:, None] + half[:, None] * dist[:split]
+            xs[:, split:] = hi[:, None] - half[:, None] * dist[split:]
+            groups.append((np.flatnonzero(uses_ts[cell] == flag), xs, half, weights))
+        fx = np.asarray(F(np.concatenate([xs.ravel() for _, xs, _, _ in groups])), dtype=float)
+        offset, rejected = 0, np.zeros(cell.size, dtype=bool)
+        for pairs, xs, half, weights in groups:
+            values = fx[offset:offset + xs.size].reshape(xs.shape)
+            offset += xs.size
+            step = max(BLOCK_NODES // xs.shape[1], 1)
+            for start in range(0, pairs.size, step):
+                k = pairs[start:start + step]
+                r, i = row[cell[k]], win[k]
+                t = xs[r]
+                vals = values[r] * w(t, i[:, None])
+                _check_finite(vals.ravel(), t.ravel(), np.repeat(i, t.shape[1]), context)
+                fine, coarse = (vals @ weights).T * half[r]
+                done = np.abs(fine - coarse) <= np.maximum(
+                    scale[i] * (2.0 * half[r]), _REL_FLOOR * np.abs(fine)
+                )
+                totals += np.bincount(i[done], fine[done], minlength=b.size)
+                rejected[k[~done]] = True
+        if not rejected.any():
+            return totals
+        # bisect every cell that an integral rejects; the rejecting pairs go
+        # on to both halves
+        split_cells = np.unique(cell[rejected])
+        child = np.empty(left.size, dtype=np.intp)
+        child[split_cells] = np.arange(split_cells.size)
+        lo, hi = left[split_cells], right[split_cells]
+        mid = 0.5 * (lo + hi)
+        left, right = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        smooth = np.zeros(split_cells.size, dtype=bool)
+        sing_l = np.concatenate([sing_l[split_cells], smooth])
+        sing_r = np.concatenate([smooth, sing_r[split_cells]])
+        c = child[cell[rejected]]
+        cell = np.concatenate([c, c + split_cells.size])
+        win = np.concatenate([win[rejected], win[rejected]])
     raise QuadratureBudgetError(
-        f"{context(int(owner[0]))}: refinement depth {_MAX_PASSES} exceeded"
+        f"{context(int(win[0]))}: refinement depth {_MAX_PASSES} exceeded"
     )
 
 

@@ -19,6 +19,7 @@ and serves as a cross-check oracle for the shape-based implementation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,12 +32,14 @@ from .spectral import SpectralFunction, as_exponent
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-#: Most point x harmonic elements :meth:`ModulusCurve._pow_sum` holds at once.
+#: Most point x harmonic elements :meth:`ModulusCurve.shift_sum` holds at once.
 BLOCK_ELEMENTS = 2**15
 #: Most points the resolution floor of a shift scan may ask for.
 MAX_SCAN_POINTS = 2**20
 #: Points of each probe grid of :func:`check_shape`.
 SHAPE_PROBE_POINTS = 257
+#: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
+CROSSING_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,52 @@ def _golden_max(
     return best_x, best_v
 
 
+def _crossings(
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    level: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """Vectorized Illinois regula falsi for g(t) = level_i on [lo_i, hi_i].
+
+    Needs g(lo_i) <= level_i < g(hi_i); returns the last iterate, which
+    stays inside its bracket.  A retained end whose value was kept twice in
+    a row has it halved, so both ends keep moving (Dowell and Jarratt, 1971).
+    """
+    f = np.asarray(g(np.concatenate([lo, hi])), dtype=float) - np.tile(level, 2)
+    f_lo, f_hi = f[:lo.size], f[lo.size:]
+    moved = np.zeros(lo.size, dtype=np.int8)  # +1: hi moved last, -1: lo moved last
+    c = hi.copy()
+    for _ in range(steps):
+        den = f_hi - f_lo
+        ok = den > 0
+        c = np.where(ok, (lo * f_hi - hi * f_lo) / np.where(ok, den, 1.0), hi)
+        c = np.clip(c, lo, hi)
+        f_c = np.asarray(g(c), dtype=float) - level
+        up = f_c > 0  # c lies past the crossing: it becomes the upper end
+        f_lo = np.where(up & (moved == 1), 0.5 * f_lo, f_lo)
+        f_hi = np.where(~up & (moved == -1), 0.5 * f_hi, f_hi)
+        lo, f_lo = np.where(up, lo, c), np.where(up, f_lo, f_c)
+        hi, f_hi = np.where(up, c, hi), np.where(up, f_c, f_hi)
+        moved = np.where(up, 1, -1).astype(np.int8)
+    return c
+
+
+@dataclass(frozen=True)
+class Plateaus:
+    """Where a running supremum is flat: ``values[j]`` on [starts[j], ends[j]].
+
+    Before the first plateau and between two of them it rises with the
+    shift sum itself.  Starts are record peaks of the shift sum, ends the
+    points where it climbs back to the record (the window end for the last).
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    values: np.ndarray
+
+
 class ModulusCurve:
     """Running supremum of the p-th power shift sum of one spectrum on [0, u].
 
@@ -278,7 +327,9 @@ class ModulusCurve:
     returns the largest of g(t), the grid values at or below t and the
     refined peaks located at or below t; no search runs inside the partial
     cell ending at t.  Scaling the spectrum scales all values exactly, and
-    queries are monotone in t by construction.
+    queries are monotone in t by construction.  :attr:`plateaus` splits
+    [0, u] into the stretches where the running supremum is flat and those
+    where it follows the shift sum; it is computed when first read.
     """
 
     def __init__(
@@ -314,7 +365,7 @@ class ModulusCurve:
         )
         if not self._fast:
             self._hs = np.linspace(0.0, self.u, self.grid.scan_points(self._kmax, self.u))
-            gv = self._pow_sum(self._hs)
+            gv = self.shift_sum(self._hs)
             self._run_max = np.maximum.accumulate(gv)
             interior = np.flatnonzero(
                 (gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])
@@ -322,7 +373,7 @@ class ModulusCurve:
             # a peak inside the last cell is no grid maximum: refine that cell too
             lo = np.append(self._hs[interior - 1], self._hs[-2])
             hi = np.append(self._hs[interior + 1], self.u)
-            px, pv = _golden_max(self._pow_sum, lo, hi, self.grid.refine_iters)
+            px, pv = _golden_max(self.shift_sum, lo, hi, self.grid.refine_iters)
             pv[:-1] = np.maximum(pv[:-1], gv[interior])
             order = np.argsort(px, kind="stable")
             self._peak_x = px[order]
@@ -330,7 +381,7 @@ class ModulusCurve:
             # peak yet) is 0, below every shift sum
             self._peak_run = np.concatenate([[0.0], np.maximum.accumulate(pv[order])])
 
-    def _pow_sum(self, h):
+    def shift_sum(self, h):
         """g(h) = sum_k w_k * shape(k h)^p for h >= 0 (vectorized).
 
         Evaluated in blocks of at most :data:`BLOCK_ELEMENTS` point x
@@ -358,7 +409,7 @@ class ModulusCurve:
         if ts.size and (ts.min() < -1e-15 or ts.max() > self.u * (1.0 + 1e-12) + 1e-300):
             raise ValueError("query outside the precomputed window")
         ts = np.clip(ts, 0.0, self.u)
-        out = self._pow_sum(ts)
+        out = self.shift_sum(ts)
         if self._fast:
             return out
         # Grid prefix maxima plus refined peaks located at or before t cover
@@ -367,6 +418,37 @@ class ModulusCurve:
         idx = np.searchsorted(self._hs, ts, side="right") - 1
         out = np.maximum(out, self._run_max[idx])
         return np.maximum(out, self._peak_run[np.searchsorted(self._peak_x, ts, side="right")])
+
+    @functools.cached_property
+    def plateaus(self) -> Plateaus:
+        """The piece table: record peaks, their values and their crossings.
+
+        The record peaks are the refined peaks that beat every earlier one.
+        The crossing after record j lies before the next record peak, in
+        the first scan cell whose grid values pass v_j (or in the stretch
+        from that cell's left end to the next peak, when the peak comes
+        first); :data:`CROSSING_STEPS` regula falsi steps locate it inside.
+        A curve on the direct path rises all the way and has no plateau.
+        """
+        if self._fast:
+            return Plateaus(np.empty(0), np.empty(0), np.empty(0))
+        record = np.flatnonzero(self._peak_run[1:] > self._peak_run[:-1])
+        starts, values = self._peak_x[record], self._peak_run[record + 1]
+        first = np.searchsorted(self._run_max, values[:-1], side="right")
+        hi = np.minimum(self._hs[np.minimum(first, self._hs.size - 1)], starts[1:])
+        below = np.maximum(np.searchsorted(self._hs, hi, side="left") - 1, 0)
+        lo = np.maximum(self._hs[below], starts[:-1])
+        ends = _crossings(self.shift_sum, lo, hi, values[:-1], CROSSING_STEPS)
+        return Plateaus(starts, np.append(ends, self.u), values)
+
+    def cusps(self) -> np.ndarray:
+        """Sorted points of (0, u) where a term shape(k h)^p of the shift sum
+        may fail to be smooth: the shape's breakpoints over each harmonic k
+        (none when the shape declares none)."""
+        if self.shape.breakpoints is None or not self._ks.size:
+            return np.empty(0)
+        tags, points = self.shape.breakpoints.inside(self._ks * self.u)
+        return np.unique(points / self._ks[tags])
 
     def value(self, t: float) -> float:
         """The modulus itself at step t: pow_values(t)^(1/p)."""

@@ -15,6 +15,7 @@ from spapprox.averaging import (
     tabulated_density,
     weight_measure,
 )
+from spapprox.psi import power, psi_derivative
 from spapprox.sampling import random_full_spectrum, random_sparse_spectrum
 from spapprox.smoothness import ModulusCurve, generalized_modulus, phi_alpha, tabulated_shape
 from spapprox.spectral import SpectralFunction
@@ -61,6 +62,30 @@ class TestWeightMeasure:
     def test_tabulated_density(self):
         mu = tabulated_density(1.0, [(0.0, 1.0), (1.0, 1.0)])
         assert mu.total_mass == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "weight",
+        ["mu1", "mu2", "tabulated", "atoms", "atoms+density", "uneven tabulated", "bare"],
+    )
+    def test_cdf_matches_quad(self, weight):
+        mu = {
+            "uneven tabulated": lambda: tabulated_density(
+                1.5, [(0.25, 2.0), (0.5, 0.0), (1.0, 3.0), (2.0, 1.0)]
+            ),
+            "bare": lambda: weight_measure(2.0, density=np.exp, breakpoints=(1.0,)),
+            **WINDOW_WEIGHTS,
+        }[weight]()
+        s = np.linspace(0.0, mu.tau, 7)
+        atoms = sum(m for _, m in mu.atoms)
+        want = [
+            0.0 if mu.density is None else quad(
+                lambda t: float(mu.density(np.array(t))), 0.0, x,
+                points=[b for b in mu.breakpoints if b < x] or None, epsabs=1e-14, epsrel=1e-13,
+            )[0]
+            for x in s
+        ]
+        np.testing.assert_allclose(mu.cdf(s), want, rtol=1e-12, atol=1e-14)
+        assert mu.cdf(np.array(mu.tau)) + atoms == pytest.approx(mu.total_mass, rel=1e-14)
 
     def test_breakpoints(self):
         assert mu1(np.pi).breakpoints == ()
@@ -163,7 +188,7 @@ def running_sup_kinks(curve, points=4097, steps=60):
     located by bisection on a scan of [0, curve.u]."""
 
     def flat(t):
-        return curve.pow_values(t) > curve._pow_sum(t) * (1.0 + 1e-12)
+        return curve.pow_values(t) > curve.shift_sum(t) * (1.0 + 1e-12)
 
     ts = np.linspace(0.0, curve.u, points)
     state = flat(ts)
@@ -227,7 +252,7 @@ class TestWindowBatch:
         assert shared <= sum(points) / 10
 
     def test_constant_integrand_is_exact_without_bisection(self):
-        # each window's panels end at its own end: nothing is left to bisect
+        # each window's cells end at its own end: nothing is left to bisect
         mu = mu2(3 * np.pi / 4)
         sizes = []
 
@@ -237,7 +262,9 @@ class TestWindowBatch:
 
         us = mu.tau * np.arange(1, 65) / 64
         np.testing.assert_allclose(stieltjes_integral(one, mu, us), mu.tau, rtol=1e-14)
-        assert len(sizes) == 3  # the starting nodes and one pass
+        # one pass: tanh-sinh on the cell at the origin, Gauss-Kronrod on the
+        # 63 others, and F called once for all of them
+        assert sizes == [105 + 63 * 15]
 
     def test_budget_error_names_its_window(self, monkeypatch):
         from spapprox import averaging
@@ -251,6 +278,58 @@ class TestWindowBatch:
 
         with pytest.raises(QuadratureBudgetError, match=r"stieltjes\[mu2\] \(u=1\)"):
             stieltjes_integral(g, mu2(1.0), np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("ap,seed,order", [(0.25, 0, 8), (0.5, 2, 24)])
+    def test_small_order_windows_match_quad(self, ap, seed, order):
+        # alpha p < 1: the shift sum has an infinite-slope cusp at the origin
+        # and at every zero of a harmonic; the windows of a majorant-mode
+        # class on mu2(3 pi/4) get values that match quad split at the kinks
+        # of the running supremum and at the cusps
+        mu = mu2(3 * np.pi / 4)
+        f = psi_derivative(random_full_spectrum(np.random.default_rng(seed), order), power(1))
+        curve = ModulusCurve(f, 1.5, phi_alpha(ap / 1.5), mu.tau)
+        us = mu.tau * np.arange(1, 65) / 64
+        got = averaged_pow_modulus(curve, mu, us) * mu.total_mass
+        kinks = np.concatenate([running_sup_kinks(curve), curve.cusps()])
+        want = [
+            quad(
+                lambda t: curve.pow_values(t)[0], 0.0, u, points=kinks[kinks < u],
+                limit=2000, epsabs=1e-13, epsrel=1e-12,
+            )[0] * mu.tau / u
+            for u in us
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    def test_two_high_harmonics_match_a_fine_scan(self):
+        # a spectrum of the jackson-fuzz mix (seed 81): p = 1, power:0,
+        # phi_alpha(1), mu1(pi), u = pi/2; the reference takes the running
+        # supremum from a 2^18-point scan and g itself, and quad between its
+        # kinks
+        f = SpectralFunction({
+            30: -0.2413500918175571 - 1.5510598081277818j,
+            26: 0.10548513655199494 + 0.13719497705118486j,
+        })
+        u, mu = np.pi / 2, mu1(np.pi)
+        ks, ws = np.array([30.0, 26.0]), np.abs([f[30], f[26]])
+
+        def g(h):
+            return 2.0 * np.abs(np.sin(0.5 * np.multiply.outer(np.atleast_1d(h), ks))) @ ws
+
+        hs = np.linspace(0.0, u, 2**18)
+        run = np.maximum.accumulate(g(hs))
+        rising = g(hs) >= run
+        kinks = hs[1:][rising[1:] != rising[:-1]]
+
+        def running_sup(t):
+            return max(run[min(int(t / hs[1]), hs.size - 1)], g(t)[0])
+
+        raw, _ = quad(
+            lambda t: running_sup(t) * (np.pi / u) * np.sin(np.pi * t / u), 0.0, u,
+            points=kinks, limit=50 * (kinks.size + 2), epsabs=1e-12, epsrel=1e-11,
+        )
+        curve = ModulusCurve(f, 1, phi_alpha(1), u)
+        got = averaged_pow_modulus(curve, mu, np.array([u]))[0]
+        assert got == pytest.approx(raw / mu.total_mass, rel=1e-9)
 
     def test_scalar_window_returns_a_float(self):
         f = SpectralFunction({3: 1.0})

@@ -122,6 +122,10 @@ class TestConfig:
             ({"suite": "a6101", "no_timestamp": "false"}, "no_timestamp must be a boolean"),
             ({"suite": "a6101", "seed": 1.7}, "seed must be an integer"),
             ({"suite": "a6101", "seed": True}, "seed must be an integer"),
+            ({"suite": ["a6101"]}, "unknown suite"),
+            ({"suite": "jackson-fuzz", "params": {"samples": 0, "p": [2.0]}},
+             "'samples' .* at least 1"),
+            ({"suite": "widths-certify", "params": {"samples": 0.5}}, "'samples' .* at least 1"),
         ],
     )
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, payload, match):

@@ -5,7 +5,7 @@ from spapprox.quadrature import (
     NonFiniteIntegrandError,
     QuadratureBudgetError,
     adaptive_simpson,
-    simpson_integrals,
+    nested_integrals,
     tanh_sinh_panels,
 )
 
@@ -116,8 +116,12 @@ class TestTanhSinhPanels:
 
 
 
+def unit(t, i):
+    return 1.0
+
+
 class TestSimpsonIntegrals:
-    """integral_a^b[i] F(t) w(t, i) dt on one node set shared by every i."""
+    """integral_a^b[i] F(t) w(t, i) dt by nested_integrals, on cells shared by every i."""
 
     # F has a kink at 0.9; the ends include a repeat and one below the kink
     KS = np.array([0.0, 1.0, 3.0, 0.5])
@@ -137,7 +141,7 @@ class TestSimpsonIntegrals:
             seen.append(np.asarray(t).copy())
             return self.F(t)
 
-        batch = simpson_integrals(counted, self.w, -1.0, self.B)
+        batch = nested_integrals(counted, self.w, -1.0, self.B)
         alone_points = 0
         for i in range(self.B.size):
             points = []
@@ -147,7 +151,8 @@ class TestSimpsonIntegrals:
                 return self.F(t) * np.exp(-self.KS[i] * t)
 
             alone = adaptive_simpson(one, -1.0, self.B[i])
-            assert batch[i] == pytest.approx(alone, rel=1e-12, abs=0.0)
+            # different rules: Simpson is off by up to 5.5e-13 at the kink
+            assert batch[i] == pytest.approx(alone, rel=1e-12, abs=1e-12)
             alone_points += sum(points)
         shared = np.concatenate(seen)
         assert np.unique(shared).size == shared.size  # no node is evaluated twice
@@ -160,42 +165,94 @@ class TestSimpsonIntegrals:
             owners.append(np.unique(i).tolist())
             return np.ones(np.shape(t))
 
-        vals = simpson_integrals(np.sin, w, 0.0, [np.pi, 0.0])
+        vals = nested_integrals(np.sin, w, 0.0, [np.pi, 0.0])
         assert vals[0] == pytest.approx(2.0, abs=1e-10)
         assert vals[1] == 0.0
         assert all(o == [0] for o in owners)
 
     def test_inverted_interval_names_its_integral(self):
         with pytest.raises(ValueError, match="integral 1: inverted"):
-            simpson_integrals(lambda t: t, None, 0.0, [1.0, -0.5])
+            nested_integrals(lambda t: t, unit, 0.0, [1.0, -0.5])
 
     def test_budget_error_names_its_integral(self):
-        # a parabola below 0.6, exact on the starting panels of [0, 0.5];
-        # an infinite-slope cusp at 0.7, inside the second interval only
+        # a parabola below 0.6, exact on the cell [0, 0.5]; an infinite-slope
+        # cusp at 0.7, inside the second interval only
         def F(t):
             return np.where(t < 0.6, t**2, np.abs(t - 0.7) ** 0.1)
 
         with pytest.raises(QuadratureBudgetError, match="window 1: evaluation budget 300"):
-            simpson_integrals(
-                F, None, 0.0, [0.5, 1.0], tol=1e-14, budget=300,
+            nested_integrals(
+                F, unit, 0.0, [0.5, 1.0], tol=1e-14, budget=300,
                 context=lambda i: f"window {i}",
             )
-        one = simpson_integrals(F, None, 0.0, [0.5], tol=1e-14, budget=300)
+        one = nested_integrals(F, unit, 0.0, [0.5], tol=1e-14, budget=300)
         assert one[0] == pytest.approx(0.5**3 / 3.0, rel=1e-14)
 
     def test_non_finite_value_names_its_integral(self):
-        # a pole of w on [0, 1] in integral 1; a pole of F at the node 0.75,
-        # which only the interval [0, 1] holds
+        # a pole of w at the midpoint node 0.5 of the cell [0, 1] in integral
+        # 1; a pole of F at the node 0.75, the midpoint of the cell [0.5, 1]
+        # that only the interval [0, 1] holds
         def w(t, i):
             with np.errstate(divide="ignore"):
-                return np.where(i == 1, 1.0 / t, 1.0)
+                return np.where(i == 1, 1.0 / (t - 0.5), 1.0)
 
         with pytest.raises(NonFiniteIntegrandError, match="integral 1: non-finite"):
-            simpson_integrals(np.cos, w, 0.0, [1.0, 1.0])
+            nested_integrals(np.cos, w, 0.0, [1.0, 1.0])
 
         def F(t):
             with np.errstate(divide="ignore"):
                 return 1.0 / (t - 0.75)
 
         with pytest.raises(NonFiniteIntegrandError, match=r"integral 1: .* t=\[0\.75"):
-            simpson_integrals(F, None, 0.0, [0.5, 1.0])
+            nested_integrals(F, unit, 0.0, [0.5, 1.0])
+
+
+class TestNestedIntegralCells:
+    """Cells of nested_integrals: the rule pair, the singular ends, the support."""
+
+    def test_one_cell_is_exact_for_degree_13(self):
+        # the Gauss rule of the pair is exact to degree 13, the Kronrod rule to 23
+        sizes = []
+
+        def F(t):
+            sizes.append(np.size(t))
+            return 14.0 * t**13
+
+        vals = nested_integrals(F, unit, 0.0, [1.0])
+        assert vals[0] == pytest.approx(1.0, rel=1e-14)
+        assert sizes == [15]  # one Gauss-Kronrod cell, accepted at once
+
+    def test_singular_end_gets_tanh_sinh(self):
+        # t^0.1 has an infinite slope at 0: bisection alone never resolves it
+        def F(t):
+            return t**0.1
+
+        vals = nested_integrals(F, unit, 0.0, [0.25, 1.0], singular=[0.0])
+        np.testing.assert_allclose(vals, [0.25**1.1 / 1.1, 1.0 / 1.1], rtol=1e-12)
+        with pytest.raises(QuadratureBudgetError, match="refinement depth"):
+            nested_integrals(F, unit, 0.0, [1.0])
+
+    def test_interior_singular_point_cuts_the_cells(self):
+        third = 1.0 / 3.0
+        vals = nested_integrals(
+            lambda t: np.abs(t - third) ** 0.1, unit, 0.0, [1.0], singular=[third]
+        )
+        assert vals[0] == pytest.approx((third**1.1 + (2.0 * third) ** 1.1) / 1.1, rel=1e-12)
+
+    def test_support_leaves_out_the_gaps(self):
+        support = (np.array([0.0, 0.5]), np.array([0.2, 0.7]))
+        vals = nested_integrals(
+            lambda t: np.ones(np.shape(t)), unit, 0.0, [0.1, 0.6, 1.0], support=support,
+        )
+        np.testing.assert_allclose(vals, [0.1, 0.3, 0.4], rtol=1e-14)
+
+    def test_breakpoints_cut_a_kink(self):
+        sizes = []
+
+        def F(t):
+            sizes.append(np.size(t))
+            return np.abs(t - 0.3)
+
+        vals = nested_integrals(F, unit, 0.0, [1.0], breakpoints=[0.3])
+        assert vals[0] == pytest.approx(0.5 * (0.3**2 + 0.7**2), rel=1e-14)
+        assert sizes == [30]

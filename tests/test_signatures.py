@@ -14,9 +14,11 @@ from spapprox import averaging, jackson, psi, quadrature, smoothness, widths
 
 FIXED = [
     (quadrature.adaptive_simpson, {"rtol", "max_passes"}),
-    (quadrature.simpson_integrals, {"rtol", "max_passes"}),
+    (quadrature.nested_integrals, {"rtol", "max_passes", "initial_panels"}),
     (averaging.dilated_integrals, {"tol", "budget", "initial_panels"}),
     (averaging.stieltjes_integral, {"tol", "budget"}),
+    # a closed-form mass comes from the cumulative function, cdf(tau)
+    (averaging.weight_measure, {"density_mass"}),
     (jackson.shape_mass, {"tol", "budget"}),
     (jackson._dilated_shape_integrals, {"tol", "budget"}),
     (jackson.inf_quantity, {"tol", "budget"}),

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapprox.sampling import random_sparse_spectrum
+from spapprox.sampling import random_full_spectrum, random_sparse_spectrum
 from spapprox.smoothness import (
+    CROSSING_STEPS,
     Breakpoints,
     ModulusCurve,
     ModulusGrid,
@@ -223,6 +224,58 @@ class TestGeneralizedModulus:
         blocked = curve.pow_values(hs)
         monkeypatch.setattr(smoothness, "BLOCK_ELEMENTS", 10**9)
         np.testing.assert_array_equal(curve.pow_values(hs), blocked)
+
+
+class TestPlateaus:
+    """The piece table of a curve: flat on plateaus, the shift sum in between."""
+
+    @staticmethod
+    def full_curve(seed, p, shape, u=np.pi):
+        return ModulusCurve(random_full_spectrum(np.random.default_rng(seed), 8), p, shape, u)
+
+    @pytest.mark.parametrize("seed,p,alpha", [(11, 1.5, 1.0), (18, 1.0, 0.5), (13, 2.0, 2.0)])
+    def test_running_supremum_follows_the_table(self, seed, p, alpha):
+        curve = self.full_curve(seed, p, phi_alpha(alpha))
+        flat = curve.plateaus
+        assert flat.starts.size > 1
+        assert np.all(flat.starts[1:] > flat.ends[:-1])
+        ts = np.linspace(0.0, curve.u, 100001)
+        sup = curve.pow_values(ts)
+        j = np.searchsorted(flat.starts, ts, side="right") - 1
+        flat_here = (j >= 0) & (ts <= flat.ends[np.maximum(j, 0)])
+        assert 0 < flat_here.sum() < ts.size
+        np.testing.assert_allclose(sup[flat_here], flat.values[j[flat_here]], rtol=1e-12)
+        np.testing.assert_allclose(
+            sup[~flat_here], curve.shift_sum(ts[~flat_here]), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("seed,p,alpha", [(11, 1.5, 1.0), (18, 1.0, 0.5), (13, 2.0, 2.0)])
+    def test_shift_sum_climbs_back_to_the_record_at_each_crossing(self, seed, p, alpha):
+        curve = self.full_curve(seed, p, phi_alpha(alpha))
+        flat = curve.plateaus
+        np.testing.assert_allclose(curve.shift_sum(flat.ends[:-1]), flat.values[:-1], rtol=1e-12)
+        assert flat.ends[-1] == curve.u
+
+    def test_direct_path_has_no_plateau(self):
+        # k_max u = 3 * pi/4 stays below the cap point pi
+        curve = ModulusCurve(SpectralFunction({1: 1.0, -3: 0.5j}), 2, phi_alpha(1), np.pi / 4)
+        assert curve.plateaus.starts.size == 0
+        assert curve.plateaus.ends.size == curve.plateaus.values.size == 0
+
+    def test_table_is_computed_when_first_read(self):
+        seen = []
+        base = phi_alpha(1)
+        shape = dataclasses.replace(base, eval=lambda t: (seen.append(np.size(t)), base.eval(t))[1])
+        curve = self.full_curve(11, 1.5, shape)
+        # the scan of 4096 points and 5 golden-section refinements of 44
+        # calls, each over the 8 harmonics: nothing for the table
+        assert sum(seen) == 34528
+        seen.clear()
+        crossings = curve.plateaus.ends.size - 1
+        assert sum(seen) == (2 + CROSSING_STEPS) * crossings * 8
+        seen.clear()
+        curve.plateaus
+        assert seen == []
 
 
 class TestDifferenceOracle:
