@@ -260,6 +260,11 @@ def sharp_constant(
             f"[0, {mu.tau:g}]"
         )
     info = tail_sup_info(psi, n)
+    if not info.value > 0:
+        raise SharpnessNotCertifiedError(
+            "sharpness not certified: tail supremum of |psi| over |k| >= n is 0, "
+            "so the extremal's roughening vanishes"
+        )
     at_n = max(abs(psi(n)), abs(psi(-n)))
     if at_n < info.value * (1.0 - 1e-12):
         raise SharpnessNotCertifiedError(

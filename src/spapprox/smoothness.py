@@ -176,6 +176,8 @@ def phi_alpha(alpha: float) -> ShapeFunction:
     if not (alpha > 0):
         raise ValueError(f"order alpha must be positive, got {alpha}")
     a = float(alpha)
+    if not a < 1024.0:  # 2.0**1024 is past the largest double
+        raise ValueError(f"order alpha must be below 1024, where 2^alpha overflows, got {alpha}")
 
     def _eval(t):
         return 2.0**a * np.abs(np.sin(0.5 * np.asarray(t, dtype=float))) ** a

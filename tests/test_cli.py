@@ -1,8 +1,13 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spapprox import cli
 from spapprox.cli import (
     ConfigError,
     SuiteConfig,
@@ -15,6 +20,10 @@ from spapprox.cli import (
     parse_shape,
     run_suite,
 )
+from spapprox.jackson import SharpnessReport, sharpness_certificate
+
+
+_MU1_SET = {"p": 2.0, "alpha": 1.0, "mu": "mu1", "tau": "pi", "psi": "power:1"}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -126,6 +135,17 @@ class TestConfig:
             ({"suite": "jackson-fuzz", "params": {"samples": 0, "p": [2.0]}},
              "'samples' .* at least 1"),
             ({"suite": "widths-certify", "params": {"samples": 0.5}}, "'samples' .* at least 1"),
+            ({"suite": "sharpness", "tolerance": math.inf}, "JSON constant Infinity"),
+            ({"suite": "a6101", "params": {"lambdas": [-math.inf]}}, "JSON constant -Infinity"),
+            ({"suite": "widths-certify", "params": {"sets": [{**_MU1_SET, "p": math.nan}]}},
+             "JSON constant NaN"),
+            ({"suite": "a6101", "tolerance": -1e-9}, "tolerance must be a number"),
+            ({"suite": "a6101", "params": {"n": [2.0]}}, "'n' .* must be an integer"),
+            ({"suite": "modulus-oracle", "params": {"cases": 1e308}},
+             "'cases' .* must be an integer"),
+            ({"suite": "widths-certify", "params": {"sets": [{**_MU1_SET, "name": 5}]}},
+             "set name token must be a string"),
+            ({"suite": "jackson-fuzz", "seed": -1}, "seed must be an integer at least 0"),
         ],
     )
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, payload, match):
@@ -137,22 +157,137 @@ class TestConfig:
 
     def test_tau_and_alpha_take_text(self):
         cfg = SuiteConfig(suite="jackson-fuzz", params={"tau": "pi/2", "alpha": "1.5"})
-        assert (cfg.params["tau"], cfg.params["alpha"]) == ("pi/2", "1.5")
+        assert (cfg.params["tau"], cfg.params["alpha"]) == (np.pi / 2, 1.5)
         sets = [{"p": 2, "alpha": "1", "mu": "mu1", "tau": "3pi/4", "psi": "power:1"}]
-        assert SuiteConfig(suite="widths-certify", params={"sets": sets}).params["sets"] == sets
+        assert SuiteConfig(suite="widths-certify", params={"sets": sets}).params["sets"] == [
+            {"p": 2.0, "alpha": 1.0, "mu": "mu1", "tau": 3 * np.pi / 4, "psi": "power:1"}
+        ]
         with pytest.raises(ConfigError, match="'alpha'"):
             SuiteConfig(suite="sharpness", params={"alpha": ["2"]})
 
     def test_set_keys_beyond_the_defaults(self):
         sets = [{"p": 2, "alpha": 1, "mu": "mu1", "tau": "pi", "psi": "power:1",
                  "name": "named", "omega": "linear"}]
-        assert SuiteConfig(suite="widths-certify", params={"sets": sets}).params["sets"] == sets
+        assert SuiteConfig(suite="widths-certify", params={"sets": sets}).params["sets"] == [
+            {**sets[0], "tau": np.pi}
+        ]
 
     def test_defaults_merged(self):
         cfg = SuiteConfig(suite="a6101", params={"k_factor": 8})
         assert cfg.params["k_factor"] == 8
         assert cfg.params["lambdas"] == [1, 2, 3, 4, 5]
         assert cfg.tolerance == 1e-9
+
+
+#: Small valid configs, one per suite.
+_BASES = {
+    "a6101": {"lambdas": [1], "n": [1], "k_factor": 4},
+    "sharpness": {"p": [2.0], "alpha": [2.0], "r": [1.0], "n": [1], "k_factor": 2},
+    "jackson-fuzz": {"samples": 2, "p": [2.0], "psi": ["power:1"], "n": [1], "max_order": 4,
+                     "max_terms": 2, "k_factor": 2},
+    "widths-certify": {"sets": [_MU1_SET], "n": [1], "samples": 1, "k_factor": 2},
+    "modulus-oracle": {"cases": 2, "max_order": 4, "max_terms": 2},
+}
+
+#: One key of a base config set to a value that used to raise an uncaught
+#: exception or run for minutes: a count of 1e308 ran on, Infinity overflowed
+#: int(), an empty list divided by zero, 1e308 overflowed 2^alpha or |c|^p, and
+#: a zero constant_scale divided by zero.
+_CRASHERS = [
+    ("a6101", "k_factor", math.inf),
+    ("sharpness", "alpha", [1e308]),
+    ("sharpness", "k_factor", math.inf),
+    ("sharpness", "constant_scale", 0),
+    ("jackson-fuzz", "samples", 1e308),
+    ("jackson-fuzz", "samples", math.inf),
+    ("jackson-fuzz", "alpha", 1e308),
+    ("jackson-fuzz", "max_order", math.inf),
+    ("jackson-fuzz", "max_terms", math.inf),
+    ("jackson-fuzz", "k_factor", math.inf),
+    ("widths-certify", "samples", 1e308),
+    ("widths-certify", "samples", math.inf),
+    ("widths-certify", "k_factor", math.inf),
+    ("modulus-oracle", "cases", 1e308),
+    ("modulus-oracle", "cases", math.inf),
+    ("modulus-oracle", "alphas", []),
+    ("modulus-oracle", "alphas", [1e308]),
+    ("modulus-oracle", "p", []),
+    ("modulus-oracle", "p", [1e308]),
+    ("modulus-oracle", "max_order", math.inf),
+    ("modulus-oracle", "max_terms", math.inf),
+]
+
+
+def _typed_like(value, default, key) -> bool:
+    """Whether a checked parameter has its default's type and lies in its range."""
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) > 0
+                and all(_typed_like(item, default[0], key) for item in value))
+    if isinstance(default, dict):
+        keys = {*default, "name", "omega"}
+        return (isinstance(value, dict) and set(default) <= set(value) <= keys
+                and all(_typed_like(item, default.get(k, ""), k) for k, item in value.items()))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    in_range, _ = cli._RANGES[key]
+    return (type(value) is type(default) and (isinstance(value, int) or math.isfinite(value))
+            and in_range(value))
+
+
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["pi", "3pi/4", "pi/0", "1e400", "nan", "2", "mu1", "power:1", "linear"])
+    | st.sampled_from([0, 1, 2, 9, 33, 2.0, 1.5, 0.5, 16.5, 1e-300, 1e308, -1, 10**400])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.lists(st.fixed_dictionaries(
+        {k: inner for k in _MU1_SET}, optional={"name": inner, "omega": inner}
+    ), max_size=2),
+    max_leaves=8,
+)
+_SUITE_KEYS = [(suite, key) for suite in cli.SUITES for key in cli.SUITES[suite].defaults]
+
+
+class TestSchema:
+    def test_defaults_pass_unchanged(self):
+        for name, suite in cli.SUITES.items():
+            params = SuiteConfig(suite=name, params=copy.deepcopy(suite.defaults)).params
+            assert repr(params) == repr(suite.defaults)
+            assert all(_typed_like(params[k], d, k) for k, d in suite.defaults.items())
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(_SUITE_KEYS), _JSON)
+    def test_any_json_value_is_refused_or_typed(self, suite_key, value):
+        suite, key = suite_key
+        try:
+            params = SuiteConfig(suite=suite, params={key: value}).params
+        except ConfigError:
+            return
+        defaults = cli.SUITES[suite].defaults
+        assert set(params) == set(defaults)
+        assert all(_typed_like(params[k], d, k) for k, d in defaults.items())
+
+    @pytest.mark.parametrize(
+        "suite,key,value", _CRASHERS, ids=[f"{s}-{k}-{v}" for s, k, v in _CRASHERS]
+    )
+    def test_crash_or_hang_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, suite, key, value
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran the library before checking the config")
+
+        for name in ("inf_quantity", "sharpness_certificate", "jackson_bound",
+                     "certify_widths", "generalized_modulus", "difference_modulus_oracle"):
+            monkeypatch.setattr(cli, name, unreachable)
+        path = write_config(tmp_path, {"suite": suite, "params": {**_BASES[suite], key: value}})
+        assert main(["suite", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSuites:
@@ -165,11 +300,9 @@ class TestSuites:
         assert {row["provenance"] for row in report["rows"]} == {"paper_constant"}
 
     def test_empty_grid_passes(self):
-        cfg = SuiteConfig(suite="a6101", params={"lambdas": []}, no_timestamp=True)
-        report, status = run_suite(cfg)
-        assert status == 0
-        assert report["rows"] == []
-        assert report["pass"] is True
+        # a run over an empty grid checks nothing, so it is refused
+        with pytest.raises(ConfigError, match="'lambdas' .* must be a non-empty list"):
+            SuiteConfig(suite="a6101", params={"lambdas": []}, no_timestamp=True)
 
     def test_sharpness_small_grid(self):
         cfg = SuiteConfig(
@@ -182,11 +315,17 @@ class TestSuites:
         row = report["rows"][0]
         assert row["rel_gap"] <= 1e-6
 
-    def test_sharpness_injected_error_fails(self):
+    def test_sharpness_injected_error_fails(self, monkeypatch):
+        def skewed(*args, **kwargs):
+            # the certificate against a constant 10% too large
+            cert = sharpness_certificate(*args, **kwargs)
+            constant = cert.constant * 1.1
+            return SharpnessReport(cert.ratio, constant, abs(cert.ratio - constant) / constant)
+
+        monkeypatch.setattr(cli, "sharpness_certificate", skewed)
         cfg = SuiteConfig(
             suite="sharpness",
-            params={"p": [2.0], "alpha": [1.0], "r": [0.0], "n": [1],
-                    "k_factor": 8, "constant_scale": 1.1},
+            params={"p": [2.0], "alpha": [1.0], "r": [0.0], "n": [1], "k_factor": 8},
             no_timestamp=True,
         )
         report, status = run_suite(cfg)
@@ -236,6 +375,10 @@ class TestMainEntry:
         path = write_config(tmp_path, {"suite": "sharpness", "params": {"tau": "pi/0"}})
         assert main(["suite", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("config error: zero denominator")
+
+    def test_negative_seed_flag_is_a_config_error(self, capsys):
+        assert main(["suite", "--suite", "a6101", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: seed must be an integer")
 
     def test_exit_2_on_unknown_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"suite": "a6101", "wrong": True})
@@ -448,18 +591,19 @@ class TestReportShape:
     @pytest.mark.parametrize(
         "suite,params,rows,header",
         [
-            ("a6101", {"lambdas": []}, 0,
+            ("a6101", {"lambdas": [2], "n": [2], "k_factor": 2}, 1,
              "lambda,n,value,expected,rel_err,argmin_k,attained_at_n,provenance,pass"),
             ("a6101", {"lambdas": [1], "k_factor": 8}, 1,
              "lambda,n,value,expected,rel_err,argmin_k,attained_at_n,provenance,pass"),
-            ("sharpness", {"p": []}, 0,
+            ("sharpness", {"p": [2.0], "alpha": [2.0], "r": [1.0], "n": [1], "k_factor": 2}, 1,
              "p,alpha,r,n,ratio,constant,rel_gap,provenance,pass"),
-            ("jackson-fuzz", {"p": []}, 0,
+            ("jackson-fuzz", {"samples": 2, "p": [2.0], "psi": ["power:1"], "n": [1],
+                              "max_order": 4, "max_terms": 2, "k_factor": 2}, 1,
              "p,psi,n,cases,violations,violations_plain,provenance,pass"),
-            ("widths-certify", {"sets": []}, 0,
+            ("widths-certify", {"sets": [_MU1_SET], "n": [1], "samples": 1, "k_factor": 2}, 1,
              "set,mode,n,closed_form,certified,lower_failures,upper_max_en,verdict,"
              "provenance,pass"),
-            ("modulus-oracle", {"cases": 0}, 0,
+            ("modulus-oracle", {"cases": 1, "max_order": 4, "max_terms": 2}, 1,
              "case,alpha,p,t,value,oracle,rel_diff,provenance,pass"),
             ("modulus-oracle", {"cases": 2}, 2,
              "case,alpha,p,t,value,oracle,rel_diff,provenance,pass"),
@@ -533,6 +677,24 @@ class TestSingleCommandInputs:
             ])
             assert rc == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            (["jackson", "inf", "--phi", "phi_alpha:1e308", "--n", "1"],
+             "order alpha must be below 1024, where 2^alpha overflows, got 1e+308"),
+            (["jackson", "sharp", "--phi", "phi_alpha:2", "--psi", "const:0", "--n", "1",
+              "--k-max", "4"],
+             "sharpness not certified: tail supremum of |psi| over |k| >= n is 0"),
+        ],
+        ids=["alpha-overflow", "zero-tail-supremum"],
+    )
+    def test_library_guard_exits_2(self, capsys, command, message):
+        rc = main([*command, "--p", "1", "--mu", "mu1", "--tau", "pi", "--no-timestamp"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
 
     def test_certificate_without_samples_exits_2(self, capsys):
         rc = main([

@@ -19,7 +19,7 @@ from spapprox.jackson import (
     sharp_constant,
     sharpness_certificate,
 )
-from spapprox.psi import power, tabulated_psi
+from spapprox.psi import const_multiplier, power, tabulated_psi
 from spapprox.quadrature import QuadratureBudgetError, adaptive_simpson
 from spapprox.sampling import random_sparse_spectrum
 from spapprox.smoothness import ShapeFunction, phi_alpha, tabulated_shape
@@ -275,6 +275,12 @@ class TestSharpConstant:
         psi = tabulated_psi({2: 0.5, -2: 0.5, 3: 0.9, -3: 0.9}, bound=0.9)
         with pytest.raises(SharpnessNotCertifiedError, match="attained"):
             sharp_constant(phi_alpha(1), 2, mu1(np.pi), psi, 2, k_max=8)
+
+    @pytest.mark.parametrize("certify", [sharp_constant, sharpness_certificate])
+    def test_zero_tail_supremum_raises(self, certify):
+        # psi = 0 annihilates the extremal's roughening, which leaves no ratio to attain
+        with pytest.raises(SharpnessNotCertifiedError, match="tail supremum .* is 0"):
+            certify(phi_alpha(2), 1, mu1(np.pi), const_multiplier(0), 1, k_max=4)
 
 
 class TestExtremalFunction:

@@ -51,6 +51,15 @@ class TestPhiAlpha:
         with pytest.raises(ValueError):
             phi_alpha(-1.0)
 
+    @pytest.mark.parametrize("alpha", [1024.0, 1e308, math.inf])
+    def test_rejects_an_order_whose_supremum_overflows(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be below 1024, where 2\^alpha overflows"):
+            phi_alpha(alpha)
+
+    def test_largest_order_below_the_overflow(self):
+        alpha = math.nextafter(1024.0, 0.0)
+        assert phi_alpha(alpha).sup_value == 2.0**alpha < math.inf
+
 
 class TestBreakpoints:
     def test_phi_alpha_declares_its_zeros(self):
