@@ -285,6 +285,13 @@ class SuiteConfig:
             key: _checked(value, defaults[key], key, f"parameter {key!r} of suite {self.suite!r}")
             for key, value in self.params.items()
         }}
+        terms, order = self.params.get("max_terms"), self.params.get("max_order")
+        if terms is not None and terms > 2 * order + 1:
+            raise ConfigError(
+                f"parameter 'max_terms' of suite {self.suite!r} must be at most "
+                f"2 * max_order + 1 = {2 * order + 1}, the harmonics with |k| <= "
+                f"'max_order' ({order}), got {terms}"
+            )
         if self.tolerance is None:
             self.tolerance = SUITES[self.suite].tolerance
 

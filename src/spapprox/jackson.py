@@ -54,17 +54,21 @@ def shape_mass(shape: ShapeFunction, p, mu: WeightMeasure) -> float:
     return float(_dilated_shape_integrals(shape, as_exponent(p), mu, np.ones(1))[0])
 
 
-def _split_panels(tags, points, tau: float, count: int):
+def _split_panels(tags, points, numbers, tau: float, count: int):
     """Panels of ``count`` integrals over [0, tau], split at tagged points.
 
-    ``points[j]`` is a breakpoint of integral ``tags[j]``; points outside
+    ``points[j]`` is a breakpoint of integral ``tags[j]`` and ``numbers[j]``
+    its number in the shape's declared set (-1 for none).  Points outside
     (0, tau) are dropped.  Returns (left, right, owner) for
-    :func:`tanh_sinh_panels`.
+    :func:`tanh_sinh_panels` and the numbers of each panel's two ends, the
+    origin counting as number 0: it is when 0 is declared, and otherwise the
+    first point inside is number 0, so no panel from the origin spans a gap.
     """
     keep = (points > 0.0) & (points < tau)
     order = np.lexsort((points[keep], tags[keep]))
-    tags, points = tags[keep][order], points[keep][order]
-    owner = np.repeat(np.arange(count), np.bincount(tags, minlength=count) + 1)
+    tags, points, numbers = tags[keep][order], points[keep][order], numbers[keep][order]
+    per = np.bincount(tags, minlength=count) + 1
+    owner = np.repeat(np.arange(count), per)
     # integral i has one panel more than breakpoints, so the j-th breakpoint
     # overall ends panel j + i
     pos = np.arange(tags.size) + tags
@@ -72,7 +76,11 @@ def _split_panels(tags, points, tau: float, count: int):
     right = np.full(owner.size, tau)
     right[pos] = points
     left[pos + 1] = points
-    return left, right, owner
+    ends = np.full((2, owner.size), -1, dtype=np.intp)
+    ends[0, np.cumsum(per) - per] = 0
+    ends[1, pos] = numbers
+    ends[0, pos + 1] = numbers
+    return left, right, owner, ends
 
 
 def _dilated_shape_integrals(
@@ -86,30 +94,50 @@ def _dilated_shape_integrals(
     max(64, 2 theta tau / pi + 1) uniform panels and relies on bisection.
     Each integral may use :data:`DEFAULT_BUDGET` evaluations.  The atoms add
     :meth:`WeightMeasure.atom_sums`.
+
+    A shape whose breakpoints have a period (as :func:`phi_alpha`'s) is
+    periodic, and a panel between two neighbouring breakpoints, in the
+    shape's variable x = theta t, is a copy of one gap of a period: its
+    tanh-sinh nodes are that gap's nodes shifted by whole periods.  So
+    shape^p is evaluated once per call on the nodes of each gap, and in the
+    first pass every such panel takes that table times the density at its
+    own nodes.  The partial last panel of each theta, panels that end at a
+    density breakpoint, bisected halves and shapes without a period
+    evaluate shape(theta t)^p directly.
     """
     tau = mu.tau
     totals = mu.atom_sums(lambda t: np.asarray(shape.eval(t), dtype=float) ** p, thetas)
     if mu.density is not None:
+        kinks = np.asarray(mu.breakpoints, dtype=float)
         if shape.breakpoints is None:
             per = np.maximum(64, (2.0 * thetas * tau / math.pi).astype(np.intp) + 1)
             tags, rank = _spread(per - 1)
             points = (rank + 1) * tau / per[tags]
+            numbers = np.full(tags.size, -1, dtype=np.intp)
         else:
-            tags, points = shape.breakpoints.inside(thetas * tau)
+            tags, points, numbers = shape.breakpoints.numbered(thetas * tau)
             points = points / thetas[tags]
-        kinks = np.asarray(mu.breakpoints, dtype=float)
         tags = np.concatenate([tags, np.repeat(np.arange(thetas.size), kinks.size)])
         points = np.concatenate([points, np.tile(kinks, thetas.size)])
-        left, right, owner = _split_panels(tags, points, tau, thetas.size)
+        numbers = np.concatenate([numbers, np.full(thetas.size * kinks.size, -1, dtype=np.intp)])
+        left, right, owner, ends = _split_panels(tags, points, numbers, tau, thetas.size)
+
+        def density(t, i):
+            return np.asarray(mu.density(t), dtype=float)
 
         def integrand(t, i):
-            return np.asarray(shape.eval(thetas[i] * t), dtype=float) ** p * np.asarray(
-                mu.density(t), dtype=float
-            )
+            return np.asarray(shape.eval(thetas[i] * t), dtype=float) ** p * density(t, i)
 
+        tabled = None
+        whole = (ends[0] >= 0) & (ends[1] == ends[0] + 1)
+        if shape.breakpoints is not None and shape.breakpoints.period is not None and whole.any():
+            lo, hi = shape.breakpoints.gaps()
+            rows = np.where(whole, ends[0] % lo.size, -1)
+            tabled = (rows, lo, hi, lambda x: np.asarray(shape.eval(x), dtype=float) ** p, density)
         totals += tanh_sinh_panels(
             integrand, left, right, owner, budget=DEFAULT_BUDGET,
             context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
+            _tabled=tabled,
         )
     return totals
 

@@ -21,7 +21,13 @@ truncates silently.
   with an algebraic singularity of any order at a panel end (Takahasi and
   Mori, 1974).  Callers that know where their integrand is not smooth put
   panel edges there (breakpoint seeding, as in QUADPACK).  Every dilated
-  shape integral, capped or not, goes through it.
+  shape integral, capped or not, goes through it.  For a shape that
+  declares a period, the first pass takes shape^p from one table on the
+  nodes of each gap between breakpoints of a period: every panel spanning
+  such a gap whole, in the shape's variable, has the same nodes there.
+  The partial last panel of each dilation, panels that end at a density
+  breakpoint, bisected halves, and shapes without a period (tabulated and
+  capped shapes) evaluate the integrand directly.
 """
 
 from __future__ import annotations
@@ -90,6 +96,17 @@ _GK_WEIGHTS = np.stack(
 #: Relative floor and bisection limit of every integrator.
 _REL_FLOOR = 1e-12
 _MAX_PASSES = 64
+
+
+def _panel_nodes(
+    a: np.ndarray, b: np.ndarray, dist: np.ndarray = _TS_DIST, split: int = _TS_SPLIT
+) -> np.ndarray:
+    """The (panels, nodes) nodes of a rule (tanh-sinh by default) on each [a[j], b[j]]."""
+    half = 0.5 * (b - a)
+    xs = np.empty((a.size, dist.size))
+    xs[:, :split] = a[:, None] + half[:, None] * dist[:split]
+    xs[:, split:] = b[:, None] - half[:, None] * dist[split:]
+    return xs
 
 
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,9 +302,7 @@ def nested_integrals(
             row[members] = np.arange(members.size)
             lo, hi = left[members], right[members]
             half = 0.5 * (hi - lo)
-            xs = np.empty((members.size, dist.size))
-            xs[:, :split] = lo[:, None] + half[:, None] * dist[:split]
-            xs[:, split:] = hi[:, None] - half[:, None] * dist[split:]
+            xs = _panel_nodes(lo, hi, dist, split)
             groups.append((np.flatnonzero(uses_ts[cell] == flag), xs, half, weights))
         fx = np.asarray(F(np.concatenate([xs.ravel() for _, xs, _, _ in groups])), dtype=float)
         offset, rejected = 0, np.zeros(cell.size, dtype=bool)
@@ -337,6 +352,7 @@ def tanh_sinh_panels(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     context: Callable[[int], str] = lambda i: f"integral {i}",
+    _tabled=None,
 ) -> np.ndarray:
     """Integrate many integrals at once over tagged panels.
 
@@ -349,6 +365,14 @@ def tanh_sinh_panels(
     Every point counts against the integral's ``budget``; ``context(i)``
     names integral ``i`` in errors.  Points are evaluated in blocks of at
     most :data:`BLOCK_NODES`.
+
+    ``_tabled`` serves ``jackson._dilated_shape_integrals`` alone: a tuple
+    (rows, lo, hi, f, weight) under which, in the first pass, panel j with
+    rows[j] = r >= 0 takes f(x) * weight(t, i), x being the nodes of the
+    reference panel [lo[r], hi[r]].  f is evaluated once on the nodes of
+    all reference panels; the caller vouches that f(x) * weight(t, i) is
+    g(t, i) there.  The budget counts those panels' nodes as evaluated, and
+    their bisected halves call ``g``.
     """
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
@@ -361,8 +385,19 @@ def tanh_sinh_panels(
     span = np.bincount(owner, right - left, minlength=count)
     span[span == 0.0] = 1.0  # an integral of zero length accepts at once
     used = np.zeros(count, dtype=np.int64)
-    nodes, split = _TS_DIST.size, _TS_SPLIT
+    nodes = _TS_DIST.size
     per_block = max(BLOCK_NODES // nodes, 1)
+    rows = None
+    if _tabled is not None:
+        rows, lo, hi, f, weight = _tabled
+        rows = np.asarray(rows, dtype=np.intp)
+        ref = _panel_nodes(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        table = np.asarray(f(ref.ravel()), dtype=float).reshape(ref.shape)
+        # tabled panels first: a block then holds at most one run of each
+        # kind, and the direct panels share a few calls of g
+        first = np.argsort(rows < 0, kind="stable")
+        left, right, owner, rows = left[first], right[first], owner[first], rows[first]
+        tabled = int(np.sum(rows >= 0))
     for _ in range(_MAX_PASSES):
         used += nodes * np.bincount(owner, minlength=count)
         over = np.flatnonzero(used > budget)
@@ -378,11 +413,19 @@ def tanh_sinh_panels(
             b = right[start:start + per_block]
             o = owner[start:start + per_block]
             half = 0.5 * (b - a)
-            xs = np.empty((a.size, nodes))
-            xs[:, :split] = a[:, None] + half[:, None] * _TS_DIST[:split]
-            xs[:, split:] = b[:, None] - half[:, None] * _TS_DIST[split:]
+            xs = _panel_nodes(a, b)
             tags = np.repeat(o, nodes)
-            fx = np.asarray(g(xs.ravel(), tags), dtype=float)
+            if rows is None:
+                fx = np.asarray(g(xs.ravel(), tags), dtype=float)
+            else:
+                # the first m panels take table times weight, the rest call g
+                m = min(max(tabled - start, 0), a.size) * nodes
+                fx = np.empty(xs.size)
+                if m:
+                    fx[:m] = np.asarray(weight(xs.ravel()[:m], tags[:m]), dtype=float)
+                    fx[:m] *= table[rows[start:start + m // nodes]].ravel()
+                if m < fx.size:
+                    fx[m:] = np.asarray(g(xs.ravel()[m:], tags[m:]), dtype=float)
             _check_finite(fx, xs.ravel(), tags, context)
             fx = fx.reshape(xs.shape)
             fine, coarse = (fx @ _TS_WEIGHTS).T * half
@@ -399,6 +442,7 @@ def tanh_sinh_panels(
         left = np.concatenate([a, mid])
         right = np.concatenate([mid, b])
         owner = np.concatenate([o, o])
+        rows = None
     raise QuadratureBudgetError(
         f"{context(int(owner[0]))}: refinement depth {_MAX_PASSES} exceeded"
     )

@@ -22,7 +22,15 @@ def random_full_spectrum(rng: np.random.Generator, order: int) -> SpectralFuncti
 def random_sparse_spectrum(
     rng: np.random.Generator, max_order: int, max_terms: int
 ) -> SpectralFunction:
-    """Sparse spectrum: 1..max_terms harmonics drawn from |k| <= max_order."""
+    """Sparse spectrum: 1..max_terms harmonics drawn from |k| <= max_order.
+
+    The harmonics are distinct, so max_terms may not exceed 2 max_order + 1.
+    """
+    if max_terms > 2 * max_order + 1:
+        raise ValueError(
+            f"max_terms={max_terms} distinct harmonics do not fit in |k| <= "
+            f"max_order={max_order}, which holds 2 * max_order + 1 = {2 * max_order + 1}"
+        )
     n_terms = int(rng.integers(1, max_terms + 1))
     ks = rng.choice(np.arange(-max_order, max_order + 1), size=n_terms, replace=False)
     re = rng.standard_normal(n_terms)

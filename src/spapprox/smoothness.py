@@ -46,8 +46,11 @@ CROSSING_STEPS = 8
 class Breakpoints:
     """Points t > 0 where a function of t >= 0 may fail to be smooth.
 
-    The declared set is ``points``, repeated every ``period`` when one is
-    given (then it holds every ``points[i] + j * period`` with j >= 0).
+    The declared set is ``points``.  A ``period`` declares the set and the
+    function periodic: the set then holds every t >= 0 congruent to one of
+    ``points`` modulo ``period``, and f(t + period) = f(t) for t >= 0, so that
+    quadrature may evaluate f once on each gap between consecutive points of
+    one period (see :meth:`gaps`).
     """
 
     points: tuple[float, ...] = ()
@@ -62,22 +65,50 @@ class Breakpoints:
 
         Returns (tags, points), with no order among the points of one tag.
         """
+        return self.numbered(his)[:2]
+
+    def numbered(self, his) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`inside`, plus the number of each point in the declared set.
+
+        The declared points t >= 0 are numbered 0, 1, 2, ... in increasing
+        order, so two points are neighbours in the set exactly when their
+        numbers differ by one.  With a period, the j-th repetition of the
+        i-th of the m sorted residues in [0, period) is number j m + i.
+        """
         his = np.asarray(his, dtype=float)
         base = np.asarray(self.points, dtype=float)
         if self.period is None:
-            base = np.unique(base[base > 0.0])
-            tag, rank = _spread(np.searchsorted(base, his, side="left"))
-            return tag, base[rank]
-        tags, pts = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        for b in np.unique(np.mod(base, self.period)):
+            base = np.unique(base[base >= 0.0])
+            lead = int(np.searchsorted(base, 0.0, side="right"))  # 0 is number 0
+            count = np.searchsorted(base, his, side="left") - lead
+            tag, rank = _spread(np.maximum(count, 0))
+            return tag, base[rank + lead], rank + lead
+        residues = np.unique(np.mod(base, self.period))
+        tags, pts, numbers = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
+        for i, b in enumerate(residues):
             first = 1 if b == 0.0 else 0  # offset 0 itself is not inside (0, hi)
             count = np.ceil((his - b) / self.period).astype(np.intp) - first
             tag, rank = _spread(np.maximum(count, 0))
-            pt = b + (rank + first) * self.period
+            j = rank + first
+            pt = b + j * self.period
             keep = pt < his[tag]  # ceil may overshoot by one in rounding
             tags.append(tag[keep])
             pts.append(pt[keep])
-        return np.concatenate(tags), np.concatenate(pts)
+            numbers.append(j[keep] * residues.size + i)
+        return np.concatenate(tags), np.concatenate(pts), np.concatenate(numbers)
+
+    def gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the gaps between consecutive declared points of one period.
+
+        lo holds the m sorted residues in [0, period) and gap i runs from
+        residue i to the next one, the last gap to the first residue plus the
+        period; the point numbered j m + i starts a copy of gap i shifted by
+        j periods.  Only a periodic set has gaps.
+        """
+        if self.period is None:
+            raise ValueError("only a periodic breakpoint set has gaps")
+        lo = np.unique(np.mod(np.asarray(self.points, dtype=float), self.period))  # as numbered
+        return lo, np.append(lo[1:], lo[:1] + self.period)
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,33 @@ class TestSchema:
         assert captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("suite", ["jackson-fuzz", "modulus-oracle"])
+    @pytest.mark.parametrize("order,terms", [(1, 4), (4, 10), (2, 6)])
+    def test_more_terms_than_harmonics_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, suite, order, terms
+    ):
+        # each key is in range on its own; numpy refused the draw mid-run
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran the library before checking the config")
+
+        for name in ("inf_quantity", "jackson_bound", "random_sparse_spectrum",
+                     "generalized_modulus", "difference_modulus_oracle"):
+            monkeypatch.setattr(cli, name, unreachable)
+        params = {**_BASES[suite], "max_order": order, "max_terms": terms}
+        path = write_config(tmp_path, {"suite": suite, "params": params})
+        assert main(["suite", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'max_terms'" in err and "'max_order'" in err
+        assert f"2 * max_order + 1 = {2 * order + 1}" in err
+
+    @pytest.mark.parametrize("suite", ["jackson-fuzz", "modulus-oracle"])
+    def test_terms_filling_every_harmonic_run(self, suite):
+        params = {**_BASES[suite], "max_order": 1, "max_terms": 3}
+        _, status = run_suite(SuiteConfig(suite=suite, params=params, no_timestamp=True))
+        assert status == 0
+
+
 class TestSuites:
     def test_a6101_five_rows_pass(self, tmp_path):
         cfg = SuiteConfig(suite="a6101", params={"k_factor": 8}, no_timestamp=True)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import beta, betainc
 
 from spapprox import jackson
-from spapprox.averaging import atom_measure, mu1, mu2, tabulated_density
+from spapprox.averaging import atom_measure, mu1, mu2, tabulated_density, weight_measure
 from spapprox.jackson import (
     SharpnessNotCertifiedError,
     closed_form_inf,
@@ -22,7 +22,7 @@ from spapprox.jackson import (
 from spapprox.psi import const_multiplier, power, tabulated_psi
 from spapprox.quadrature import QuadratureBudgetError, adaptive_simpson
 from spapprox.sampling import random_sparse_spectrum
-from spapprox.smoothness import ShapeFunction, phi_alpha, tabulated_shape
+from spapprox.smoothness import Breakpoints, ShapeFunction, phi_alpha, tabulated_shape
 from spapprox.spectral import SpectralFunction, best_approximation
 
 TAU34 = 3 * np.pi / 4
@@ -148,6 +148,117 @@ class TestLowFractionalOrder:
         monkeypatch.setattr(jackson, "DEFAULT_BUDGET", 300)
         with pytest.raises(QuadratureBudgetError, match=r"theta=\d+.*budget 300"):
             inf_quantity(1, phi_alpha(0.25), 1, mu1(np.pi), k_max=40)
+
+
+def split_quad(power_of_shape, kinks, period, theta, tau, density, knots=(), atoms=()):
+    """int_0^tau F(theta t) density(t) dt + sum m F(theta s), F = shape^p.
+
+    One quad call per piece between the shape's kinks (the residues ``kinks``
+    repeated every ``period``, divided by theta) and the density's ``knots``.
+    """
+    reps = np.arange(int(theta * tau / period) + 2)
+    cusps = (np.add.outer(reps * period, kinks).ravel()) / theta
+    edges = np.unique([0.0, tau, *cusps[(cusps > 0) & (cusps < tau)], *knots])
+    total = sum(
+        quad(lambda t: power_of_shape(theta * t) * density(t),
+             a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+    return total + sum(m * power_of_shape(theta * s) for s, m in atoms)
+
+
+def tent(x):
+    """The 2 pi-periodic tent: the distance from x to the nearest 2 pi j."""
+    return np.abs(np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi)
+
+
+TENT = ShapeFunction(
+    eval=tent, cap_point=np.pi, sup_value=np.pi, label="tent",
+    breakpoints=Breakpoints(points=(0.0, np.pi), period=2 * np.pi),
+)
+#: A density with knots inside a period, and one with atoms beside it.
+KNOTTED = [(0.0, 0.0), (0.7, 1.3), (1.9, 0.4), (np.pi, 1.0)]
+ATOMS = [(0.4, 1.0), (1.7, 0.5), (np.pi, 0.25)]
+TABLE_MEASURES = {
+    "mu1(pi)": (lambda: mu1(np.pi), np.pi, math.sin, (), ()),
+    "mu2(pi/2)": (lambda: mu2(np.pi / 2), np.pi / 2, lambda t: 1.0, (), ()),
+    "mu2(3pi/4)": (lambda: mu2(TAU34), TAU34, lambda t: 1.0, (), ()),
+    "mu2(3pi)": (lambda: mu2(3 * np.pi), 3 * np.pi, lambda t: 1.0, (), ()),
+    "tabulated": (
+        lambda: tabulated_density(np.pi, KNOTTED), np.pi,
+        lambda t: float(np.interp(t, *zip(*KNOTTED))), (0.7, 1.9), (),
+    ),
+    "atoms": (
+        lambda: weight_measure(np.pi, density=np.sin, atoms=ATOMS,
+                               cdf=lambda s: 1.0 - np.cos(s)),
+        np.pi, math.sin, (), ATOMS,
+    ),
+}
+TABLE_THETAS = [1.0, 2.0, 2.75, 7.5, 17.0, 64.0]
+
+
+class TestPeriodTable:
+    """Panels spanning a whole gap of a periodic shape use one table of shape^p.
+
+    The references are scipy's quad, split at every kink of the shape and the
+    density; they share no code with the tanh-sinh route.
+    """
+
+    @pytest.mark.parametrize("measure", list(TABLE_MEASURES))
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_phi_alpha_matches_split_quad(self, lam, measure):
+        build, tau, density, knots, atoms = TABLE_MEASURES[measure]
+        p = 1.5
+        got = dilated(phi_alpha(lam / p), p, build(), TABLE_THETAS)
+        for value, theta in zip(got, TABLE_THETAS):
+            want = split_quad(
+                lambda x: (2 * abs(math.sin(x / 2))) ** lam, [0.0], 2 * np.pi,
+                theta, tau, density, knots, atoms,
+            )
+            assert value == pytest.approx(want, rel=1e-10), theta
+
+    @pytest.mark.parametrize("measure", list(TABLE_MEASURES))
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_tent_with_two_residues_matches_split_quad(self, p, measure):
+        build, tau, density, knots, atoms = TABLE_MEASURES[measure]
+        got = dilated(TENT, p, build(), TABLE_THETAS)
+        for value, theta in zip(got, TABLE_THETAS):
+            want = split_quad(
+                lambda x: float(tent(x)) ** p, [0.0, np.pi], 2 * np.pi,
+                theta, tau, density, knots, atoms,
+            )
+            assert value == pytest.approx(want, rel=1e-10), theta
+
+
+class TestPeriodTableWork:
+    #: shape points of this window when every panel evaluates the shape directly
+    DIRECT_POINTS = 110880
+
+    def counted(self, shape):
+        seen = []
+
+        def count(t):
+            t = np.asarray(t, dtype=float)
+            seen.append(t.size)
+            return shape.eval(t)
+
+        return dataclasses.replace(shape, eval=count), seen
+
+    def test_window_shape_points_are_pinned(self):
+        # one table of 105 nodes, then the partial last panel of each of the
+        # 64 thetas; every whole-period panel is served from the table
+        shape, seen = self.counted(phi_alpha(1))
+        inf_quantity(1, shape, 1, mu1(np.pi), k_max=64)
+        assert sum(seen) == 6825 == 105 * 65
+        assert sum(seen) < self.DIRECT_POINTS / 10
+
+    def test_budget_exhausted_by_whole_periods_names_theta(self, monkeypatch):
+        # theta = 19 has 9 whole periods and one partial panel: 1050 nodes,
+        # of which only the 105 of the partial panel evaluate the shape
+        monkeypatch.setattr(jackson, "DEFAULT_BUDGET", 1000)
+        with pytest.raises(QuadratureBudgetError, match=r"theta=19\).*budget 1000"):
+            inf_quantity(1, phi_alpha(1), 1, mu1(np.pi), k_max=64)
+        assert dilated(phi_alpha(1), 1, mu1(np.pi), [18.0])[0] > 0
 
 
 def simpson_reference(shape, p, mu, theta):
