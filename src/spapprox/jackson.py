@@ -58,11 +58,12 @@ def _split_panels(tags, points, numbers, tau: float, count: int):
     """Panels of ``count`` integrals over [0, tau], split at tagged points.
 
     ``points[j]`` is a breakpoint of integral ``tags[j]`` and ``numbers[j]``
-    its number in the shape's declared set (-1 for none).  Points outside
-    (0, tau) are dropped.  Returns (left, right, owner) for
-    :func:`tanh_sinh_panels` and the numbers of each panel's two ends, the
-    origin counting as number 0: it is when 0 is declared, and otherwise the
-    first point inside is number 0, so no panel from the origin spans a gap.
+    its number in the shape's periodic breakpoint set (-1 for none, see
+    :meth:`Breakpoints.numbered`).  Points outside (0, tau) are dropped.
+    Returns (left, right, owner) for :func:`tanh_sinh_panels` and the
+    numbers of each panel's two ends, the origin counting as number 0: it is
+    when 0 is declared, and otherwise the first point inside is number 0, so
+    no panel from the origin spans a gap.
     """
     keep = (points > 0.0) & (points < tau)
     order = np.lexsort((points[keep], tags[keep]))
@@ -96,14 +97,14 @@ def _dilated_shape_integrals(
     :meth:`WeightMeasure.atom_sums`.
 
     A shape whose breakpoints have a period (as :func:`phi_alpha`'s) is
-    periodic, and a panel between two neighbouring breakpoints, in the
-    shape's variable x = theta t, is a copy of one gap of a period: its
-    tanh-sinh nodes are that gap's nodes shifted by whole periods.  So
-    shape^p is evaluated once per call on the nodes of each gap, and in the
-    first pass every such panel takes that table times the density at its
-    own nodes.  The partial last panel of each theta, panels that end at a
-    density breakpoint, bisected halves and shapes without a period
-    evaluate shape(theta t)^p directly.
+    declared periodic (see :class:`ShapeFunction`), and a panel between two
+    neighbouring breakpoints, in the shape's variable x = theta t, is a copy
+    of one gap of a period: its tanh-sinh nodes are that gap's nodes
+    shifted by whole periods.  So shape^p is evaluated once per call on the
+    nodes of each gap, and in the first pass every such panel takes that
+    table times the density at its own nodes.  The partial last panel of
+    each theta, panels that end at a density breakpoint, bisected halves and
+    shapes without a period evaluate shape(theta t)^p directly.
     """
     tau = mu.tau
     totals = mu.atom_sums(lambda t: np.asarray(shape.eval(t), dtype=float) ** p, thetas)

@@ -68,21 +68,20 @@ class Breakpoints:
         return self.numbered(his)[:2]
 
     def numbered(self, his) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`inside`, plus the number of each point in the declared set.
+        """:meth:`inside`, plus the number of each point in a periodic set.
 
-        The declared points t >= 0 are numbered 0, 1, 2, ... in increasing
-        order, so two points are neighbours in the set exactly when their
-        numbers differ by one.  With a period, the j-th repetition of the
-        i-th of the m sorted residues in [0, period) is number j m + i.
+        The declared points t >= 0 of a periodic set are numbered 0, 1, 2,
+        ... in increasing order, so two points are neighbours in the set
+        exactly when their numbers differ by one: the j-th repetition of the
+        i-th of the m sorted residues in [0, period) is number j m + i.  A
+        set without a period numbers every point -1.
         """
         his = np.asarray(his, dtype=float)
         base = np.asarray(self.points, dtype=float)
         if self.period is None:
-            base = np.unique(base[base >= 0.0])
-            lead = int(np.searchsorted(base, 0.0, side="right"))  # 0 is number 0
-            count = np.searchsorted(base, his, side="left") - lead
-            tag, rank = _spread(np.maximum(count, 0))
-            return tag, base[rank + lead], rank + lead
+            base = np.unique(base[base > 0.0])
+            tag, rank = _spread(np.searchsorted(base, his, side="left"))
+            return tag, base[rank], np.full(tag.size, -1, dtype=np.intp)
         residues = np.unique(np.mod(base, self.period))
         tags, pts, numbers = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
         for i, b in enumerate(residues):
@@ -122,6 +121,11 @@ class ShapeFunction:
     only probed on a grid.  ``breakpoints`` declares where the shape may be
     non-smooth on t >= 0, so that quadrature can put panel edges there; None
     declares nothing, and quadrature then finds the kinks by bisection.
+    Breakpoints with a ``period`` also declare the shape itself periodic,
+    shape(t + period) = shape(t), and the dilated shape integrals of
+    :mod:`spapprox.jackson` rely on it: they evaluate the shape on one period
+    only.  A shape whose kinks repeat but whose values do not must list its
+    kinks without a period.  :func:`check_shape` probes the declaration.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -186,6 +190,21 @@ def check_shape(shape: ShapeFunction) -> None:
         raise ValueError(f"shape {shape.label!r} is not even on the probe grid")
     if np.any(vals > sup * (1.0 + 1e-9)):
         raise ValueError(f"shape {shape.label!r} exceeds its declared supremum {sup}")
+    bp = shape.breakpoints
+    if bp is not None and bp.period is not None:
+        # cell midpoints of each gap of a period: away from the kinks, where
+        # the rounding of t + period moves a cusp's values the most
+        lo, hi = bp.gaps()
+        cells = max(1, (SHAPE_PROBE_POINTS - 1) // lo.size)
+        tp = (lo[:, None] + np.outer(hi - lo, (np.arange(cells) + 0.5) / cells)).ravel()
+        gap = np.asarray(shape.eval(tp + bp.period), dtype=float) - np.asarray(
+            shape.eval(tp), dtype=float
+        )
+        if not np.max(np.abs(gap)) <= 1e-9 * max(1.0, sup):
+            raise ValueError(
+                f"shape {shape.label!r} declares breakpoint period {bp.period:g} "
+                "but is not periodic on the probe grid"
+            )
     if shape.cap_point is not None:
         if shape.cap_point <= 0:
             raise ValueError(f"cap_point must be positive, got {shape.cap_point}")

@@ -34,8 +34,7 @@ def test_summary_keeps_units_and_per_seed_values():
     assert out["shape_evals_per_op"]["q3"] == 10.0
 
 
-@pytest.mark.parametrize("argv", [["--tag", "x", "--seeds", "0"], ["--tag", "../x"]])
-def test_bad_arguments_are_refused(argv):
+def test_a_tag_that_is_not_a_plain_name_is_refused():
     with pytest.raises(SystemExit) as exc:
-        bench_summary.main(argv)
+        bench_summary.main(["--tag", "../x"])
     assert exc.value.code == 2

@@ -75,6 +75,22 @@ class TestBreakpoints:
         assert tags[order].tolist() == [1, 1, 1, 1, 1]
         assert pts[order].tolist() == [1.0, 2.0, 4.0, 5.0, 7.0]
 
+    def test_periodic_numbers_mark_neighbours(self):
+        tags, pts, numbers = Breakpoints(points=(1.0, 5.0), period=3.0).numbered([7.5])
+        order = np.argsort(pts)
+        # residues 1 and 2 mod 3: the points 1, 2, 4, 5, 7 are numbers 0..4
+        assert pts[order].tolist() == [1.0, 2.0, 4.0, 5.0, 7.0]
+        assert numbers[order].tolist() == [0, 1, 2, 3, 4]
+        _, pts, numbers = phi_alpha(1).breakpoints.numbered([13.0])
+        assert pts.tolist() == pytest.approx([2 * np.pi, 4 * np.pi])
+        assert numbers.tolist() == [1, 2]  # the origin is number 0
+
+    def test_a_set_without_period_numbers_nothing(self):
+        tags, pts, numbers = Breakpoints(points=(0.0, 1.0, 2.5)).numbered([2.0, 3.0])
+        assert tags.tolist() == [0, 1, 1]
+        assert pts.tolist() == [1.0, 1.0, 2.5]
+        assert numbers.tolist() == [-1, -1, -1]
+
     @pytest.mark.parametrize("period", [0.0, -1.0, math.inf])
     def test_period_must_be_positive(self, period):
         with pytest.raises(ValueError, match="period"):
@@ -97,6 +113,26 @@ class TestBreakpoints:
 
 
 class TestShapeValidation:
+    def test_declared_period_must_repeat_the_values(self):
+        # phi_alpha's kinks repeat every 2 pi, but min(phi_1, t^2) does not
+        phi = phi_alpha(1)
+        bad = ShapeFunction(
+            eval=lambda t: np.minimum(phi.eval(t), np.asarray(t, float) ** 2),
+            cap_point=np.pi, sup_value=2.0, breakpoints=phi.breakpoints,
+        )
+        with pytest.raises(ValueError, match="not periodic"):
+            check_shape(bad)
+        check_shape(dataclasses.replace(bad, breakpoints=Breakpoints(points=(0.0,))))
+
+    def test_periodic_tent_passes(self):
+        def tent(x):
+            return np.abs(np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi)
+
+        check_shape(ShapeFunction(
+            eval=tent, cap_point=np.pi, sup_value=np.pi,
+            breakpoints=Breakpoints(points=(0.0, np.pi), period=2 * np.pi),
+        ))
+
     def test_odd_function_rejected(self):
         bad = ShapeFunction(eval=lambda t: np.asarray(t, float), cap_point=None, sup_value=10.0)
         with pytest.raises(ValueError, match="even|negative"):

@@ -1,12 +1,13 @@
 """Summarize benchmark runs over seeds into one committed BENCH_<tag>.json.
 
-Runs ``perfbench/run.py`` of a source checkout, unchanged, for seeds 1..N on
-every workload that ``BENCHMARK.json`` declares (end-to-end metrics, no
-trace), and writes the median and quartiles of each end-to-end metric per
-workload, with the commit and the machine, to ``BENCH_<tag>.json`` at the
-root of this repository:
+Runs ``perfbench/run.py`` of a source checkout, unchanged, for seeds
+1..:data:`SEEDS` on every workload that ``BENCHMARK.json`` declares, each
+run as long as its ``run_seconds`` (end-to-end metrics, no trace), and
+writes the median and quartiles of each end-to-end metric per workload,
+with the commit and the machine, to ``BENCH_<tag>.json`` at the root of
+this repository:
 
-    python3 tools/bench_summary.py --tag baseline --seeds 5 --seconds 30
+    python3 tools/bench_summary.py --tag baseline
     python3 tools/bench_summary.py --tag after --checkout ../other-clone
 
 The runs go seed by seed, all workloads within a seed, so that a slow spell
@@ -28,6 +29,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Each workload runs seeds 1..SEEDS.
+SEEDS = 5
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -110,26 +113,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="the file written is BENCH_<tag>.json")
-    parser.add_argument("--seeds", type=int, default=5, help="run seeds 1..N (default 5)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="source checkout whose perfbench/run.py runs (default: this one)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
     if not args.tag.replace("_", "").replace("-", "").isalnum():
         parser.error("--tag may hold letters, digits, '-' and '_' only")
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
-    if not seconds > 0:
-        parser.error("--seconds must be positive")
+    seconds = float(spec["run_seconds"])
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
 
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
-    for seed in range(1, args.seeds + 1):
+    for seed in range(1, SEEDS + 1):
         for workload in workloads:
             result = run_once(checkout, workload, seed, seconds)
             runs[workload].append(result)
@@ -140,7 +136,7 @@ def main(argv=None) -> int:
         "commit": commit_of(checkout),
         "machine": machine(),
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
-        "seeds": list(range(1, args.seeds + 1)),
+        "seeds": list(range(1, SEEDS + 1)),
         "workloads": {
             w: {
                 "incorrect_runs": sum(not r.get("correct") for r in rs),
