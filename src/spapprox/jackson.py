@@ -97,14 +97,15 @@ def _dilated_shape_integrals(
     :meth:`WeightMeasure.atom_sums`.
 
     A shape whose breakpoints have a period (as :func:`phi_alpha`'s) is
-    declared periodic (see :class:`ShapeFunction`), and a panel between two
-    neighbouring breakpoints, in the shape's variable x = theta t, is a copy
-    of one gap of a period: its tanh-sinh nodes are that gap's nodes
-    shifted by whole periods.  So shape^p is evaluated once per call on the
-    nodes of each gap, and in the first pass every such panel takes that
-    table times the density at its own nodes.  The partial last panel of
-    each theta, panels that end at a density breakpoint, bisected halves and
-    shapes without a period evaluate shape(theta t)^p directly.
+    declared periodic (:attr:`ShapeFunction.period` probes it), and a panel
+    between two neighbouring breakpoints, in the shape's variable
+    x = theta t, is a copy of one gap of a period: its tanh-sinh nodes are
+    that gap's nodes shifted by whole periods.  So shape^p is evaluated once
+    per call on the nodes of each gap, and in the first pass every such
+    panel takes that table times the density at its own nodes.  The partial
+    last panel of each theta, panels that end at a density breakpoint,
+    bisected halves and shapes without a period evaluate shape(theta t)^p
+    directly.
     """
     tau = mu.tau
     totals = mu.atom_sums(lambda t: np.asarray(shape.eval(t), dtype=float) ** p, thetas)
@@ -131,7 +132,7 @@ def _dilated_shape_integrals(
 
         tabled = None
         whole = (ends[0] >= 0) & (ends[1] == ends[0] + 1)
-        if shape.breakpoints is not None and shape.breakpoints.period is not None and whole.any():
+        if whole.any() and shape.period is not None:
             lo, hi = shape.breakpoints.gaps()
             rows = np.where(whole, ends[0] % lo.size, -1)
             tabled = (rows, lo, hi, lambda x: np.asarray(shape.eval(x), dtype=float) ** p, density)

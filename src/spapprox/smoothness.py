@@ -124,8 +124,9 @@ class ShapeFunction:
     Breakpoints with a ``period`` also declare the shape itself periodic,
     shape(t + period) = shape(t), and the dilated shape integrals of
     :mod:`spapprox.jackson` rely on it: they evaluate the shape on one period
-    only.  A shape whose kinks repeat but whose values do not must list its
-    kinks without a period.  :func:`check_shape` probes the declaration.
+    only, after reading :attr:`period`, which probes the declaration.  A
+    shape whose kinks repeat but whose values do not must list its kinks
+    without a period.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -137,6 +138,30 @@ class ShapeFunction:
 
     def __call__(self, t):
         return self.eval(t)
+
+    @functools.cached_property
+    def period(self) -> float | None:
+        """The period its breakpoints declare, probed on first read; None if none.
+
+        The probe compares shape(t + period) with shape(t) at the cell
+        midpoints of each gap of one period, away from the kinks, where the
+        rounding of t + period alone moves a cusp's values past any fixed
+        tolerance, and raises ValueError when they differ by more than
+        1e-9 max(1, sup_value).
+        """
+        bp = self.breakpoints
+        if bp is None or bp.period is None:
+            return None
+        lo, hi = bp.gaps()
+        cells = max(1, (SHAPE_PROBE_POINTS - 1) // lo.size)
+        t = (lo[:, None] + np.outer(hi - lo, (np.arange(cells) + 0.5) / cells)).ravel()
+        v = np.asarray(self.eval(np.concatenate([t, t + bp.period])), dtype=float)
+        if not np.max(np.abs(v[t.size:] - v[:t.size])) <= 1e-9 * max(1.0, self.sup_value):
+            raise ValueError(
+                f"shape {self.label!r} declares breakpoint period {bp.period:g} "
+                "but is not periodic on the probe grid"
+            )
+        return bp.period
 
     def nondecreasing_on(self, tau: float) -> bool:
         """Whether the shape is declared nondecreasing on [0, tau]."""
@@ -190,21 +215,6 @@ def check_shape(shape: ShapeFunction) -> None:
         raise ValueError(f"shape {shape.label!r} is not even on the probe grid")
     if np.any(vals > sup * (1.0 + 1e-9)):
         raise ValueError(f"shape {shape.label!r} exceeds its declared supremum {sup}")
-    bp = shape.breakpoints
-    if bp is not None and bp.period is not None:
-        # cell midpoints of each gap of a period: away from the kinks, where
-        # the rounding of t + period moves a cusp's values the most
-        lo, hi = bp.gaps()
-        cells = max(1, (SHAPE_PROBE_POINTS - 1) // lo.size)
-        tp = (lo[:, None] + np.outer(hi - lo, (np.arange(cells) + 0.5) / cells)).ravel()
-        gap = np.asarray(shape.eval(tp + bp.period), dtype=float) - np.asarray(
-            shape.eval(tp), dtype=float
-        )
-        if not np.max(np.abs(gap)) <= 1e-9 * max(1.0, sup):
-            raise ValueError(
-                f"shape {shape.label!r} declares breakpoint period {bp.period:g} "
-                "but is not periodic on the probe grid"
-            )
     if shape.cap_point is not None:
         if shape.cap_point <= 0:
             raise ValueError(f"cap_point must be positive, got {shape.cap_point}")

@@ -245,12 +245,22 @@ class TestPeriodTableWork:
         return dataclasses.replace(shape, eval=count), seen
 
     def test_window_shape_points_are_pinned(self):
-        # one table of 105 nodes, then the partial last panel of each of the
-        # 64 thetas; every whole-period panel is served from the table
+        # the 512 points of the period probe, one table of 105 nodes, then
+        # the partial last panel of each of the 64 thetas; every
+        # whole-period panel is served from the table
         shape, seen = self.counted(phi_alpha(1))
         inf_quantity(1, shape, 1, mu1(np.pi), k_max=64)
-        assert sum(seen) == 6825 == 105 * 65
+        assert sum(seen) == 7337 == 512 + 105 * 65
         assert sum(seen) < self.DIRECT_POINTS / 10
+
+    def test_a_shape_that_breaks_its_declared_period_is_refused(self):
+        phi = phi_alpha(1)
+        bad = ShapeFunction(
+            eval=lambda t: np.minimum(phi.eval(t), np.asarray(t, float) ** 2),
+            cap_point=np.pi, sup_value=2.0, breakpoints=phi.breakpoints,
+        )
+        with pytest.raises(ValueError, match="not periodic"):
+            dilated(bad, 1.5, mu1(np.pi), [3.0])
 
     def test_budget_exhausted_by_whole_periods_names_theta(self, monkeypatch):
         # theta = 19 has 9 whole periods and one partial panel: 1050 nodes,

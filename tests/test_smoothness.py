@@ -121,17 +121,21 @@ class TestShapeValidation:
             cap_point=np.pi, sup_value=2.0, breakpoints=phi.breakpoints,
         )
         with pytest.raises(ValueError, match="not periodic"):
-            check_shape(bad)
-        check_shape(dataclasses.replace(bad, breakpoints=Breakpoints(points=(0.0,))))
+            bad.period
+        assert dataclasses.replace(bad, breakpoints=Breakpoints(points=(0.0,))).period is None
 
-    def test_periodic_tent_passes(self):
+    def test_periodic_shapes_pass_the_probe(self):
         def tent(x):
             return np.abs(np.mod(np.asarray(x, dtype=float) + np.pi, 2 * np.pi) - np.pi)
 
-        check_shape(ShapeFunction(
+        shape = ShapeFunction(
             eval=tent, cap_point=np.pi, sup_value=np.pi,
             breakpoints=Breakpoints(points=(0.0, np.pi), period=2 * np.pi),
-        ))
+        )
+        assert shape.period == 2 * np.pi
+        # cusps of infinite slope: the probe keeps off them
+        for alpha in (0.01, 0.5, 1000.0):
+            assert phi_alpha(alpha).period == 2 * np.pi
 
     def test_odd_function_rejected(self):
         bad = ShapeFunction(eval=lambda t: np.asarray(t, float), cap_point=None, sup_value=10.0)
