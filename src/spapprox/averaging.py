@@ -13,7 +13,7 @@ weight's cumulative function, and follows the shift sum in between.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,11 @@ class WeightMeasure:
     must be vectorized; None means the purely atomic case.  ``breakpoints``
     lists the points of (0, tau) where the density is declared non-smooth.
     ``closed_cdf`` is the density's cumulative function in closed form
-    (vectorized), None when :meth:`cdf` integrates it.
+    (vectorized), None when :meth:`cdf` integrates it.  ``variation`` is
+    |density(tau)| + TV(density) on [0, tau] in closed form, None when not
+    declared; it bounds how far dilated integrals of a periodic function
+    stray from their limit (see :func:`spapprox.jackson.inf_quantity`).
+    :func:`mu1`, :func:`mu2` and :func:`tabulated_density` declare it.
     """
 
     tau: float
@@ -43,6 +47,7 @@ class WeightMeasure:
     label: str = ""
     breakpoints: tuple[float, ...] = ()
     closed_cdf: Callable[[np.ndarray], np.ndarray] | None = None
+    variation: float | None = None
 
     def cdf(self, s) -> np.ndarray:
         """integral_0^s density for every s in [0, tau]; the atoms are left out.
@@ -131,15 +136,18 @@ def mu1(tau: float = math.pi) -> WeightMeasure:
     """Cumulative 1 - cos t on [0, tau]; requires tau <= pi for monotonicity."""
     if not (0.0 < tau <= math.pi):
         raise ValueError(f"the 1-cos weight needs 0 < tau <= pi, got {tau}")
-    return weight_measure(tau, density=np.sin, label="mu1", cdf=lambda s: 1.0 - np.cos(s))
+    mu = weight_measure(tau, density=np.sin, label="mu1", cdf=lambda s: 1.0 - np.cos(s))
+    # sin rises to 1 at pi/2 and falls back to sin(tau)
+    return replace(mu, variation=2.0 * math.sin(tau) if tau <= math.pi / 2 else 2.0)
 
 
 def mu2(tau: float) -> WeightMeasure:
     """Cumulative t (unit density) on [0, tau]."""
-    return weight_measure(
+    mu = weight_measure(
         tau, density=lambda t: np.ones_like(np.asarray(t, float)), label="mu2",
         cdf=lambda s: np.array(s, dtype=float),
     )
+    return replace(mu, variation=1.0)
 
 
 def atom_measure(tau: float, atoms: Sequence[tuple[float, float]]) -> WeightMeasure:
@@ -174,7 +182,8 @@ def tabulated_density(tau: float, points, label: str = "tabulated") -> WeightMea
         d = s - knots[j]
         return cumulative[j] + d * (heights[j] + 0.5 * slopes[j] * d)
 
-    return weight_measure(tau, density=_density, label=label, breakpoints=ts, cdf=_cdf)
+    mu = weight_measure(tau, density=_density, label=label, breakpoints=ts, cdf=_cdf)
+    return replace(mu, variation=float(np.sum(np.abs(np.diff(heights))) + abs(heights[-1])))
 
 
 def dilated_integrals(

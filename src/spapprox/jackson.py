@@ -11,10 +11,17 @@ When that infimum equals the undilated integral, the direct estimate
 
 is attained (up to the stated tolerances) by an explicit two-harmonic
 extremal, and the attained ratio is the sharp constant.
+
+For a periodic shape the dilated integrals tend to L = m_p (density mass),
+m_p the mean of shape^p over a period, and stay within C n / k of it, C
+from the shape's periodic antiderivative and the density's variation.  So
+:func:`inf_quantity` integrates k in [n, 2n] first and skips every larger k
+whose lower bound L - C n / k already lies above that minimum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +34,14 @@ from .averaging import (
 )
 from .psi import PsiSequence, psi_derivative, tail_sup_info
 from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
+    _REL_FLOOR,
+    _TS_WEIGHTS,
     DEFAULT_BUDGET,
+    DEFAULT_TOL,
+    _panel_nodes,
     _spread,
     adaptive_simpson,
+    nested_integrals,
     tanh_sinh_panels,
 )
 from .smoothness import ModulusCurve, ShapeFunction
@@ -39,6 +51,11 @@ from .spectral import SpectralFunction, as_exponent, best_approximation
 ARGMIN_REL_TOL = 1e-9
 #: Relative tolerance of the sharpness (equivalence) condition.
 EQUIV_REL_TOL = 1e-7
+#: A breakpoint this many ulps of tau or fewer from the panel edge before it,
+#: or below tau, ends no panel.
+SLIVER_ULPS = 4
+#: Cells per piece of a period in the bound of :attr:`_ShapeIntegrals.spread`.
+SPREAD_CELLS = 16
 
 
 class SharpnessNotCertifiedError(RuntimeError):
@@ -59,7 +76,12 @@ def _split_panels(tags, points, numbers, tau: float, count: int):
 
     ``points[j]`` is a breakpoint of integral ``tags[j]`` and ``numbers[j]``
     its number in the shape's periodic breakpoint set (-1 for none, see
-    :meth:`Breakpoints.numbered`).  Points outside (0, tau) are dropped.
+    :meth:`Breakpoints.numbered`).  Points outside (0, tau) are dropped, and
+    so is a point within :data:`SLIVER_ULPS` ulps of tau below tau or above
+    the point before it (or the origin): rounding moves a kink there, as a
+    cusp at tau when theta tau is a whole number of periods, or a cusp onto
+    a density knot, and the sliver of a panel it would leave has nodes that
+    collapse onto its two ends, where its two rules never agree.
     Returns (left, right, owner) for :func:`tanh_sinh_panels` and the
     numbers of each panel's two ends, the origin counting as number 0: it is
     when 0 is declared, and otherwise the first point inside is number 0, so
@@ -68,6 +90,11 @@ def _split_panels(tags, points, numbers, tau: float, count: int):
     keep = (points > 0.0) & (points < tau)
     order = np.lexsort((points[keep], tags[keep]))
     tags, points, numbers = tags[keep][order], points[keep][order], numbers[keep][order]
+    before = np.concatenate([[0.0], points[:-1]])
+    before[np.flatnonzero(np.diff(tags)) + 1] = 0.0
+    sliver = SLIVER_ULPS * np.spacing(tau)
+    keep = (points - before > sliver) & (points < tau - sliver)
+    tags, points, numbers = tags[keep], points[keep], numbers[keep]
     per = np.bincount(tags, minlength=count) + 1
     owner = np.repeat(np.arange(count), per)
     # integral i has one panel more than breakpoints, so the j-th breakpoint
@@ -87,13 +114,19 @@ def _split_panels(tags, points, numbers, tau: float, count: int):
 def _dilated_shape_integrals(
     shape: ShapeFunction, p: float, mu: WeightMeasure, thetas: np.ndarray
 ) -> np.ndarray:
-    """integral_0^tau shape(theta * t)^p dmu(t) for every theta in one pass.
+    """integral_0^tau shape(theta * t)^p dmu(t) for every theta in one pass."""
+    return _ShapeIntegrals(shape, p, mu)(thetas)
 
-    The density part is a batched tanh-sinh pass whose panel edges sit at
-    the shape's declared breakpoints divided by theta and at the density's
-    breakpoints; a shape that declares none starts from
-    max(64, 2 theta tau / pi + 1) uniform panels and relies on bisection.
-    Each integral may use :data:`DEFAULT_BUDGET` evaluations.  The atoms add
+
+class _ShapeIntegrals:
+    """The dilated shape integrals of one (shape, p, mu), sharing one period table.
+
+    Calling it integrates a batch of theta in one pass.  The density part is
+    a batched tanh-sinh pass whose panel edges sit at the shape's declared
+    breakpoints divided by theta and at the density's breakpoints; a shape
+    that declares none starts from max(64, 2 theta tau / pi + 1) uniform
+    panels and relies on bisection.  Each integral may use
+    :data:`DEFAULT_BUDGET` evaluations.  The atoms add
     :meth:`WeightMeasure.atom_sums`.
 
     A shape whose breakpoints have a period (as :func:`phi_alpha`'s) is
@@ -101,16 +134,34 @@ def _dilated_shape_integrals(
     between two neighbouring breakpoints, in the shape's variable
     x = theta t, is a copy of one gap of a period: its tanh-sinh nodes are
     that gap's nodes shifted by whole periods.  So shape^p is evaluated once
-    per call on the nodes of each gap, and in the first pass every such
-    panel takes that table times the density at its own nodes.  The partial
-    last panel of each theta, panels that end at a density breakpoint,
-    bisected halves and shapes without a period evaluate shape(theta t)^p
-    directly.
+    per object on the nodes of each gap (:attr:`table`), and in the first
+    pass every such panel takes that table times the density at its own
+    nodes.  The partial last panel of each theta, panels that end at a
+    density breakpoint, bisected halves and shapes without a period
+    evaluate shape(theta t)^p directly.  The same table gives the limit of
+    the integrals as theta grows, which :meth:`reach` uses.
     """
-    tau = mu.tau
-    totals = mu.atom_sums(lambda t: np.asarray(shape.eval(t), dtype=float) ** p, thetas)
-    if mu.density is not None:
-        kinks = np.asarray(mu.breakpoints, dtype=float)
+
+    def __init__(self, shape: ShapeFunction, p: float, mu: WeightMeasure) -> None:
+        self.shape, self.p, self.mu = shape, p, mu
+
+    def power(self, x) -> np.ndarray:
+        return np.asarray(self.shape.eval(x), dtype=float) ** self.p
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """shape^p on the tanh-sinh nodes of each gap of one period: (gaps, nodes)."""
+        nodes = _panel_nodes(*self.shape.breakpoints.gaps())
+        return self.power(nodes.ravel()).reshape(nodes.shape)
+
+    def panels(self, thetas: np.ndarray):
+        """(left, right, owner, rows) of the density pass over these thetas.
+
+        rows[j] is the gap of one period that panel j copies whole, -1 when
+        it evaluates the shape directly.
+        """
+        shape, tau = self.shape, self.mu.tau
+        kinks = np.asarray(self.mu.breakpoints, dtype=float)
         if shape.breakpoints is None:
             per = np.maximum(64, (2.0 * thetas * tau / math.pi).astype(np.intp) + 1)
             tags, rank = _spread(per - 1)
@@ -123,25 +174,107 @@ def _dilated_shape_integrals(
         points = np.concatenate([points, np.tile(kinks, thetas.size)])
         numbers = np.concatenate([numbers, np.full(thetas.size * kinks.size, -1, dtype=np.intp)])
         left, right, owner, ends = _split_panels(tags, points, numbers, tau, thetas.size)
-
-        def density(t, i):
-            return np.asarray(mu.density(t), dtype=float)
-
-        def integrand(t, i):
-            return np.asarray(shape.eval(thetas[i] * t), dtype=float) ** p * density(t, i)
-
-        tabled = None
+        rows = np.full(owner.size, -1, dtype=np.intp)
         whole = (ends[0] >= 0) & (ends[1] == ends[0] + 1)
         if whole.any() and shape.period is not None:
-            lo, hi = shape.breakpoints.gaps()
-            rows = np.where(whole, ends[0] % lo.size, -1)
-            tabled = (rows, lo, hi, lambda x: np.asarray(shape.eval(x), dtype=float) ** p, density)
-        totals += tanh_sinh_panels(
-            integrand, left, right, owner, budget=DEFAULT_BUDGET,
-            context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
-            _tabled=tabled,
+            rows[whole] = ends[0][whole] % shape.breakpoints.gaps()[0].size
+        return left, right, owner, rows
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        """integral_0^tau shape(theta * t)^p dmu(t) for every theta."""
+        mu = self.mu
+        totals = mu.atom_sums(self.power, thetas)
+        if mu.density is not None:
+            left, right, owner, rows = self.panels(thetas)
+
+            def density(t, i):
+                return np.asarray(mu.density(t), dtype=float)
+
+            def integrand(t, i):
+                return self.power(thetas[i] * t) * density(t, i)
+
+            tabled = (rows, self.table, density) if (rows >= 0).any() else None
+            totals += tanh_sinh_panels(
+                integrand, left, right, owner, budget=DEFAULT_BUDGET,
+                context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
+                _tabled=tabled,
+            )
+        return totals
+
+    @functools.cached_property
+    def mean(self) -> tuple[float, float]:
+        """(m_p, error): the mean of shape^p over one period, from :attr:`table`.
+
+        m_p is the table's fine rule summed over the gaps and divided by the
+        period; the error is the sum of |fine - coarse| divided likewise.
+        """
+        lo, hi = self.shape.breakpoints.gaps()
+        fine, coarse = (self.table @ _TS_WEIGHTS).T * (0.5 * (hi - lo))
+        period = self.shape.period
+        return float(np.sum(fine)) / period, float(np.sum(np.abs(fine - coarse))) / period
+
+    @functools.cached_property
+    def spread(self) -> float:
+        """C: a bound on theta |I(theta) - L| over every theta > 0.
+
+        With G(x) = integral_0^x (shape^p - m_p), periodic, an integration by
+        parts gives |I(theta) - L| <= sup|G| (|rho(tau)| + TV(rho)) / theta
+        for the density rho; atoms only add to I.  [0, period] is cut at
+        the breakpoints and each piece into :data:`SPREAD_CELLS` cells; one
+        :func:`nested_integrals` pass gives integral_0^a shape^p at every
+        cell end a.  On a cell [a, b] with mass S, G lies in
+        [G(a) - m_p (b - a), G(a) + S], since shape^p >= 0; sup|G| is at most
+        the largest absolute end of these ranges, plus the quadrature error.
+        """
+        mean, mean_err = self.mean
+        period = self.shape.period
+        lo, _ = self.shape.breakpoints.gaps()
+        pieces = np.unique(np.concatenate([[0.0], lo, [period]]))
+        steps = np.arange(SPREAD_CELLS) / SPREAD_CELLS
+        starts = (pieces[:-1, None] + np.outer(np.diff(pieces), steps)).ravel()
+        ends = np.append(starts[1:], period)
+        cumulative = nested_integrals(
+            self.power, lambda t, i: 1.0, 0.0, ends, singular=pieces,
+            budget=DEFAULT_BUDGET,
+            context=lambda i: f"period integral of shape^p (x={ends[i]:g})",
         )
-    return totals
+        masses = np.diff(cumulative, prepend=0.0)
+        g = cumulative - masses - mean * starts  # G at each cell start
+        sup = float(np.max(np.maximum(np.abs(g + masses), np.abs(g - mean * (ends - starts)))))
+        err = 2.0 * _quadrature_error(cumulative[-1]) + period * mean_err
+        return self.mu.variation * (sup + err)
+
+    def reach(self, thetas: np.ndarray, best: float) -> int:
+        """How many of the increasing thetas may integrate to best or below.
+
+        For a periodic shape and a density that declares its
+        :attr:`WeightMeasure.variation`, I(theta) >= L - C / theta, with
+        L = m_p (density mass) and C = :attr:`spread`.  A theta where that
+        bound, less the quadrature error of L and of I(theta), exceeds
+        best (1 + ARGMIN_REL_TOL) can be neither the window minimum nor tie
+        with it, and neither can any larger theta.  Anything else reaches
+        every theta, and so does a call whose largest theta copies no gap
+        whole, which would build the table for the bound alone.
+        """
+        mu, bp = self.mu, self.shape.breakpoints
+        if mu.density is None or mu.variation is None or bp is None or bp.period is None:
+            return thetas.size
+        if not (self.panels(thetas[-1:])[3] >= 0).any():
+            return thetas.size
+        mean, mean_err = self.mean
+        mass = mu.total_mass - sum(m for _, m in mu.atoms)
+        floor = (
+            best * (1.0 + ARGMIN_REL_TOL) + mean_err * mass
+            + _quadrature_error(best) + _quadrature_error(mean * mass)
+        )
+        if not mean * mass > floor:
+            return thetas.size
+        return int(np.searchsorted(thetas, self.spread / (mean * mass - floor), side="right"))
+
+
+def _quadrature_error(value: float) -> float:
+    """The error one integral may keep under the integrators' acceptance rule."""
+    return DEFAULT_TOL + _REL_FLOOR * abs(value)
 
 
 @dataclass(frozen=True)
@@ -170,7 +303,15 @@ def inf_quantity(
 ) -> InfReport:
     """Minimum over k in [n, k_max] of the dilated shape integral.
 
-    All k_max - n + 1 dilations are integrated in one batched pass.
+    The dilations are integrated in two batched passes that share one
+    period table.  The first takes k in [n, min(2n, k_max)]; the second
+    takes the rest of the window, up to the last k that
+    :meth:`_ShapeIntegrals.reach` lets fall to the first pass's minimum:
+    for a periodic shape and a density that declares its variation, the
+    integrals approach their limit L within C n / k, so a k whose lower
+    bound L - C n / k lies above that minimum is skipped.  A skipped k is
+    neither the minimum nor ties with it, so the report is that of the whole
+    window.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -179,7 +320,14 @@ def inf_quantity(
         raise ValueError(f"k_max must be >= n, got {k_max} < {n}")
     p = as_exponent(p)
     thetas = np.arange(n, k_max + 1) / n
-    values = _dilated_shape_integrals(shape, p, mu, thetas)
+    integrals = _ShapeIntegrals(shape, p, mu)
+    first = min(n, k_max - n) + 1
+    values = integrals(thetas[:first])
+    rest = thetas[first:]
+    if rest.size:
+        rest = rest[: integrals.reach(rest, float(values.min()))]
+    if rest.size:
+        values = np.concatenate([values, integrals(rest)])
     vmin = float(values.min())
     argmin = n + int(np.argmax(values <= vmin * (1.0 + ARGMIN_REL_TOL)))
     attained = argmin == n

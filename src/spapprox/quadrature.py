@@ -22,9 +22,10 @@ truncates silently.
   Mori, 1974).  Callers that know where their integrand is not smooth put
   panel edges there (breakpoint seeding, as in QUADPACK).  Every dilated
   shape integral, capped or not, goes through it.  For a shape that
-  declares a period, the first pass takes shape^p from one table on the
-  nodes of each gap between breakpoints of a period: every panel spanning
-  such a gap whole, in the shape's variable, has the same nodes there.
+  declares a period, the first pass takes shape^p from one table, built by
+  the caller, on the nodes of each gap between breakpoints of a period:
+  every panel spanning such a gap whole, in the shape's variable, has the
+  same nodes there.
   The partial last panel of each dilation, panels that end at a density
   breakpoint, bisected halves, and shapes without a period (tabulated and
   capped shapes) evaluate the integrand directly.
@@ -366,13 +367,11 @@ def tanh_sinh_panels(
     names integral ``i`` in errors.  Points are evaluated in blocks of at
     most :data:`BLOCK_NODES`.
 
-    ``_tabled`` serves ``jackson._dilated_shape_integrals`` alone: a tuple
-    (rows, lo, hi, f, weight) under which, in the first pass, panel j with
-    rows[j] = r >= 0 takes f(x) * weight(t, i), x being the nodes of the
-    reference panel [lo[r], hi[r]].  f is evaluated once on the nodes of
-    all reference panels; the caller vouches that f(x) * weight(t, i) is
-    g(t, i) there.  The budget counts those panels' nodes as evaluated, and
-    their bisected halves call ``g``.
+    ``_tabled`` serves ``jackson._ShapeIntegrals`` alone: a tuple
+    (rows, table, weight) under which, in the first pass, panel j with
+    rows[j] = r >= 0 takes table[r] * weight(t, i) at its nodes t; the
+    caller vouches that this is g(t, i) there.  The budget counts those
+    panels' nodes as evaluated, and their bisected halves call ``g``.
     """
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
@@ -389,10 +388,8 @@ def tanh_sinh_panels(
     per_block = max(BLOCK_NODES // nodes, 1)
     rows = None
     if _tabled is not None:
-        rows, lo, hi, f, weight = _tabled
+        rows, table, weight = _tabled
         rows = np.asarray(rows, dtype=np.intp)
-        ref = _panel_nodes(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        table = np.asarray(f(ref.ravel()), dtype=float).reshape(ref.shape)
         # tabled panels first: a block then holds at most one run of each
         # kind, and the direct panels share a few calls of g
         first = np.argsort(rows < 0, kind="stable")

@@ -96,6 +96,40 @@ class TestWeightMeasure:
         assert dens.breakpoints == (1.0,)
 
 
+VARIATION_MEASURES = {
+    "mu1(0.4)": lambda: mu1(0.4),
+    "mu1(pi/3)": lambda: mu1(np.pi / 3),
+    "mu1(pi/2)": lambda: mu1(np.pi / 2),
+    "mu1(2)": lambda: mu1(2.0),
+    "mu1(pi)": lambda: mu1(np.pi),
+    "mu2(pi/2)": lambda: mu2(np.pi / 2),
+    "mu2(3pi)": lambda: mu2(3 * np.pi),
+    # knots inside and beyond tau, a density that ends above zero
+    "tabulated": lambda: tabulated_density(
+        2.0, [(0.0, 0.0), (0.5, 2.0), (1.5, 0.3), (2.5, 1.0)]
+    ),
+    "tabulated ending at zero": lambda: tabulated_density(
+        np.pi, [(0.0, 1.0), (0.7, 1.3), (1.9, 0.4), (np.pi, 0.0)]
+    ),
+}
+
+
+class TestVariation:
+    """The declared |rho(tau)| + TV(rho) on [0, tau]."""
+
+    @pytest.mark.parametrize("measure", list(VARIATION_MEASURES))
+    def test_matches_a_fine_grid(self, measure):
+        mu = VARIATION_MEASURES[measure]()
+        t = np.union1d(np.linspace(0.0, mu.tau, 200_001), mu.breakpoints)
+        rho = np.asarray(mu.density(t), dtype=float)
+        grid = np.sum(np.abs(np.diff(rho))) + abs(rho[-1])
+        assert mu.variation == pytest.approx(grid, rel=1e-9)
+
+    def test_undeclared_weights_have_none(self):
+        assert weight_measure(np.pi, density=np.sin).variation is None
+        assert atom_measure(1.0, [(0.5, 1.0)]).variation is None
+
+
 class TestStieltjesIntegral:
     def test_plain_sine_on_linear_weight(self):
         assert stieltjes_integral(np.sin, mu2(np.pi), np.pi) == pytest.approx(2.0, abs=1e-10)

@@ -270,6 +270,159 @@ class TestPeriodTableWork:
             inf_quantity(1, phi_alpha(1), 1, mu1(np.pi), k_max=64)
         assert dilated(phi_alpha(1), 1, mu1(np.pi), [18.0])[0] > 0
 
+    def test_pruned_window_shape_points_are_pinned(self):
+        # the probe's 512, one table of 105 for the limit, the two partial
+        # panels of stage one (theta = 1, 2), then 2 tanh-sinh cells at the
+        # cusps and 14 Gauss-Kronrod cells of 15 for the bound; the bound
+        # skips every theta >= 3
+        shape, seen = self.counted(phi_alpha(2))
+        inf_quantity(1, shape, 1, mu2(TAU34), k_max=64)
+        assert sum(seen) == 1247 == 512 + 105 + 2 * 105 + 2 * 105 + 14 * 15
+        assert sum(seen) < 7337 / 3
+
+
+class TestSliverPanel:
+    """A kink that rounding puts a few ulps from another panel edge ends no panel.
+
+    The references are scipy's quad split at the kinks; none goes through
+    inf_quantity, whose bound would skip these dilations.
+    """
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5])
+    def test_cusp_rounded_just_inside_tau(self, lam):
+        # theta tau = 194 pi, and the cusp 97 (2 pi / theta) rounds below tau
+        theta = 776 / 3
+        got = dilated(phi_alpha(lam), 1.0, mu2(TAU34), [theta])[0]
+        want = split_quad(
+            lambda x: (2 * abs(math.sin(x / 2))) ** lam, [0.0], 2 * np.pi,
+            theta, TAU34, lambda t: 1.0,
+        )
+        assert got == pytest.approx(want, rel=1e-10)
+
+    # quad warns on the reference's own sliver between the cusp and the knot
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+    def test_cusp_a_few_ulps_from_a_density_knot(self, ulps):
+        theta = 7.5
+        knot = 3 * 2 * np.pi / theta
+        for _ in range(abs(ulps)):
+            knot = np.nextafter(knot, np.inf if ulps > 0 else -np.inf)
+        table = [(0.0, 0.2), (knot, 1.3), (np.pi, 0.5)]
+        got = dilated(phi_alpha(0.25), 1.0, tabulated_density(np.pi, table), [theta])[0]
+        want = split_quad(
+            lambda x: (2 * abs(math.sin(x / 2))) ** 0.25, [0.0], 2 * np.pi, theta, np.pi,
+            lambda t: float(np.interp(t, *zip(*table))), knots=(knot,),
+        )
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def phi_mean(lam):
+    """The mean of (2 |sin(x/2)|)^lam over a period, in closed form."""
+    return 2**lam * math.gamma((lam + 1) / 2) / (math.sqrt(math.pi) * math.gamma(lam / 2 + 1))
+
+
+#: Periodic shapes with the closed-form mean of shape^1 over a period.
+BOUND_SHAPES = {
+    **{f"phi_alpha({lam})": (lambda lam=lam: phi_alpha(lam), phi_mean(lam))
+       for lam in (0.25, 0.5, 1.0, 2.0, 4.0)},
+    "tent": (lambda: TENT, np.pi / 2),
+}
+BOUND_MEASURES = {
+    "mu1(pi)": lambda: mu1(np.pi),
+    "mu1(pi/3)": lambda: mu1(np.pi / 3),
+    "mu2(pi/2)": lambda: mu2(np.pi / 2),
+    "mu2(3pi/4)": lambda: mu2(TAU34),
+    "tabulated": lambda: tabulated_density(np.pi, KNOTTED),
+}
+BOUND_KS = np.unique(np.concatenate([np.arange(1, 257), 2.0 ** np.arange(13)]))
+
+
+class TestDilationBound:
+    """I(k) approaches L = m_p (density mass) within C / k, C = sup|G| (|rho(tau)| + TV)."""
+
+    @pytest.mark.parametrize("measure", list(BOUND_MEASURES))
+    @pytest.mark.parametrize("shape", list(BOUND_SHAPES))
+    def test_limit_matches_the_closed_mean(self, shape, measure):
+        build, mean = BOUND_SHAPES[shape]
+        mu = BOUND_MEASURES[measure]()
+        got, err = jackson._ShapeIntegrals(build(), 1.0, mu).mean
+        assert got * mu.total_mass == pytest.approx(mean * mu.total_mass, rel=1e-12)
+        assert err <= 1e-10
+
+    @pytest.mark.parametrize("measure", list(BOUND_MEASURES))
+    @pytest.mark.parametrize("shape", list(BOUND_SHAPES))
+    def test_integrals_approach_the_limit_within_c_over_k(self, shape, measure):
+        build, mean = BOUND_SHAPES[shape]
+        mu = BOUND_MEASURES[measure]()
+        values = dilated(build(), 1.0, mu, BOUND_KS)
+        spread = jackson._ShapeIntegrals(build(), 1.0, mu).spread
+        assert np.all(BOUND_KS * np.abs(values - mean * mu.total_mass) <= spread)
+
+
+def window_report(n, shape, p, mu, k_max):
+    """(value, argmin_k, attained_at_n) with every dilation of the window integrated."""
+    values = dilated(shape, p, mu, np.arange(n, k_max + 1) / n)
+    vmin = float(values.min())
+    argmin = n + int(np.argmax(values <= vmin * (1.0 + jackson.ARGMIN_REL_TOL)))
+    label = "horizon" if argmin > max(n, k_max // 2) else argmin
+    return vmin, label, argmin == n
+
+
+#: Unit density on [0, 3 pi / 4] plus two atoms, its variation declared.
+LINEAR_WITH_ATOMS = dataclasses.replace(
+    weight_measure(
+        TAU34, density=lambda t: np.ones_like(np.asarray(t, float)),
+        atoms=[(0.4, 0.1), (1.7, 0.05)], cdf=lambda s: np.array(s, dtype=float),
+    ),
+    variation=1.0,
+)
+BARE = weight_measure(np.pi / 2, density=lambda t: 1.0 + np.asarray(t, float) ** 2)
+STEPS = tabulated_shape(
+    [(0.0, 0.0), (0.5, 0.8), (1.3, 1.0), (2.0, 1.7), (np.pi, 2.0)], cap_point=np.pi, sup_value=2.0,
+)
+PRUNE_CASES = {
+    "tie lam=2 mu1(pi)": (lambda: phi_alpha(2), lambda: mu1(np.pi)),
+    "lam=2 mu2(3pi/4)": (lambda: phi_alpha(2), lambda: mu2(TAU34)),
+    "lam=0.5 mu2(pi/2)": (lambda: phi_alpha(0.5), lambda: mu2(np.pi / 2)),
+    "lam=4 mu1(pi/3)": (lambda: phi_alpha(4), lambda: mu1(np.pi / 3)),
+    "tent tabulated": (lambda: TENT, lambda: tabulated_density(np.pi, KNOTTED)),
+    "atoms": (lambda: phi_alpha(2), lambda: LINEAR_WITH_ATOMS),
+    "tabulated shape": (lambda: STEPS, lambda: mu2(TAU34)),
+    "bare density": (lambda: phi_alpha(2), lambda: BARE),
+}
+
+
+class TestPrunedWindow:
+    """inf_quantity reports what integrating the whole window reports."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("window", ["n", "n+1", "2n", "64n"])
+    @pytest.mark.parametrize("case", list(PRUNE_CASES))
+    def test_report_is_that_of_the_whole_window(self, case, window, n):
+        shape, mu = (build() for build in PRUNE_CASES[case])
+        k_max = {"n": n, "n+1": n + 1, "2n": 2 * n, "64n": 64 * n}[window]
+        report = inf_quantity(n, shape, 1, mu, k_max=k_max)
+        value, label, attained = window_report(n, shape, 1, mu, k_max)
+        assert report.value == pytest.approx(value, rel=1e-13)
+        assert (report.argmin_k, report.attained_at_n) == (label, attained)
+
+    @pytest.mark.parametrize("case", ["atoms only", "tabulated shape", "bare density"])
+    def test_undeclared_cases_reach_every_dilation(self, case):
+        shape, mu = {
+            "atoms only": (phi_alpha(2), atom_measure(np.pi, ATOMS)),
+            "tabulated shape": (STEPS, mu2(TAU34)),
+            "bare density": (phi_alpha(2), BARE),
+        }[case]
+        thetas = np.arange(3.0, 65.0)
+        assert jackson._ShapeIntegrals(shape, 1.0, mu).reach(thetas, 0.0) == thetas.size
+
+    @pytest.mark.parametrize("case", ["lam=2 mu2(3pi/4)", "atoms"])
+    def test_declared_cases_skip_the_far_dilations(self, case):
+        shape, mu = (build() for build in PRUNE_CASES[case])
+        thetas = np.arange(3.0, 65.0)
+        best = float(dilated(shape, 1.0, mu, [1.0, 2.0]).min())
+        assert jackson._ShapeIntegrals(shape, 1.0, mu).reach(thetas, best) < thetas.size
+
 
 def simpson_reference(shape, p, mu, theta):
     """The dilated integral by one adaptive Simpson plus the atoms sum."""
