@@ -34,10 +34,9 @@ from .averaging import (
 )
 from .psi import PsiSequence, psi_derivative, tail_sup_info
 from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
-    _REL_FLOOR,
     _TS_WEIGHTS,
     DEFAULT_BUDGET,
-    DEFAULT_TOL,
+    _accepted_error,
     _panel_nodes,
     _spread,
     adaptive_simpson,
@@ -241,7 +240,7 @@ class _ShapeIntegrals:
         masses = np.diff(cumulative, prepend=0.0)
         g = cumulative - masses - mean * starts  # G at each cell start
         sup = float(np.max(np.maximum(np.abs(g + masses), np.abs(g - mean * (ends - starts)))))
-        err = 2.0 * _quadrature_error(cumulative[-1]) + period * mean_err
+        err = 2.0 * _accepted_error(cumulative[-1]) + period * mean_err
         return self.mu.variation * (sup + err)
 
     def reach(self, thetas: np.ndarray, best: float) -> int:
@@ -250,8 +249,8 @@ class _ShapeIntegrals:
         For a periodic shape and a density that declares its
         :attr:`WeightMeasure.variation`, I(theta) >= L - C / theta, with
         L = m_p (density mass) and C = :attr:`spread`.  A theta where that
-        bound, less the quadrature error of L and of I(theta), exceeds
-        best (1 + ARGMIN_REL_TOL) can be neither the window minimum nor tie
+        bound, less the quadrature errors of L, of I(theta) and of best,
+        exceeds best (1 + ARGMIN_REL_TOL) can be neither the window minimum nor tie
         with it, and neither can any larger theta.  Anything else reaches
         every theta, and so does a call whose largest theta copies no gap
         whole, which would build the table for the bound alone.
@@ -263,18 +262,13 @@ class _ShapeIntegrals:
             return thetas.size
         mean, mean_err = self.mean
         mass = mu.total_mass - sum(m for _, m in mu.atoms)
-        floor = (
+        target = (
             best * (1.0 + ARGMIN_REL_TOL) + mean_err * mass
-            + _quadrature_error(best) + _quadrature_error(mean * mass)
+            + _accepted_error(best) + _accepted_error(mean * mass)
         )
-        if not mean * mass > floor:
+        if not mean * mass > target:
             return thetas.size
-        return int(np.searchsorted(thetas, self.spread / (mean * mass - floor), side="right"))
-
-
-def _quadrature_error(value: float) -> float:
-    """The error one integral may keep under the integrators' acceptance rule."""
-    return DEFAULT_TOL + _REL_FLOOR * abs(value)
+        return int(np.searchsorted(thetas, self.spread / (mean * mass - target), side="right"))
 
 
 @dataclass(frozen=True)

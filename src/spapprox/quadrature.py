@@ -110,6 +110,16 @@ def _panel_nodes(
     return xs
 
 
+def _accepted_error(value: float) -> float:
+    """The most an accepted integral of this value may keep as its error estimate.
+
+    Every integrator accepts a panel whose two rules agree within its
+    width's share of :data:`DEFAULT_TOL` or within the relative floor, so
+    the estimates of one integral add up to at most this.
+    """
+    return DEFAULT_TOL + _REL_FLOOR * abs(value)
+
+
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tag i repeated counts[i] times, and the rank of each entry in its run."""
     tag = np.repeat(np.arange(counts.size), counts)
