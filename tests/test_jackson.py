@@ -368,11 +368,13 @@ def window_report(n, shape, p, mu, k_max):
     return vmin, label, argmin == n
 
 
-#: Unit density on [0, 3 pi / 4] plus two atoms, its variation declared.
+#: Unit density on [0, 0.98 pi] plus two atoms, its variation declared.  The
+#: atom at the origin adds mass but nothing to any dilated integral, so L
+#: must count the density's mass alone.
 LINEAR_WITH_ATOMS = dataclasses.replace(
     weight_measure(
-        TAU34, density=lambda t: np.ones_like(np.asarray(t, float)),
-        atoms=[(0.4, 0.1), (1.7, 0.05)], cdf=lambda s: np.array(s, dtype=float),
+        0.98 * np.pi, density=lambda t: np.ones_like(np.asarray(t, float)),
+        atoms=[(0.0, 5.0), (0.05, 0.05)], cdf=lambda s: np.array(s, dtype=float),
     ),
     variation=1.0,
 )
@@ -383,6 +385,9 @@ STEPS = tabulated_shape(
 PRUNE_CASES = {
     "tie lam=2 mu1(pi)": (lambda: phi_alpha(2), lambda: mu1(np.pi)),
     "lam=2 mu2(3pi/4)": (lambda: phi_alpha(2), lambda: mu2(TAU34)),
+    # I(theta) = 2 tau - 2 sin(theta tau) / theta dips lowest at theta = 8/3
+    # for n = 3, past the first pass, and the bound still skips theta > 22
+    "minimum past 2n": (lambda: phi_alpha(2), lambda: mu2(0.98 * np.pi)),
     "lam=0.5 mu2(pi/2)": (lambda: phi_alpha(0.5), lambda: mu2(np.pi / 2)),
     "lam=4 mu1(pi/3)": (lambda: phi_alpha(4), lambda: mu1(np.pi / 3)),
     "tent tabulated": (lambda: TENT, lambda: tabulated_density(np.pi, KNOTTED)),
@@ -416,7 +421,7 @@ class TestPrunedWindow:
         thetas = np.arange(3.0, 65.0)
         assert jackson._ShapeIntegrals(shape, 1.0, mu).reach(thetas, 0.0) == thetas.size
 
-    @pytest.mark.parametrize("case", ["lam=2 mu2(3pi/4)", "atoms"])
+    @pytest.mark.parametrize("case", ["lam=2 mu2(3pi/4)", "minimum past 2n", "atoms"])
     def test_declared_cases_skip_the_far_dilations(self, case):
         shape, mu = (build() for build in PRUNE_CASES[case])
         thetas = np.arange(3.0, 65.0)
