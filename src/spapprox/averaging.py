@@ -191,14 +191,17 @@ def dilated_integrals(
     mu: WeightMeasure,
     thetas,
     *,
+    cusps=(),
     context: Callable[[int], str] = lambda i: "dilated integral",
 ) -> np.ndarray:
     """integral_0^tau F(theta_i s) dmu(s) for every dilation theta_i.
 
+    ``cusps`` lists the points where F is not smooth, in F's own variable.
     One dilation integrates its density part by :func:`adaptive_simpson` on
-    [0, tau]; a batch is one :func:`nested_integrals` pass on cells shared
-    by all dilations (see :func:`_density_integrals`).  The atoms add
-    :meth:`WeightMeasure.atom_sums`.  ``context(i)`` names integral i in
+    [0, tau], its first panels cut at the density's breakpoints and at the
+    cusps over theta; a batch is one :func:`nested_integrals` pass on cells
+    shared by all dilations (see :func:`_density_integrals`).  The atoms
+    add :meth:`WeightMeasure.atom_sums`.  ``context(i)`` names integral i in
     errors.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -210,9 +213,10 @@ def dilated_integrals(
             totals += adaptive_simpson(
                 lambda s: np.asarray(F(thetas[0] * s), dtype=float) * mu.density(s),
                 0.0, mu.tau, budget=DEFAULT_BUDGET, context=context(0),
+                breakpoints=np.append(mu.breakpoints, np.asarray(cusps) / thetas[0]),
             )
         else:
-            totals += _density_integrals(F, mu, thetas, context)
+            totals += _density_integrals(F, mu, thetas, context, cusps=cusps)
     return totals + mu.atom_sums(F, thetas)
 
 
@@ -242,20 +246,22 @@ def _density_integrals(
     )
 
 
-def stieltjes_integral(g: Callable[[np.ndarray], np.ndarray], mu: WeightMeasure, u):
+def stieltjes_integral(
+    g: Callable[[np.ndarray], np.ndarray], mu: WeightMeasure, u, *, cusps=()
+):
     """Integral of g over [0, u] against the weight rescaled from [0, tau].
 
     The substitution t = u s / tau makes it the dilated integral of g at
-    theta = u / tau.  ``u`` may be a 1-D array of windows: they are then
-    integrated in one batched pass on the cells of g they share, and an
-    array is returned.
+    theta = u / tau, with g's non-smooth points ``cusps`` passed on.  ``u``
+    may be a 1-D array of windows: they are then integrated in one batched
+    pass on the cells of g they share, and an array is returned.
     """
     us = np.asarray(u, dtype=float)
     windows = np.atleast_1d(us)
     if not np.all(windows > 0):
         raise ValueError(f"window length must be positive, got {u}")
     totals = dilated_integrals(
-        g, mu, windows / mu.tau,
+        g, mu, windows / mu.tau, cusps=cusps,
         context=lambda i: f"stieltjes[{mu.label or 'measure'}] (u={windows[i]:g})",
     )
     return float(totals[0]) if us.ndim == 0 else totals
@@ -266,12 +272,17 @@ def averaged_pow_modulus(curve: ModulusCurve, mu: WeightMeasure, u):
 
     ``curve`` must cover [0, u]; reusing one curve across several windows u
     is the supported (and cheap) pattern.  A float ``u`` is one
-    :func:`stieltjes_integral` of the running supremum.  A 1-D array of
-    windows is integrated piece by piece (:func:`_window_integrals`), and an
-    array is returned.
+    :func:`stieltjes_integral` of the running supremum, whose first panels
+    are cut at its kinks inside the window: the cusps of the shift sum and
+    the two ends of every plateau (the last plateau ends at the curve's
+    end).  A
+    1-D array of windows is integrated piece by piece
+    (:func:`_window_integrals`), and an array is returned.
     """
     if np.ndim(u) == 0:
-        raw = stieltjes_integral(curve.pow_values, mu, u)
+        flat = curve.plateaus
+        kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
+        raw = stieltjes_integral(curve.pow_values, mu, u, cusps=kinks)
         return max(raw, 0.0) / mu.total_mass
     us = np.asarray(u, dtype=float)
     if not np.all(us > 0):

@@ -9,6 +9,7 @@ integration/differentiation of order r.  The tail supremum nu(n) over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -146,15 +147,32 @@ class TailSup:
 
 
 def tail_sup_info(psi: PsiSequence, n: int) -> TailSup:
+    """Tail supremum of |psi| over |k| >= n, with its provenance.
+
+    A psi that is not monotone-even is scanned to its horizon once per
+    (psi, n): the scan is cached, since psi is a fixed sequence, except for
+    a psi that cannot be hashed, which is scanned on every call.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if psi.monotone_even:
         return TailSup(max(abs(psi(n)), abs(psi(-n))), certified=True, scanned_to=n)
+    try:
+        hash(psi)
+    except TypeError:
+        return _scanned_tail_sup(psi, n)
+    return _cached_tail_sup(psi, n)
+
+
+def _scanned_tail_sup(psi: PsiSequence, n: int) -> TailSup:
     stop = int(psi.horizon)
     best = 0.0
     for k in range(n, stop + 1):
         best = max(best, abs(psi(k)), abs(psi(-k)))
     return TailSup(best, certified=False, scanned_to=stop)
+
+
+_cached_tail_sup = functools.lru_cache(maxsize=64)(_scanned_tail_sup)
 
 
 def tail_sup(psi: PsiSequence, n: int) -> float:

@@ -4,10 +4,15 @@ Three integrators share one contract.  The integrand must be vectorized
 (ndarray in, ndarray out); each routine keeps a work list of panels, splits
 every non-converged panel once per pass, and accounts for each point
 evaluation against a hard budget.  Running out of budget raises, it never
-truncates silently.
+truncates silently.  Callers that know where their integrand is not smooth
+put panel edges there (breakpoint seeding, as in QUADPACK: Piessens et al.,
+1983): a kink at a panel edge costs no bisection, a kink inside a panel
+costs one pass per halving of the panel that holds it.
 
-* :func:`adaptive_simpson` integrates one function over one interval; it
-  serves a single dilation of ``averaging.dilated_integrals``.
+* :func:`adaptive_simpson` integrates one function over one interval from
+  uniform panels, cut at the caller's breakpoints; it serves a single
+  dilation of ``averaging.dilated_integrals``, whose density knots and
+  integrand kinks are those breakpoints.
 * :func:`nested_integrals` integrates F w_i over nested intervals [a, b_i]
   on cells shared by all of them: F is evaluated once per node for all
   integrals, w_i is a cheap factor per (cell, integral) pair.  A cell with
@@ -19,13 +24,11 @@ truncates silently.
   tagged with the integral they belong to.  Each panel gets a nested pair of
   double-exponential (tanh-sinh) rules, which converge exponentially even
   with an algebraic singularity of any order at a panel end (Takahasi and
-  Mori, 1974).  Callers that know where their integrand is not smooth put
-  panel edges there (breakpoint seeding, as in QUADPACK).  Every dilated
-  shape integral, capped or not, goes through it.  For a shape that
-  declares a period, the first pass takes shape^p from one table, built by
-  the caller, on the nodes of each gap between breakpoints of a period:
-  every panel spanning such a gap whole, in the shape's variable, has the
-  same nodes there.
+  Mori, 1974).  Every dilated shape integral, capped or not, goes through
+  it.  For a shape that declares a period, the first pass takes shape^p
+  from one table, built by the caller, on the nodes of each gap between
+  breakpoints of a period: every panel spanning such a gap whole, in the
+  shape's variable, has the same nodes there.
   The partial last panel of each dilation, panels that end at a density
   breakpoint, bisected halves, and shapes without a period (tabulated and
   capped shapes) evaluate the integrand directly.
@@ -154,13 +157,18 @@ def adaptive_simpson(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     initial_panels: int = 64,
+    breakpoints=(),
     context: str = "quadrature",
 ) -> float:
     """Integrate ``g`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     ``initial_panels`` sets the uniform starting subdivision; callers
     integrating oscillatory functions should scale it with the expected
-    number of oscillations so that the error estimate is trustworthy.  A
+    number of oscillations so that the error estimate is trustworthy.
+    Every point of ``breakpoints`` strictly inside (a, b) is a panel edge
+    of the first pass too (breakpoint seeding, as in QUADPACK), so a kink
+    of ``g`` declared there is no panel's interior point; without one the
+    start is the uniform subdivision alone, node for node.  A
     panel is accepted when the Richardson error estimate there is within
     its width share of ``tol`` or the relative floor 1e-12 of its value;
     otherwise it is bisected, at most 64 times.  Every point counts against
@@ -177,6 +185,13 @@ def adaptive_simpson(
 
     panels = max(initial_panels, 1)
     xs = np.append(np.arange(2 * panels) * ((b - a) / (2 * panels)) + a, b)
+    cuts = np.asarray(breakpoints, dtype=float).ravel()
+    cuts = cuts[(cuts > a) & (cuts < b)]
+    if cuts.size:
+        edges = np.union1d(xs[::2], cuts)
+        xs = np.empty(2 * edges.size - 1)
+        xs[::2] = edges
+        xs[1::2] = 0.5 * (edges[:-1] + edges[1:])
     fx = np.asarray(g(xs), dtype=float)
     left, mid, right = xs[:-2:2], xs[1:-1:2], xs[2::2]
     f_l, f_m, f_r = fx[:-2:2], fx[1:-1:2], fx[2::2]

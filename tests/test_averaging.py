@@ -217,6 +217,32 @@ class TestDilatedIntegrals:
         np.testing.assert_array_equal(stieltjes_integral(np.cos, mu, us), via_dilation)
 
 
+class TestOneWindowKnots:
+    """A single float window cuts its first panels at the density's knots."""
+
+    @pytest.mark.parametrize("u", [0.7, 1.3, 2.0])
+    def test_tabulated_density_matches_quad_split_at_the_knots(self, u):
+        # knots 0.3, 1.1, 1.7 lie off the 129 uniform nodes of [0, 2]
+        mu = tabulated_density(2.0, [(0.0, 1.0), (0.3, 2.0), (1.1, 0.2), (1.7, 1.5), (2.0, 0.5)])
+        theta = u / mu.tau
+        calls = []
+
+        def g(t):
+            calls.append(np.size(t))
+            return np.exp(np.sin(3.0 * np.asarray(t, float)))
+
+        got = stieltjes_integral(g, mu, u)
+        want, _ = quad(
+            lambda s: np.exp(np.sin(3.0 * theta * s)) * mu.density(np.array(s)), 0.0, mu.tau,
+            points=mu.breakpoints, limit=200, epsabs=1e-14, epsrel=1e-13,
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+        # from uniform panels alone the knots took 24 or 25 passes (49 or 51
+        # calls, 897 to 1,625 points); as panel edges they take 3 or 4
+        assert len(calls) <= 9
+        assert sum(calls) < {0.7: 897, 1.3: 1209, 2.0: 1625}[u]
+
+
 def running_sup_kinks(curve, points=4097, steps=60):
     """Where the running supremum of ``curve`` turns between rising and flat,
     located by bisection on a scan of [0, curve.u]."""
@@ -233,6 +259,14 @@ def running_sup_kinks(curve, points=4097, steps=60):
         same = flat(mid) == side
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+#: A spectrum of the jackson-fuzz mix (seed 81) whose running supremum on
+#: [0, pi/2] has a kink in the last uniform Simpson panel of mu1(pi).
+TWO_HIGH_HARMONICS = SpectralFunction({
+    30: -0.2413500918175571 - 1.5510598081277818j,
+    26: 0.10548513655199494 + 0.13719497705118486j,
+})
 
 
 class TestWindowBatch:
@@ -335,14 +369,10 @@ class TestWindowBatch:
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_two_high_harmonics_match_a_fine_scan(self):
-        # a spectrum of the jackson-fuzz mix (seed 81): p = 1, power:0,
-        # phi_alpha(1), mu1(pi), u = pi/2; the reference takes the running
-        # supremum from a 2^18-point scan and g itself, and quad between its
-        # kinks
-        f = SpectralFunction({
-            30: -0.2413500918175571 - 1.5510598081277818j,
-            26: 0.10548513655199494 + 0.13719497705118486j,
-        })
+        # p = 1, power:0, phi_alpha(1), mu1(pi), u = pi/2; the reference
+        # takes the running supremum from a 2^18-point scan and g itself,
+        # and quad between its kinks
+        f = TWO_HIGH_HARMONICS
         u, mu = np.pi / 2, mu1(np.pi)
         ks, ws = np.array([30.0, 26.0]), np.abs([f[30], f[26]])
 
@@ -364,6 +394,23 @@ class TestWindowBatch:
         curve = ModulusCurve(f, 1, phi_alpha(1), u)
         got = averaged_pow_modulus(curve, mu, np.array([u]))[0]
         assert got == pytest.approx(raw / mu.total_mass, rel=1e-9)
+
+    def test_float_window_of_two_high_harmonics_matches_the_array_route(self):
+        # the same seed-81 spectrum through the one-window adaptive_simpson
+        # route: with its first panels cut at the kinks of the running
+        # supremum it agrees with the array route and with quad split there
+        # (it read 1.8e-8 low when it started from uniform panels alone)
+        u, mu = np.pi / 2, mu1(np.pi)
+        curve = ModulusCurve(TWO_HIGH_HARMONICS, 1, phi_alpha(1), u)
+        got = averaged_pow_modulus(curve, mu, u)
+        assert got == pytest.approx(averaged_pow_modulus(curve, mu, np.array([u]))[0], rel=1e-12)
+        kinks = np.concatenate([running_sup_kinks(curve), curve.cusps()])
+        theta = u / mu.tau
+        raw, _ = quad(
+            lambda t: curve.pow_values(t)[0] * np.sin(t / theta) / theta, 0.0, u,
+            points=kinks[kinks < u], limit=2000, epsabs=1e-13, epsrel=1e-12,
+        )
+        assert got == pytest.approx(raw / mu.total_mass, rel=1e-12)
 
     def test_scalar_window_returns_a_float(self):
         f = SpectralFunction({3: 1.0})

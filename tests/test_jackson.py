@@ -19,7 +19,7 @@ from spapprox.jackson import (
     sharp_constant,
     sharpness_certificate,
 )
-from spapprox.psi import const_multiplier, power, tabulated_psi
+from spapprox.psi import PsiSequence, const_multiplier, power, tabulated_psi, tail_sup_info
 from spapprox.quadrature import QuadratureBudgetError, adaptive_simpson
 from spapprox.sampling import random_sparse_spectrum
 from spapprox.smoothness import Breakpoints, ShapeFunction, phi_alpha, tabulated_shape
@@ -518,6 +518,49 @@ class TestJacksonBound:
             assert res.holds
             assert res.holds_plain
             assert res.bound <= res.bound_plain + 1e-9
+
+
+    def test_tail_supremum_is_scanned_once_per_psi_and_n(self):
+        # psi is not declared monotone-even, so its tail supremum is a scan
+        # to the horizon: once for all 20 spectra, plus psi_derivative's one
+        # evaluation per coefficient
+        horizon, n = 3000, 2
+        evals = []
+
+        def parity(k):
+            evals.append(k)
+            return 1.0 / (abs(k) + 1 + (-1) ** k)
+
+        psi = PsiSequence(eval=parity, bound=1.0, horizon=horizon)
+        shape, mu = phi_alpha(1), mu1(np.pi)
+        report = inf_quantity(n, shape, 1.5, mu, k_max=16)
+        rng = np.random.default_rng(62)
+        spectra = [random_sparse_spectrum(rng, 16, 4) for _ in range(20)]
+        for f in spectra:
+            assert jackson_bound(f, psi, shape, 1.5, mu, n=n, inf_report=report).holds
+        coefficients = sum(len(f.coeffs) for f in spectra)
+        assert len(evals) <= 2 * (horizon - n + 1) + coefficients
+
+    def test_an_unhashable_psi_is_scanned_on_every_call(self):
+        class Parity:
+            __hash__ = None  # an eq-only callable cannot be hashed
+
+            def __init__(self):
+                self.calls = 0
+
+            def __eq__(self, other):
+                return self is other
+
+            def __call__(self, k):
+                self.calls += 1
+                return 1.0 / (abs(k) + (-1) ** k) if k else 0.0
+
+        parity = Parity()
+        psi = PsiSequence(eval=parity, bound=1.0, horizon=50)
+        first = tail_sup_info(psi, 2)
+        assert tail_sup_info(psi, 2) == first
+        assert first.value == 0.5 and not first.certified
+        assert parity.calls == 2 * 2 * (50 - 2 + 1)
 
 
 class TestSharpConstant:

@@ -62,6 +62,63 @@ def test_non_finite_integrand_aborts_with_diagnostic():
         adaptive_simpson(bad, 0.0, 1.0)
 
 
+def simpson_nodes(g, a, b, **kwargs):
+    """The value of ``adaptive_simpson`` and the node array of each call of g."""
+    calls = []
+
+    def recorded(t):
+        calls.append(np.array(t))
+        return g(t)
+
+    return adaptive_simpson(recorded, a, b, **kwargs), calls
+
+
+class TestSimpsonBreakpoints:
+    """Breakpoints strictly inside (a, b) are panel edges of the first pass."""
+
+    @staticmethod
+    def kinked(t):
+        return np.abs(t - 1.0 / 3.0) + np.sin(3.0 * t)
+
+    @pytest.mark.parametrize(
+        "points", [(), [0.0], [1.0], [0.0, 1.0], [-0.5, 1.5], np.array([[-1e-300], [2.0]])]
+    )
+    def test_no_point_inside_leaves_the_nodes_as_they_were(self, points):
+        want, want_calls = simpson_nodes(self.kinked, 0.0, 1.0)
+        got, got_calls = simpson_nodes(self.kinked, 0.0, 1.0, breakpoints=points)
+        assert got == want
+        assert len(got_calls) == len(want_calls)
+        for x, y in zip(got_calls, want_calls):
+            np.testing.assert_array_equal(x, y)
+
+    def test_a_breakpoint_at_the_kink_ends_the_bisection(self):
+        # |t - c| with c off the grid of 129 uniform nodes: exact on every
+        # panel once c is an edge, otherwise bisected toward c pass after pass
+        # (c = 1/3 would not do: Simpson's two rules happen to agree there)
+        c = 0.3
+        exact = 0.5 * (c**2 + (1.0 - c) ** 2)
+
+        def kink(t):
+            return np.abs(t - c)
+
+        seeded, seeded_calls = simpson_nodes(kink, 0.0, 1.0, breakpoints=[c])
+        plain, plain_calls = simpson_nodes(kink, 0.0, 1.0)
+        assert seeded == pytest.approx(exact, rel=1e-13)
+        assert plain == pytest.approx(exact, abs=1e-10)
+        # one call for the starting nodes, two per pass
+        assert (len(seeded_calls) - 1) // 2 <= 3
+        assert (len(plain_calls) - 1) // 2 >= 15
+        assert c in seeded_calls[0]
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_a_breakpoint_one_ulp_from_a_uniform_edge_converges(self, side):
+        c = np.nextafter(0.25, 0.25 + side)  # 0.25 is the edge of panel 16 of 64
+        exact = 0.5 * (c**2 + (1.0 - c) ** 2)
+        val, calls = simpson_nodes(lambda t: np.abs(t - c), 0.0, 1.0, breakpoints=[c])
+        assert val == pytest.approx(exact, rel=1e-13)
+        assert (len(calls) - 1) // 2 <= 3
+
+
 class TestTanhSinhPanels:
     def test_many_integrals_in_one_call(self):
         # integral i is sin over [0, pi] split into i + 1 equal panels
