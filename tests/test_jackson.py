@@ -519,7 +519,6 @@ class TestJacksonBound:
             assert res.holds_plain
             assert res.bound <= res.bound_plain + 1e-9
 
-
     def test_tail_supremum_is_scanned_once_per_psi_and_n(self):
         # psi is not declared monotone-even, so its tail supremum is a scan
         # to the horizon: once for all 20 spectra, plus psi_derivative's one

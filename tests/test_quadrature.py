@@ -112,7 +112,7 @@ class TestSimpsonBreakpoints:
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     def test_a_breakpoint_one_ulp_from_a_uniform_edge_converges(self, side):
-        c = np.nextafter(0.25, 0.25 + side)  # 0.25 is the edge of panel 16 of 64
+        c = np.nextafter(0.25, 0.25 + side)  # 0.25 = 16/64 is a uniform panel edge
         exact = 0.5 * (c**2 + (1.0 - c) ** 2)
         val, calls = simpson_nodes(lambda t: np.abs(t - c), 0.0, 1.0, breakpoints=[c])
         assert val == pytest.approx(exact, rel=1e-13)
