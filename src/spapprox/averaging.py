@@ -275,8 +275,7 @@ def averaged_pow_modulus(curve: ModulusCurve, mu: WeightMeasure, u):
     :func:`stieltjes_integral` of the running supremum, whose first panels
     are cut at its kinks inside the window: the cusps of the shift sum and
     the two ends of every plateau (the last plateau ends at the curve's
-    end).  A
-    1-D array of windows is integrated piece by piece
+    end).  A 1-D array of windows is integrated piece by piece
     (:func:`_window_integrals`), and an array is returned.
     """
     if np.ndim(u) == 0:

@@ -12,6 +12,17 @@ with golden-section search; :class:`ModulusCurve` precomputes the scan once
 on [0, u] so that the running supremum can be read off cheaply at many steps
 t <= u (the pattern the averaging quadrature needs).
 
+Scans on one grid share their shape values.  The module keeps one scan
+table, keyed by (shape, p, u, scan points), holding a row shape(k h_j)^p
+over the scan grid h_j for each harmonic k seen so far; a curve reads its
+grid values g(h_j) = sum_k w_k row_k off it and evaluates the shape only
+for the harmonics the table lacks.  A new key drops the old table, and the
+table holds at most :data:`MAX_SCAN_POINTS` values.  A curve whose new rows
+would pass that cap, or whose key cannot be hashed, scans directly and
+leaves the table alone.  A lock makes each scan's use of the table atomic,
+so threads may build curves at once.  Re-keying and both fallbacks log one
+DEBUG record on the ``spapprox.smoothness`` logger.
+
 An independent route for integer and fractional order alpha evaluates the
 same supremum through the forward-difference multiplier |1 - e^{-ikh}|^alpha
 and serves as a cross-check oracle for the shape-based implementation.
@@ -20,7 +31,9 @@ and serves as a cross-check oracle for the shape-based implementation.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,6 +53,8 @@ MAX_SCAN_POINTS = 2**20
 SHAPE_PROBE_POINTS = 257
 #: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
 CROSSING_STEPS = 8
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,10 @@ class Breakpoints:
 class ShapeFunction:
     """Even shift weight: nonnegative, bounded, zero at the origin.
 
-    ``eval`` must be vectorized (ndarray in, ndarray out).  ``cap_point`` is
+    ``eval`` must be vectorized (ndarray in, ndarray out) and pure: the
+    same points always give the same values, since the scan table of this
+    module reuses them across curves (a shape is keyed by its fields, so
+    ``eval`` by identity).  ``cap_point`` is
     the largest point up to which the shape is declared nondecreasing (None
     when no such declaration is made) and ``sup_value`` its global supremum.
     ``sup_exact`` records whether the supremum is known in closed form or
@@ -392,6 +410,12 @@ class ModulusCurve:
     queries are monotone in t by construction.  :attr:`plateaus` splits
     [0, u] into the stretches where the running supremum is flat and those
     where it follows the shift sum; it is computed when first read.
+
+    The grid values come from the module's scan table (see the module
+    docstring): curves of one (shape, p, u) on one scan grid share the rows
+    shape(k h_j)^p, so a build evaluates the shape on the grid only for the
+    harmonics no earlier curve of that key had.  Peak refinement, plateau
+    crossings and queries evaluate :meth:`shift_sum` directly.
     """
 
     def __init__(
@@ -426,8 +450,7 @@ class ModulusCurve:
             or (cap is not None and self._kmax * self.u <= cap)
         )
         if not self._fast:
-            self._hs = np.linspace(0.0, self.u, self.grid.scan_points(self._kmax, self.u))
-            gv = self.shift_sum(self._hs)
+            self._hs, gv = self._scan(self.grid.scan_points(self._kmax, self.u))
             self._run_max = np.maximum.accumulate(gv)
             interior = np.flatnonzero(
                 (gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])
@@ -442,6 +465,26 @@ class ModulusCurve:
             # entry j + 1 is the best of the first j + 1 peaks; entry 0 (no
             # peak yet) is 0, below every shift sum
             self._peak_run = np.concatenate([[0.0], np.maximum.accumulate(pv[order])])
+
+    def _scan(self, points: int) -> tuple[np.ndarray, np.ndarray]:
+        """The scan grid of [0, u] with ``points`` points, and g on it."""
+        global _table
+        key = (self.shape, self.p, self.u, points)
+        try:
+            hash(key)
+        except TypeError:
+            _log.debug("shape %r cannot be hashed: its curve scans directly", self.shape.label)
+            hs = np.linspace(0.0, self.u, points)
+            return hs, self.shift_sum(hs)
+        with _table_lock:
+            if _table is None or _table.key != key:
+                _log.debug(
+                    "scan table re-keyed to shape %r, p=%g, u=%g, %d points",
+                    self.shape.label, self.p, self.u, points,
+                )
+                _table = None  # drop the old rows before filling the new table
+                _table = _ScanTable(key, np.linspace(0.0, self.u, points))
+            return _table.hs, _table.grid_values(self)
 
     def shift_sum(self, h):
         """g(h) = sum_k w_k * shape(k h)^p for h >= 0 (vectorized).
@@ -515,6 +558,56 @@ class ModulusCurve:
     def value(self, t: float) -> float:
         """The modulus itself at step t: pow_values(t)^(1/p)."""
         return float(self.pow_values(t)[0] ** (1.0 / self.p))
+
+
+class _ScanTable:
+    """Rows shape(k h_j)^p over one scan grid h_j, one per harmonic k seen so far.
+
+    The rows are kept in the blocks they were evaluated in, numbered in
+    order across blocks, so that adding rows never copies the old ones.
+    """
+
+    def __init__(self, key: tuple, hs: np.ndarray):
+        self.key = key
+        self.hs = hs
+        self.hs.flags.writeable = False  # every curve of the key holds it as its grid
+        self.blocks: list[np.ndarray] = []
+        self.index: dict[float, int] = {}
+
+    def grid_values(self, curve: ModulusCurve) -> np.ndarray:
+        """g(h_j) = sum_k w_k shape(k h_j)^p of ``curve``, adding the rows it lacks.
+
+        A curve whose new rows would take the table past
+        :data:`MAX_SCAN_POINTS` values scans directly instead.
+        """
+        ks = curve._ks.tolist()
+        new = [k for k in ks if k not in self.index]
+        if (len(self.index) + len(new)) * self.hs.size > MAX_SCAN_POINTS:
+            _log.debug(
+                "curve of %d harmonics passes the scan table cap: it scans directly",
+                len(ks),
+            )
+            return curve.shift_sum(self.hs)
+        if new:
+            fresh = np.asarray(curve.shape.eval(np.multiply.outer(new, self.hs)), dtype=float)
+            self.index.update(zip(new, range(len(self.index), len(self.index) + len(new))))
+            self.blocks.append(fresh ** curve.p)
+        weights = np.zeros(len(self.index))
+        weights[[self.index[k] for k in ks]] = curve._ws
+        gv = np.zeros(self.hs.size)
+        start = 0
+        for block in self.blocks:
+            w = weights[start:start + block.shape[0]]
+            if w.any():
+                gv += w @ block
+            start += block.shape[0]
+        return gv
+
+
+#: The one scan table alive, or None before the first scan.
+_table: _ScanTable | None = None
+#: Held while a scan reads, fills or replaces the table.
+_table_lock = threading.Lock()
 
 
 def generalized_modulus(

@@ -1,11 +1,18 @@
 import dataclasses
+import logging
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spapprox import smoothness
 from spapprox.sampling import random_full_spectrum, random_sparse_spectrum
 from spapprox.smoothness import (
     CROSSING_STEPS,
@@ -408,3 +415,194 @@ class TestScanFloor:
             generalized_modulus(f, 1.5, phi_alpha(1), np.pi)
         with pytest.raises(ValueError, match=r"k_max\*u"):
             difference_modulus_oracle(f, 1.5, 1.0, np.pi)
+
+
+class _Unhashable:
+    """A shape function that cannot be hashed, so its curves skip the scan table."""
+
+    __hash__ = None
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, t):
+        return self.inner(t)
+
+
+def direct(shape):
+    """``shape`` with an unhashable eval: its curves scan directly."""
+    return dataclasses.replace(shape, eval=_Unhashable(shape.eval))
+
+
+def counted(base, seen):
+    """``base`` under a fresh eval that records the array shape of each call."""
+    def _eval(t):
+        seen.append(np.shape(t))
+        return base.eval(t)
+
+    return dataclasses.replace(base, eval=_eval)
+
+
+def assert_same_curve(a, b):
+    ts = np.linspace(0.0, a.u, 20001)
+    np.testing.assert_allclose(a.pow_values(ts), b.pow_values(ts), rtol=1e-13, atol=0.0)
+    for x, y in zip(dataclasses.astuple(a.plateaus), dataclasses.astuple(b.plateaus)):
+        np.testing.assert_allclose(x, y, rtol=1e-13, atol=0.0)
+
+
+class TestScanTable:
+    """Curves of one (shape, p, u, scan points) share one table of shape(k h_j)^p."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self, monkeypatch):
+        monkeypatch.setattr(smoothness, "_table", None)
+
+    @staticmethod
+    def rows():
+        return 0 if smoothness._table is None else len(smoothness._table.index)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_warm_table_matches_a_direct_scan(self, seed, p):
+        rng = np.random.default_rng(seed)
+        shape = phi_alpha(1)
+        for _ in range(4):
+            ModulusCurve(random_sparse_spectrum(rng, 24, 6), p, shape, np.pi)
+        warm_rows = self.rows()
+        f = random_full_spectrum(rng, 12)
+        warm = ModulusCurve(f, p, shape, np.pi)
+        assert 0 < warm_rows < self.rows() <= 24
+        assert_same_curve(warm, ModulusCurve(f, p, direct(shape), np.pi))
+
+    def test_tabulated_shape_and_a_sparse_high_harmonic(self):
+        tab = tabulated_shape([(0.0, 0.0), (0.7, 1.0), (1.9, 0.4), (2.6, 0.9)], None, 1.0)
+        high = phi_alpha(1)
+        for shape, warmup, f in [
+            (tab, {1: 1.0, 5: 0.5}, SpectralFunction({1: 0.3, 5: -1.0j, 9: 0.2})),
+            (high, {2000: 1.0, 7: 0.4}, SpectralFunction({3: 1.0, 2000: 0.5j})),
+        ]:
+            ModulusCurve(SpectralFunction(warmup), 1.5, shape, np.pi)
+            warm = ModulusCurve(f, 1.5, shape, np.pi)
+            assert_same_curve(warm, ModulusCurve(f, 1.5, direct(shape), np.pi))
+        # 8 points per period of k = 2000 on [0, pi]: 8001 points a row
+        assert self.rows() == 3 and smoothness._table.hs.size == 8001
+
+    def test_a_second_curve_evaluates_off_the_grid_only(self):
+        seen = []
+        shape = counted(phi_alpha(1), seen)
+        f = random_full_spectrum(np.random.default_rng(11), 8)
+        ModulusCurve(f, 1.5, shape, np.pi)
+        assert seen[0] == (8, 4096)  # one call fills the 8 rows
+        first = sum(math.prod(s) for s in seen)
+        seen.clear()
+        ModulusCurve(f, 1.5, shape, np.pi)
+        assert all(s[-1] == 8 for s in seen)
+        assert sum(math.prod(s) for s in seen) == first - 8 * 4096
+
+    def test_one_new_harmonic_adds_one_row(self):
+        seen = []
+        shape = counted(phi_alpha(1), seen)
+        f = random_full_spectrum(np.random.default_rng(11), 8)
+        ModulusCurve(f, 1.5, shape, np.pi)
+        seen.clear()
+        ModulusCurve(f + SpectralFunction({13: 0.7}), 1.5, shape, np.pi)
+        grid = [s for s in seen if s[-1] == 4096]
+        assert grid == [(1, 4096)]
+        assert all(s[-1] == 9 for s in seen if s[-1] != 4096)
+        assert self.rows() == 9
+
+    @pytest.mark.parametrize("p,u", [(2.0, np.pi), (1.5, 2.0)])
+    def test_a_new_p_or_u_drops_the_old_table(self, p, u):
+        shape = phi_alpha(1)
+        f = random_full_spectrum(np.random.default_rng(4), 8)
+        ModulusCurve(f, 1.5, shape, np.pi)
+        old = smoothness._table
+        ModulusCurve(SpectralFunction({3: 1.0}), p, shape, u)
+        assert smoothness._table is not old
+        assert smoothness._table.key == (shape, p, u, 4096)
+        assert self.rows() == 1
+
+    def test_an_unhashable_eval_scans_directly(self):
+        shape = phi_alpha(1)
+        f = random_full_spectrum(np.random.default_rng(5), 8)
+        tabled = ModulusCurve(f, 2.0, shape, np.pi)
+        table, rows = smoothness._table, self.rows()
+        scanned = ModulusCurve(f, 2.0, direct(shape), np.pi)
+        assert smoothness._table is table and self.rows() == rows
+        assert_same_curve(scanned, tabled)
+
+    def test_a_spectrum_past_the_cap_scans_directly(self, monkeypatch):
+        shape = phi_alpha(1)
+        ModulusCurve(SpectralFunction({1: 1.0, 2: 0.5}), 1.0, shape, np.pi)
+        table = smoothness._table
+        # 300 rows of 4096 points pass the 2^20-value cap
+        f = random_full_spectrum(np.random.default_rng(6), 300)
+        capped = ModulusCurve(f, 1.0, shape, np.pi)
+        assert smoothness._table is table and self.rows() == 2
+        monkeypatch.setattr(smoothness, "MAX_SCAN_POINTS", 2**21)
+        assert_same_curve(capped, ModulusCurve(f, 1.0, shape, np.pi))
+        assert self.rows() == 300
+
+    def test_threads_share_the_table_safely(self):
+        shape = phi_alpha(1)
+        rng = np.random.default_rng(9)
+        cases = [(random_sparse_spectrum(rng, 40, 8), p) for p in (1.0, 2.0) * 12]
+        ts = np.linspace(0.0, np.pi, 257)
+        expected = [ModulusCurve(f, p, direct(shape), np.pi).pow_values(ts) for f, p in cases]
+        wrong = []
+
+        def work(offset):
+            for i in range(offset, offset + len(cases)):
+                f, p = cases[i % len(cases)]
+                try:
+                    got = ModulusCurve(f, p, shape, np.pi).pow_values(ts)
+                except Exception as exc:  # a torn table may index out of range
+                    wrong.append(repr(exc))
+                    continue
+                if not np.allclose(got, expected[i % len(cases)], rtol=1e-13, atol=0.0):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_rekeys_and_fallbacks_log_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="spapprox")
+        shape = phi_alpha(1)
+        f = SpectralFunction({1: 1.0, 7: 0.5})
+        ModulusCurve(f, 1.0, shape, np.pi)
+        ModulusCurve(f, 1.0, shape, np.pi)
+        ModulusCurve(f, 1.0, direct(shape), np.pi)
+        messages = [r.getMessage() for r in caplog.records if r.name == "spapprox.smoothness"]
+        assert len(messages) == 2
+        assert messages[0].startswith("scan table re-keyed to shape 'phi_alpha:1', p=1")
+        assert "cannot be hashed" in messages[1]
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+
+    def test_the_library_is_silent_by_default(self):
+        script = (
+            "import dataclasses, logging\n"
+            "from spapprox import ModulusCurve, SpectralFunction, phi_alpha\n"
+            "class U:\n"
+            "    __hash__ = None\n"
+            "    def __call__(self, t): return phi_alpha(1).eval(t)\n"
+            "f = SpectralFunction({1: 1.0, 7: 0.5})\n"
+            "ModulusCurve(f, 1.0, phi_alpha(1), 3.0)\n"
+            "ModulusCurve(f, 1.0, dataclasses.replace(phi_alpha(1), eval=U()), 3.0)\n"
+            "logging.getLogger('spapprox.smoothness').warning('heard')\n"
+        )
+        src = str(Path(smoothness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout == run.stderr == ""
