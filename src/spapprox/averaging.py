@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import DEFAULT_BUDGET, adaptive_simpson, nested_integrals, tanh_sinh_panels
+from .quadrature import DEFAULT_BUDGET, adaptive_simpson, nested_integrals
 from .smoothness import ModulusCurve, ShapeFunction
 from .spectral import SpectralFunction, as_exponent
 
@@ -52,8 +52,8 @@ class WeightMeasure:
     def cdf(self, s) -> np.ndarray:
         """integral_0^s density for every s in [0, tau]; the atoms are left out.
 
-        Without a closed form, the stretches between the sorted points s and
-        the breakpoints are one batched :func:`tanh_sinh_panels` pass.
+        Without a closed form, the integrals over [0, s] are one
+        :func:`nested_integrals` pass, with tanh-sinh at 0 and the breakpoints.
         """
         s = np.asarray(s, dtype=float)
         if self.density is None:
@@ -80,14 +80,11 @@ class WeightMeasure:
 
 
 def _integrated_cdf(density, breakpoints, s: np.ndarray, label: str) -> np.ndarray:
-    """integral_0^s density by tanh-sinh panels between the sorted points."""
-    edges = np.unique(np.concatenate([[0.0], s.ravel(), breakpoints]))
-    pieces = tanh_sinh_panels(
-        lambda t, i: density(t), edges[:-1], edges[1:], np.arange(edges.size - 1),
+    """integral_0^s density for every s, on cells shared by all of them."""
+    return nested_integrals(
+        density, lambda t, i: 1.0, 0.0, s.ravel(), singular=np.append(breakpoints, 0.0),
         context=lambda i: f"cdf of {label or 'measure'}",
-    )
-    cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
-    return cumulative[np.searchsorted(edges, s)]
+    ).reshape(s.shape)
 
 
 def weight_measure(

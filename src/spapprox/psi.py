@@ -28,7 +28,8 @@ class PsiSequence:
     ``monotone_even`` declares |psi(k)| = |psi(-k)| nonincreasing in |k|,
     which lets tail suprema short-circuit to |psi(n)| instead of scanning up
     to ``horizon``.  ``zero_policy`` decides what the inverse transform does
-    on the zero set: "annihilate" drops the term, "reject" raises.
+    on the zero set: "annihilate" drops the term, "reject" raises.  ``eval``
+    must be pure: a sequence keeps each tail supremum it has scanned.
     """
 
     eval: Callable[[int], complex]
@@ -46,6 +47,11 @@ class PsiSequence:
 
     def __call__(self, k: int) -> complex:
         return complex(self.eval(int(k)))
+
+    @functools.cached_property
+    def _tail_sups(self) -> dict[int, TailSup]:
+        """The tail suprema scanned so far, by n (see :func:`tail_sup_info`)."""
+        return {}
 
 
 def power(r: float, zero_policy: str = "annihilate") -> PsiSequence:
@@ -149,30 +155,21 @@ class TailSup:
 def tail_sup_info(psi: PsiSequence, n: int) -> TailSup:
     """Tail supremum of |psi| over |k| >= n, with its provenance.
 
-    A psi that is not monotone-even is scanned to its horizon once per
-    (psi, n): the scan is cached, since psi is a fixed sequence, except for
-    a psi that cannot be hashed, which is scanned on every call.
+    A psi that is not monotone-even is scanned to its horizon once per n:
+    the psi object keeps each scanned supremum, since it is a fixed sequence.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if psi.monotone_even:
         return TailSup(max(abs(psi(n)), abs(psi(-n))), certified=True, scanned_to=n)
-    try:
-        hash(psi)
-    except TypeError:
-        return _scanned_tail_sup(psi, n)
-    return _cached_tail_sup(psi, n)
-
-
-def _scanned_tail_sup(psi: PsiSequence, n: int) -> TailSup:
-    stop = int(psi.horizon)
-    best = 0.0
-    for k in range(n, stop + 1):
-        best = max(best, abs(psi(k)), abs(psi(-k)))
-    return TailSup(best, certified=False, scanned_to=stop)
-
-
-_cached_tail_sup = functools.lru_cache(maxsize=64)(_scanned_tail_sup)
+    found = psi._tail_sups.get(n)
+    if found is None:
+        stop = int(psi.horizon)
+        best = 0.0
+        for k in range(n, stop + 1):
+            best = max(best, abs(psi(k)), abs(psi(-k)))
+        found = psi._tail_sups[n] = TailSup(best, certified=False, scanned_to=stop)
+    return found
 
 
 def tail_sup(psi: PsiSequence, n: int) -> float:

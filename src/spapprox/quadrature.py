@@ -10,16 +10,16 @@ put panel edges there (breakpoint seeding, as in QUADPACK: Piessens et al.,
 costs one pass per halving of the panel that holds it.
 
 * :func:`adaptive_simpson` integrates one function over one interval from
-  uniform panels, cut at the caller's breakpoints; it serves a single
+  64 uniform panels, cut at the caller's breakpoints; it serves a single
   dilation of ``averaging.dilated_integrals``, whose density knots and
   integrand kinks are those breakpoints.
 * :func:`nested_integrals` integrates F w_i over nested intervals [a, b_i]
   on cells shared by all of them: F is evaluated once per node for all
   integrals, w_i is a cheap factor per (cell, integral) pair.  A cell with
   a declared singular end gets a tanh-sinh pair, any other a Gauss-Kronrod
-  7/15 pair.  It serves the batch of ``averaging.dilated_integrals`` and
-  the rising stretches of the averaged moduli of one curve over many
-  windows.
+  7/15 pair.  It serves the batch of ``averaging.dilated_integrals``, the
+  rising stretches of the averaged moduli of one curve over many windows
+  and the cumulative function of a density without a closed form.
 * :func:`tanh_sinh_panels` integrates many integrals at once from panels
   tagged with the integral they belong to.  Each panel gets a nested pair of
   double-exponential (tanh-sinh) rules, which converge exponentially even
@@ -100,6 +100,8 @@ _GK_WEIGHTS = np.stack(
 #: Relative floor and bisection limit of every integrator.
 _REL_FLOOR = 1e-12
 _MAX_PASSES = 64
+#: Uniform panels that :func:`adaptive_simpson` starts from.
+_START_PANELS = 64
 
 
 def _panel_nodes(
@@ -156,19 +158,18 @@ def adaptive_simpson(
     *,
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
-    initial_panels: int = 64,
     breakpoints=(),
     context: str = "quadrature",
 ) -> float:
     """Integrate ``g`` over ``[a, b]`` to absolute tolerance ``tol``.
 
-    ``initial_panels`` sets the uniform starting subdivision; callers
-    integrating oscillatory functions should scale it with the expected
-    number of oscillations so that the error estimate is trustworthy.
-    Every point of ``breakpoints`` strictly inside (a, b) is a panel edge
-    of the first pass too (breakpoint seeding, as in QUADPACK), so a kink
-    of ``g`` declared there is no panel's interior point; without one the
-    start is the uniform subdivision alone, node for node.  A
+    The first pass starts from :data:`_START_PANELS` uniform panels.  Every
+    point of ``breakpoints`` strictly inside (a, b) is a panel edge of the
+    first pass too (breakpoint seeding, as in QUADPACK), so a kink of ``g``
+    declared there is no panel's interior point; without one the start is
+    the uniform subdivision alone, node for node.  Callers integrating
+    oscillatory functions should add edges in proportion to the expected
+    number of oscillations, so that the error estimate is trustworthy.  A
     panel is accepted when the Richardson error estimate there is within
     its width share of ``tol`` or the relative floor 1e-12 of its value;
     otherwise it is bisected, at most 64 times.  Every point counts against
@@ -183,8 +184,7 @@ def adaptive_simpson(
     def check(values, points):
         _check_finite(values, points, np.zeros(values.size, dtype=np.intp), lambda i: context)
 
-    panels = max(initial_panels, 1)
-    xs = np.append(np.arange(2 * panels) * ((b - a) / (2 * panels)) + a, b)
+    xs = np.append(np.arange(2 * _START_PANELS) * ((b - a) / (2 * _START_PANELS)) + a, b)
     cuts = np.asarray(breakpoints, dtype=float).ravel()
     cuts = cuts[(cuts > a) & (cuts < b)]
     if cuts.size:

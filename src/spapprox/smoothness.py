@@ -13,15 +13,16 @@ on [0, u] so that the running supremum can be read off cheaply at many steps
 t <= u (the pattern the averaging quadrature needs).
 
 Scans on one grid share their shape values.  The module keeps one scan
-table, keyed by (shape, p, u, scan points), holding a row shape(k h_j)^p
-over the scan grid h_j for each harmonic k seen so far; a curve reads its
-grid values g(h_j) = sum_k w_k row_k off it and evaluates the shape only
-for the harmonics the table lacks.  A new key drops the old table, and the
-table holds at most :data:`MAX_SCAN_POINTS` values.  A curve whose new rows
-would pass that cap, or whose key cannot be hashed, scans directly and
-leaves the table alone.  A lock makes each scan's use of the table atomic,
-so threads may build curves at once.  Re-keying and both fallbacks log one
-DEBUG record on the ``spapprox.smoothness`` logger.
+table, keyed by the shape object itself and by (p, u, scan points), holding
+a row shape(k h_j)^p over the scan grid h_j for each harmonic k seen so
+far; a curve reads its grid values g(h_j) = sum_k w_k row_k off it and
+evaluates the shape only for the harmonics the table lacks.  The table
+holds a reference to its shape, so no other shape can take its identity
+while it lives.  A new key drops the old table, and the table holds at most
+:data:`MAX_SCAN_POINTS` values; a curve whose new rows would pass that cap
+scans directly and leaves the table alone.  A lock makes each scan's use of
+the table atomic, so threads may build curves at once.  Re-keying and the
+cap fallback log one DEBUG record on the ``spapprox.smoothness`` logger.
 
 An independent route for integer and fractional order alpha evaluates the
 same supremum through the forward-difference multiplier |1 - e^{-ikh}|^alpha
@@ -53,6 +54,8 @@ MAX_SCAN_POINTS = 2**20
 SHAPE_PROBE_POINTS = 257
 #: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
 CROSSING_STEPS = 8
+#: Golden-section steps that refine each peak of a shift scan.
+REFINE_STEPS = 40
 
 _log = logging.getLogger(__name__)
 
@@ -131,12 +134,11 @@ class ShapeFunction:
 
     ``eval`` must be vectorized (ndarray in, ndarray out) and pure: the
     same points always give the same values, since the scan table of this
-    module reuses them across curves (a shape is keyed by its fields, so
-    ``eval`` by identity).  ``cap_point`` is
-    the largest point up to which the shape is declared nondecreasing (None
-    when no such declaration is made) and ``sup_value`` its global supremum.
-    ``sup_exact`` records whether the supremum is known in closed form or
-    only probed on a grid.  ``breakpoints`` declares where the shape may be
+    module reuses them across the curves of one shape object.  ``cap_point``
+    is the largest point up to which the shape is declared nondecreasing
+    (None when no such declaration is made) and ``sup_value`` its global
+    supremum.  ``sup_exact`` records whether the supremum is known in closed
+    form or only probed on a grid.  ``breakpoints`` declares where the shape may be
     non-smooth on t >= 0, so that quadrature can put panel edges there; None
     declares nothing, and quadrature then finds the kinks by bisection.
     Breakpoints with a ``period`` also declare the shape itself periodic,
@@ -191,13 +193,10 @@ class ModulusGrid:
     """Scan parameters for the shift supremum."""
 
     base_points: int = 4096
-    refine_iters: int = 40
 
     def __post_init__(self) -> None:
         if self.base_points < 64:
             raise ValueError(f"base_points must be >= 64, got {self.base_points}")
-        if self.refine_iters < 0:
-            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
 
     def scan_points(self, kmax: float, u: float) -> int:
         """Points of a scan of [0, u]: at least 8 per shortest period.
@@ -412,10 +411,10 @@ class ModulusCurve:
     where it follows the shift sum; it is computed when first read.
 
     The grid values come from the module's scan table (see the module
-    docstring): curves of one (shape, p, u) on one scan grid share the rows
-    shape(k h_j)^p, so a build evaluates the shape on the grid only for the
-    harmonics no earlier curve of that key had.  Peak refinement, plateau
-    crossings and queries evaluate :meth:`shift_sum` directly.
+    docstring): curves of one shape object, p and u on one scan grid share
+    the rows shape(k h_j)^p, so a build evaluates the shape on the grid only
+    for the harmonics no earlier curve of that key had.  Peak refinement,
+    plateau crossings and queries evaluate :meth:`shift_sum` directly.
     """
 
     def __init__(
@@ -458,7 +457,7 @@ class ModulusCurve:
             # a peak inside the last cell is no grid maximum: refine that cell too
             lo = np.append(self._hs[interior - 1], self._hs[-2])
             hi = np.append(self._hs[interior + 1], self.u)
-            px, pv = _golden_max(self.shift_sum, lo, hi, self.grid.refine_iters)
+            px, pv = _golden_max(self.shift_sum, lo, hi, REFINE_STEPS)
             pv[:-1] = np.maximum(pv[:-1], gv[interior])
             order = np.argsort(px, kind="stable")
             self._peak_x = px[order]
@@ -469,21 +468,15 @@ class ModulusCurve:
     def _scan(self, points: int) -> tuple[np.ndarray, np.ndarray]:
         """The scan grid of [0, u] with ``points`` points, and g on it."""
         global _table
-        key = (self.shape, self.p, self.u, points)
-        try:
-            hash(key)
-        except TypeError:
-            _log.debug("shape %r cannot be hashed: its curve scans directly", self.shape.label)
-            hs = np.linspace(0.0, self.u, points)
-            return hs, self.shift_sum(hs)
+        key = (self.p, self.u, points)
         with _table_lock:
-            if _table is None or _table.key != key:
+            if _table is None or _table.shape is not self.shape or _table.key != key:
                 _log.debug(
                     "scan table re-keyed to shape %r, p=%g, u=%g, %d points",
                     self.shape.label, self.p, self.u, points,
                 )
                 _table = None  # drop the old rows before filling the new table
-                _table = _ScanTable(key, np.linspace(0.0, self.u, points))
+                _table = _ScanTable(self.shape, key, np.linspace(0.0, self.u, points))
             return _table.hs, _table.grid_values(self)
 
     def shift_sum(self, h):
@@ -563,11 +556,14 @@ class ModulusCurve:
 class _ScanTable:
     """Rows shape(k h_j)^p over one scan grid h_j, one per harmonic k seen so far.
 
-    The rows are kept in the blocks they were evaluated in, numbered in
-    order across blocks, so that adding rows never copies the old ones.
+    It serves the curves of ``shape``, compared by identity, and of ``key``
+    = (p, u, scan points).  The rows are kept in the blocks they were
+    evaluated in, numbered in order across blocks, so that adding rows never
+    copies the old ones.
     """
 
-    def __init__(self, key: tuple, hs: np.ndarray):
+    def __init__(self, shape: ShapeFunction, key: tuple, hs: np.ndarray):
+        self.shape = shape
         self.key = key
         self.hs = hs
         self.hs.flags.writeable = False  # every curve of the key holds it as its grid

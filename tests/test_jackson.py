@@ -433,9 +433,10 @@ def simpson_reference(shape, p, mu, theta):
     """The dilated integral by one adaptive Simpson plus the atoms sum."""
     total = 0.0
     if mu.density is not None:
+        panels = max(64, int(2 * theta * mu.tau / np.pi) + 1)
         total += adaptive_simpson(
             lambda t: shape.eval(theta * t) ** p * mu.density(t), 0.0, mu.tau,
-            tol=1e-12, initial_panels=max(64, int(2 * theta * mu.tau / np.pi) + 1),
+            tol=1e-12, breakpoints=np.arange(1, panels) * (mu.tau / panels),
         )
     for loc, m in mu.atoms:
         total += m * float(shape.eval(np.array([theta * loc]))[0]) ** p
@@ -540,7 +541,7 @@ class TestJacksonBound:
         coefficients = sum(len(f.coeffs) for f in spectra)
         assert len(evals) <= 2 * (horizon - n + 1) + coefficients
 
-    def test_an_unhashable_psi_is_scanned_on_every_call(self):
+    def test_an_unhashable_psi_is_scanned_once_per_n(self):
         class Parity:
             __hash__ = None  # an eq-only callable cannot be hashed
 
@@ -559,7 +560,17 @@ class TestJacksonBound:
         first = tail_sup_info(psi, 2)
         assert tail_sup_info(psi, 2) == first
         assert first.value == 0.5 and not first.certified
-        assert parity.calls == 2 * 2 * (50 - 2 + 1)
+        assert parity.calls == 2 * (50 - 2 + 1)
+        assert tail_sup_info(psi, 4).value == 0.25
+        assert parity.calls == 2 * (50 - 2 + 1) + 2 * (50 - 4 + 1)
+        # repeated bounds scan no more: psi_derivative evaluates once per coefficient
+        shape, mu = phi_alpha(1), mu1(np.pi)
+        report = inf_quantity(2, shape, 1.5, mu, k_max=16)
+        f = SpectralFunction({3: 1.0, -5: 0.5j})
+        parity.calls = 0
+        for _ in range(3):
+            jackson_bound(f, psi, shape, 1.5, mu, n=2, inf_report=report)
+        assert parity.calls == 3 * len(f.coeffs)
 
 
 class TestSharpConstant:

@@ -13,7 +13,7 @@ import pytest
 from spapprox import averaging, jackson, psi, quadrature, smoothness, widths
 
 FIXED = [
-    (quadrature.adaptive_simpson, {"rtol", "max_passes"}),
+    (quadrature.adaptive_simpson, {"rtol", "max_passes", "initial_panels"}),
     (quadrature.nested_integrals, {"rtol", "max_passes", "initial_panels"}),
     (averaging.dilated_integrals, {"tol", "budget", "initial_panels"}),
     (averaging.stieltjes_integral, {"tol", "budget"}),
@@ -30,6 +30,7 @@ FIXED = [
     (psi.tail_sup_info, {"horizon"}),
     (psi.tabulated_psi, {"horizon"}),
     (widths.majorant_condition_check, {"u_grid", "rel_tol", "xi_grid"}),
+    (smoothness.ModulusGrid, {"refine_iters"}),
     (smoothness.generalized_modulus, {"grid"}),
     (smoothness.difference_modulus_oracle, {"grid"}),
     (averaging.averaged_modulus, {"grid"}),

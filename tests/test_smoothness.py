@@ -176,7 +176,7 @@ class TestModulusGrid:
     def test_defaults(self):
         grid = ModulusGrid()
         assert grid.base_points == 4096
-        assert grid.refine_iters == 40
+        assert smoothness.REFINE_STEPS == 40
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
@@ -418,7 +418,7 @@ class TestScanFloor:
 
 
 class _Unhashable:
-    """A shape function that cannot be hashed, so its curves skip the scan table."""
+    """A shape function that cannot be hashed."""
 
     __hash__ = None
 
@@ -429,9 +429,16 @@ class _Unhashable:
         return self.inner(t)
 
 
-def direct(shape):
-    """``shape`` with an unhashable eval: its curves scan directly."""
-    return dataclasses.replace(shape, eval=_Unhashable(shape.eval))
+def direct_curve(f, p, shape, u):
+    """The curve of f with its grid values from :meth:`ModulusCurve.shift_sum`.
+
+    The scan reads no row of the scan table and adds none.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            smoothness._ScanTable, "grid_values", lambda self, curve: curve.shift_sum(self.hs)
+        )
+        return ModulusCurve(f, p, shape, u)
 
 
 def counted(base, seen):
@@ -472,7 +479,7 @@ class TestScanTable:
         f = random_full_spectrum(rng, 12)
         warm = ModulusCurve(f, p, shape, np.pi)
         assert 0 < warm_rows < self.rows() <= 24
-        assert_same_curve(warm, ModulusCurve(f, p, direct(shape), np.pi))
+        assert_same_curve(warm, direct_curve(f, p, shape, np.pi))
 
     def test_tabulated_shape_and_a_sparse_high_harmonic(self):
         tab = tabulated_shape([(0.0, 0.0), (0.7, 1.0), (1.9, 0.4), (2.6, 0.9)], None, 1.0)
@@ -483,7 +490,7 @@ class TestScanTable:
         ]:
             ModulusCurve(SpectralFunction(warmup), 1.5, shape, np.pi)
             warm = ModulusCurve(f, 1.5, shape, np.pi)
-            assert_same_curve(warm, ModulusCurve(f, 1.5, direct(shape), np.pi))
+            assert_same_curve(warm, direct_curve(f, 1.5, shape, np.pi))
         # 8 points per period of k = 2000 on [0, pi]: 8001 points a row
         assert self.rows() == 3 and smoothness._table.hs.size == 8001
 
@@ -519,17 +526,24 @@ class TestScanTable:
         old = smoothness._table
         ModulusCurve(SpectralFunction({3: 1.0}), p, shape, u)
         assert smoothness._table is not old
-        assert smoothness._table.key == (shape, p, u, 4096)
+        assert smoothness._table.shape is shape and smoothness._table.key == (p, u, 4096)
         assert self.rows() == 1
 
-    def test_an_unhashable_eval_scans_directly(self):
-        shape = phi_alpha(1)
+    def test_an_unhashable_shape_shares_the_table(self):
+        seen = []
+        base = counted(phi_alpha(1), seen)
+        shape = dataclasses.replace(base, eval=_Unhashable(base.eval))
         f = random_full_spectrum(np.random.default_rng(5), 8)
-        tabled = ModulusCurve(f, 2.0, shape, np.pi)
-        table, rows = smoothness._table, self.rows()
-        scanned = ModulusCurve(f, 2.0, direct(shape), np.pi)
-        assert smoothness._table is table and self.rows() == rows
-        assert_same_curve(scanned, tabled)
+        first = ModulusCurve(f, 2.0, shape, np.pi)
+        table = smoothness._table
+        assert table.shape is shape and seen[0] == (8, 4096)
+        seen.clear()
+        assert_same_curve(ModulusCurve(f, 2.0, shape, np.pi), first)
+        assert seen and all(s[-1] == 8 for s in seen)
+        seen.clear()
+        ModulusCurve(f + SpectralFunction({13: 0.7}), 2.0, shape, np.pi)
+        assert [s for s in seen if s[-1] == 4096] == [(1, 4096)]
+        assert smoothness._table is table and self.rows() == 9
 
     def test_a_spectrum_past_the_cap_scans_directly(self, monkeypatch):
         shape = phi_alpha(1)
@@ -548,7 +562,7 @@ class TestScanTable:
         rng = np.random.default_rng(9)
         cases = [(random_sparse_spectrum(rng, 40, 8), p) for p in (1.0, 2.0) * 12]
         ts = np.linspace(0.0, np.pi, 257)
-        expected = [ModulusCurve(f, p, direct(shape), np.pi).pow_values(ts) for f, p in cases]
+        expected = [direct_curve(f, p, shape, np.pi).pow_values(ts) for f, p in cases]
         wrong = []
 
         def work(offset):
@@ -581,23 +595,21 @@ class TestScanTable:
         f = SpectralFunction({1: 1.0, 7: 0.5})
         ModulusCurve(f, 1.0, shape, np.pi)
         ModulusCurve(f, 1.0, shape, np.pi)
-        ModulusCurve(f, 1.0, direct(shape), np.pi)
+        # 300 rows of 4096 points pass the 2^20-value cap
+        ModulusCurve(random_full_spectrum(np.random.default_rng(6), 300), 1.0, shape, np.pi)
         messages = [r.getMessage() for r in caplog.records if r.name == "spapprox.smoothness"]
         assert len(messages) == 2
         assert messages[0].startswith("scan table re-keyed to shape 'phi_alpha:1', p=1")
-        assert "cannot be hashed" in messages[1]
+        assert "passes the scan table cap" in messages[1]
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
     def test_the_library_is_silent_by_default(self):
         script = (
-            "import dataclasses, logging\n"
+            "import logging\n"
             "from spapprox import ModulusCurve, SpectralFunction, phi_alpha\n"
-            "class U:\n"
-            "    __hash__ = None\n"
-            "    def __call__(self, t): return phi_alpha(1).eval(t)\n"
-            "f = SpectralFunction({1: 1.0, 7: 0.5})\n"
-            "ModulusCurve(f, 1.0, phi_alpha(1), 3.0)\n"
-            "ModulusCurve(f, 1.0, dataclasses.replace(phi_alpha(1), eval=U()), 3.0)\n"
+            "shape = phi_alpha(1)\n"
+            "ModulusCurve(SpectralFunction({1: 1.0, 7: 0.5}), 1.0, shape, 3.0)\n"
+            "ModulusCurve(SpectralFunction({k: 1.0 for k in range(1, 301)}), 1.0, shape, 3.0)\n"
             "logging.getLogger('spapprox.smoothness').warning('heard')\n"
         )
         src = str(Path(smoothness.__file__).resolve().parent.parent)
