@@ -7,10 +7,26 @@ The modulus of a spectrum f at step t is the supremum over shifts
 
 reported as g_sup^(1/p).  The shift weight ``shape`` is an even, bounded,
 nonnegative function vanishing at 0.  The supremum is located by a uniform
-grid scan, at least 8 points per period of the highest harmonic, refined
-with golden-section search; :class:`ModulusCurve` precomputes the scan once
-on [0, u] so that the running supremum can be read off cheaply at many steps
+grid scan, at least 8 points per period of the highest harmonic, whose
+peaks are refined; :class:`ModulusCurve` precomputes the scan once on
+[0, u] so that the running supremum can be read off cheaply at many steps
 t <= u (the pattern the averaging quadrature needs).
+
+Peak refinement runs in lockstep over all peaks of a scan, one call of g
+per step.  Each local maximum h_j of the scan is seeded with the triple
+(h_{j-1}, h_j, h_{j+1}), its values taken from g itself rather than from
+the scan table below, and refined by safeguarded successive parabolic
+interpolation: each step evaluates the vertex of the parabola through the
+triple and keeps the best point with its nearest neighbour on each side.  A
+peak retires when its parabola is flat, or predicts a gain, interpolation
+error included, of at most 1e-16 |g|; a smooth peak takes a few steps.  The
+last cell [h_{N-2}, u] is probed at 1e-8 of its width inside each end: g
+falling into u puts its peak at u, g falling away from h_{N-2} puts it
+there.  Peaks still open after :data:`PARABOLA_STEPS` steps (kinks, as on
+tabulated shapes) and a last cell that the probes do not settle go to
+golden-section search on their grid cells, :data:`REFINE_STEPS` steps, all
+in one lockstep run.  Both the probes and golden section assume that g is
+unimodal on the cell they search.
 
 Scans on one grid share their shape values.  The module keeps one scan
 table, keyed by the shape object itself and by (p, u, scan points), holding
@@ -54,7 +70,9 @@ MAX_SCAN_POINTS = 2**20
 SHAPE_PROBE_POINTS = 257
 #: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
 CROSSING_STEPS = 8
-#: Golden-section steps that refine each peak of a shift scan.
+#: Parabolic steps that refine each peak of a shift scan before golden section.
+PARABOLA_STEPS = 6
+#: Golden-section steps that refine a peak the parabolic steps leave open.
 REFINE_STEPS = 40
 
 _log = logging.getLogger(__name__)
@@ -350,6 +368,124 @@ def _golden_max(
     return best_x, best_v
 
 
+#: For each case 2 [t < b] + [g(t) > g(b)] of a parabolic step, where the
+#: new a, b, c and the dropped point come from among (a, b, c, t).
+_PARABOLA_KEEP = np.array([[0, 1, 3, 2], [1, 3, 2, 0], [3, 1, 2, 0], [0, 3, 1, 2]]).T
+
+
+def _parabolic_max(
+    g: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    v: np.ndarray,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized safeguarded parabolic maximization from triples.
+
+    Row i of ``x`` holds points a_i < b_i < c_i and row i of ``v`` their
+    values under g.  Each step fits the parabola P through every open row's
+    triple, evaluates g at its vertex, clipped to [(a+b)/2, (b+c)/2], in one
+    call for all open rows, and keeps the best of the four points with its
+    nearest neighbour on each side (successive parabolic interpolation;
+    Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
+
+    A row retires when P is not concave (a flat triple, which costs no
+    evaluation) or when P predicts a gain of at most 1e-16 |g(b)| over its
+    middle point b.  The prediction counts the vertex's interpolation error,
+    |g[a,b,c,d]| (b-a)(c-b) / |P''|, with d the point the last step
+    dropped: a triple whose outer points stay far apart keeps the vertex of
+    the parabola through them, whatever its new middle point, so its own
+    vertex alone would retire it early.  A seeded triple has no such d, so
+    only flatness retires it.  A vertex on b itself is moved off it by 1e-3
+    of the wider side, toward that side, so that every step learns a point.
+
+    Returns the best point of each row's last triple, its value and whether
+    the row retired; a row still open after ``steps`` steps, or whose best
+    point fell on an end of its points, did not.
+    """
+    m = len(x)
+    nan = np.full((1, m), np.nan)  # a seeded row has dropped no point yet
+    xs = np.vstack([np.asarray(x, dtype=float).T, nan])  # rows a, b, c, d
+    vs = np.vstack([np.asarray(v, dtype=float).T, nan])
+    rows = np.arange(m)
+    best_x, best_v = xs[1].copy(), vs[1].copy()
+    done = np.zeros(m, dtype=bool)
+    for step in range(steps + 1):
+        (a, b, c, d), (fa, fb, fc, fd) = xs, vs
+        d1 = (fb - fa) / (b - a)
+        d2 = ((fc - fb) / (c - b) - d1) / (c - a)  # g[a,b,c], half of P''
+        d3 = (((fd - fc) / (d - c) - (fc - fb) / (c - b)) / (d - b) - d2) / (d - a)
+        concave = d2 < 0
+        d2 = np.where(concave, d2, -1.0)
+        vertex = 0.5 * (a + b) - 0.5 * d1 / d2
+        miss = np.abs(vertex - b) + np.abs(d3) * (b - a) * (c - b) / (-2.0 * d2)
+        t = np.minimum(np.maximum(vertex, 0.5 * (a + b)), 0.5 * (b + c))
+        t = np.where(t == b, b + 1e-3 * np.where(c - b > b - a, c - b, a - b), t)
+        retire = (
+            ~concave
+            | (-d2 * miss**2 <= 1e-16 * np.abs(fb))
+            | (t <= a) | (t >= c) | (t == b)  # the triple is at float resolution
+        )
+        stop = retire if step < steps else np.ones(rows.size, dtype=bool)
+        if stop.any():  # a seeded middle point may trail an end by rounding
+            cols = np.flatnonzero(stop)
+            top = np.argmax(vs[:3, cols], axis=0)
+            best_x[rows[cols]], best_v[rows[cols]] = xs[top, cols], vs[top, cols]
+            done[rows[cols]] = retire[cols]
+            xs, vs, rows, t = xs[:, ~stop], vs[:, ~stop], rows[~stop], t[~stop]
+        if not rows.size:
+            break
+        ft = np.asarray(g(t), dtype=float)
+        (a, b, c, _), (fa, fb, fc, _) = xs, vs
+        lost = np.maximum(fa, fc) > np.maximum(fb, ft)  # no bracket around the best point
+        if lost.any():
+            best_x[rows[lost]] = np.where(fa >= fc, a, c)[lost]
+            best_v[rows[lost]] = np.maximum(fa, fc)[lost]
+        # keep the best of a, b, c, t with its neighbours; d is the point dropped
+        pick = _PARABOLA_KEEP[:, 2 * (t < b) + (ft > fb)], np.arange(rows.size)
+        xs, vs = np.vstack([xs[:3], t])[pick], np.vstack([vs[:3], ft])[pick]
+        if lost.any():
+            xs, vs, rows = xs[:, ~lost], vs[:, ~lost], rows[~lost]
+    return best_x, best_v, done
+
+
+def _refine_peaks(
+    g: Callable[[np.ndarray], np.ndarray],
+    hs: np.ndarray,
+    interior: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The peaks of g at the grid maxima h_j, j in ``interior``, and in the last cell.
+
+    Each interior peak starts from the triple (h_{j-1}, h_j, h_{j+1}) under
+    g, and :func:`_parabolic_max` refines it for :data:`PARABOLA_STEPS` steps.
+    The last cell [h_{N-2}, u] is probed at eta = 1e-8 of its width inside
+    each end: if g falls into u, or away from h_{N-2}, the peak of the cell
+    is at that end.  A peak still open, and a last cell that neither probe
+    settles, go to :func:`_golden_max` on their grid cells with
+    :data:`REFINE_STEPS` steps, all in one lockstep run.  Returns the peaks'
+    points and values, the interior ones in the order given and the last
+    cell's at the end.
+    """
+    m = interior.size
+    lo, hi = hs[-2], hs[-1]
+    eta = 1e-8 * (hi - lo)
+    ends = np.array([lo, lo + eta, hi - eta, hi])
+    seeds = np.concatenate([hs[interior - 1], hs[interior], hs[interior + 1], ends])
+    gs = np.asarray(g(seeds), dtype=float)
+    px, pv, done = _parabolic_max(
+        g, seeds[:3 * m].reshape(3, m).T, gs[:3 * m].reshape(3, m).T, PARABOLA_STEPS
+    )
+    g_lo, g_lo_in, g_hi_in, g_hi = gs[3 * m:]
+    settled = g_hi > g_hi_in or g_lo > g_lo_in
+    last_x, last_v = (hi, g_hi) if g_hi > g_lo else (lo, g_lo)
+    px, pv = np.append(px, last_x), np.append(pv, last_v)
+    fallback = np.flatnonzero(np.append(~done, not settled))
+    if fallback.size:
+        cell_lo = np.append(hs[interior - 1], lo)[fallback]
+        cell_hi = np.append(hs[interior + 1], hi)[fallback]
+        px[fallback], pv[fallback] = _golden_max(g, cell_lo, cell_hi, REFINE_STEPS)
+    return px, pv
+
+
 def _crossings(
     g: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -400,9 +536,18 @@ class ModulusCurve:
     """Running supremum of the p-th power shift sum of one spectrum on [0, u].
 
     Construction scans the window once, at least 8 points per period of the
-    highest harmonic (:meth:`ModulusGrid.scan_points`), and refines, by
-    golden-section search, every local maximum of the shift sum among the
-    interior grid points and the last cell [h_{N-2}, u].  A query at t <= u
+    highest harmonic (:meth:`ModulusGrid.scan_points`), and refines every
+    local maximum of the shift sum among the interior grid points and the
+    last cell [h_{N-2}, u] (:func:`_refine_peaks`): a local maximum h_j by
+    parabolic steps from the triple (h_{j-1}, h_j, h_{j+1}) under
+    :meth:`shift_sum`, until its parabola is flat or predicts a gain of at
+    most 1e-16 |g|; the last cell by one probe 1e-8 of its width inside each
+    end, which settles it when g falls into u or away from h_{N-2}.  A peak
+    that :data:`PARABOLA_STEPS` steps leave open, and a last cell that the
+    probes do not settle, take :data:`REFINE_STEPS` golden-section steps on
+    their grid cells instead.  A converged scan thus costs at most
+    1 + :data:`PARABOLA_STEPS` calls of :meth:`shift_sum` over its peaks, a
+    fallback 44 more.  A query at t <= u
     returns the largest of g(t), the grid values at or below t and the
     refined peaks located at or below t; no search runs inside the partial
     cell ending at t.  Scaling the spectrum scales all values exactly, and
@@ -414,7 +559,9 @@ class ModulusCurve:
     docstring): curves of one shape object, p and u on one scan grid share
     the rows shape(k h_j)^p, so a build evaluates the shape on the grid only
     for the harmonics no earlier curve of that key had.  Peak refinement,
-    plateau crossings and queries evaluate :meth:`shift_sum` directly.
+    its seeds included, plateau crossings and queries evaluate
+    :meth:`shift_sum` directly, so that a curve's peaks do not depend on
+    which rows the table held.
     """
 
     def __init__(
@@ -455,9 +602,7 @@ class ModulusCurve:
                 (gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])
             ) + 1
             # a peak inside the last cell is no grid maximum: refine that cell too
-            lo = np.append(self._hs[interior - 1], self._hs[-2])
-            hi = np.append(self._hs[interior + 1], self.u)
-            px, pv = _golden_max(self.shift_sum, lo, hi, REFINE_STEPS)
+            px, pv = _refine_peaks(self.shift_sum, self._hs, interior)
             pv[:-1] = np.maximum(pv[:-1], gv[interior])
             order = np.argsort(px, kind="stable")
             self._peak_x = px[order]

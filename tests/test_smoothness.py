@@ -16,10 +16,12 @@ from spapprox import smoothness
 from spapprox.sampling import random_full_spectrum, random_sparse_spectrum
 from spapprox.smoothness import (
     CROSSING_STEPS,
+    PARABOLA_STEPS,
     Breakpoints,
     ModulusCurve,
     ModulusGrid,
     ShapeFunction,
+    _golden_max,
     check_shape,
     difference_modulus_oracle,
     generalized_modulus,
@@ -323,15 +325,115 @@ class TestPlateaus:
         base = phi_alpha(1)
         shape = dataclasses.replace(base, eval=lambda t: (seen.append(np.size(t)), base.eval(t))[1])
         curve = self.full_curve(11, 1.5, shape)
-        # the scan of 4096 points and 5 golden-section refinements of 44
-        # calls, each over the 8 harmonics: nothing for the table
-        assert sum(seen) == 34528
+        # the scan of 4096 points, one call seeding the 4 interior peaks (3
+        # points each) and probing the last cell (4 points), and parabolic
+        # steps at 4, 4 and 3 vertices, each over the 8 harmonics: nothing
+        # for the table
+        assert sum(seen) == 32984
         seen.clear()
         crossings = curve.plateaus.ends.size - 1
         assert sum(seen) == (2 + CROSSING_STEPS) * crossings * 8
         seen.clear()
         curve.plateaus
         assert seen == []
+
+
+class TestPeakRefinement:
+    """Parabolic steps from the scan's peak triples, golden section as fallback."""
+
+    @staticmethod
+    def spy_golden(monkeypatch):
+        """The (lo, hi, iters) of every golden-section run from now on."""
+        runs = []
+
+        def spy(g, lo, hi, iters):
+            runs.append((lo, hi, iters))
+            return _golden_max(g, lo, hi, iters)
+
+        monkeypatch.setattr(smoothness, "_golden_max", spy)
+        return runs
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_peaks_reach_a_long_golden_search(self, p, monkeypatch):
+        golden = self.spy_golden(monkeypatch)
+        shape = phi_alpha(1)
+        converged = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            f = random_sparse_spectrum(rng, 32, 8) if seed % 2 else random_full_spectrum(rng, 12)
+            for u in (np.pi, 2.5):
+                curve = ModulusCurve(f, p, shape, u)
+                calls = []
+                golden.clear()
+                g = lambda h: calls.append(np.size(h)) or curve.shift_sum(h)
+                hs = curve._hs
+                gv = curve.shift_sum(hs)
+                interior = np.flatnonzero((gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])) + 1
+                px, pv = smoothness._refine_peaks(g, hs, interior)
+                if not golden:  # every peak converged: one seed call and the steps
+                    converged += 1
+                    assert len(calls) <= 1 + PARABOLA_STEPS <= 8
+                lo = np.append(hs[interior - 1], hs[-2])
+                hi = np.append(hs[interior + 1], u)
+                _, best = _golden_max(curve.shift_sum, lo, hi, 100)
+                assert np.all(pv >= best * (1.0 - 1e-14))
+                assert np.all((lo <= px) & (px <= hi))
+        # u = pi is a critical point of every term once p > 1, so the last
+        # cell's probes cannot settle it there; at u = 2.5 they do
+        assert converged >= 10
+
+    def test_a_kinked_peak_takes_the_golden_fallback(self, monkeypatch):
+        # the peak of shape(h)^p sits on the knot h = 1, between grid points
+        shape = tabulated_shape([(0.0, 0.0), (1.0, 1.0), (np.pi, 0.2)], None, 1.0)
+        brackets = self.spy_golden(monkeypatch)
+        curve = ModulusCurve(SpectralFunction({1: 1.0}), 1.5, shape, np.pi)
+        j = np.searchsorted(curve._hs, 1.0)
+        assert curve._hs[j - 1] < 1.0 < curve._hs[j]
+        (lo, hi, iters), = brackets
+        assert iters == smoothness.REFINE_STEPS
+        cell = np.flatnonzero((lo < 1.0) & (1.0 < hi))
+        assert cell.size == 1 and hi[cell] - lo[cell] == pytest.approx(2 * np.pi / 4095)
+        # the value is golden section's alone: the parabolic steps leave no trace
+        _, golden = _golden_max(curve.shift_sum, lo[cell], hi[cell], iters)
+        expected = max(golden[0], float(curve._run_max[-1]))
+        assert curve.pow_values(np.pi)[0] == expected
+        assert expected == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_peak_strictly_inside_the_last_cell_is_found(self):
+        # shape(3h)^2 peaks at h = pi/3, half a cell before u
+        u = np.pi / 3 * (1.0 + 0.5 / 4094)
+        curve = ModulusCurve(SpectralFunction({3: 1.0}), 2, phi_alpha(1), u)
+        assert curve._hs[-2] < np.pi / 3 < u
+        assert curve._hs[-2] < curve._peak_x[-1] < u
+        assert curve.pow_values(u)[0] == pytest.approx(4.0, rel=1e-14)
+        assert curve.shift_sum(u) < 4.0 * (1.0 - 1e-9)
+
+    def test_a_flat_triple_or_none_costs_no_evaluation(self):
+        calls = []
+        g = lambda h: calls.append(h) or np.ones(np.shape(h))
+        x, v, done = smoothness._parabolic_max(
+            g, np.array([[0.0, 1.0, 2.0]]), np.ones((1, 3)), PARABOLA_STEPS
+        )
+        assert calls == []
+        assert done.tolist() == [True] and v.tolist() == [1.0]
+        smoothness._parabolic_max(g, np.empty((0, 3)), np.empty((0, 3)), PARABOLA_STEPS)
+        assert calls == []
+
+    def test_a_best_point_on_an_end_is_left_open(self):
+        # the vertex of the seeded parabola is clipped to 0.5, below g(0)
+        g = lambda h: 1.0 - 0.1 * h
+        x, v, done = smoothness._parabolic_max(
+            g, np.array([[0.0, 1.0, 2.0]]), np.array([[1.0, 0.9, 0.0]]), PARABOLA_STEPS
+        )
+        assert done.tolist() == [False] and x.tolist() == [0.0] and v.tolist() == [1.0]
+
+    def test_a_smooth_peak_retires_in_a_few_steps(self):
+        calls = []
+        g = lambda h: calls.append(h) or np.cos(h - 0.3)
+        x0 = np.array([[0.0, 0.25, 0.5]])
+        x, v, done = smoothness._parabolic_max(g, x0, np.cos(x0 - 0.3), PARABOLA_STEPS)
+        assert done.tolist() == [True] and len(calls) <= 4
+        assert v[0] == pytest.approx(1.0, rel=1e-15)
 
 
 class TestDifferenceOracle:
@@ -557,10 +659,11 @@ class TestScanTable:
         assert_same_curve(capped, ModulusCurve(f, 1.0, shape, np.pi))
         assert self.rows() == 300
 
-    def test_threads_share_the_table_safely(self):
-        shape = phi_alpha(1)
-        rng = np.random.default_rng(9)
-        cases = [(random_sparse_spectrum(rng, 40, 8), p) for p in (1.0, 2.0) * 12]
+    @staticmethod
+    def race(shape, cases, offsets):
+        """Build the curve of every (f, p) of ``cases`` on [0, pi] in one thread
+        per offset, each going through the cases from its offset, with thread
+        switches as often as Python allows; what differs from a direct scan."""
         ts = np.linspace(0.0, np.pi, 257)
         expected = [direct_curve(f, p, shape, np.pi).pow_values(ts) for f, p in cases]
         wrong = []
@@ -579,7 +682,7 @@ class TestScanTable:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+            threads = [threading.Thread(target=work, args=(j,)) for j in offsets]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -587,7 +690,20 @@ class TestScanTable:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
+        return wrong
+
+    def test_threads_share_the_table_safely(self):
+        rng = np.random.default_rng(9)
+        cases = [(random_sparse_spectrum(rng, 40, 8), p) for p in (1.0, 2.0) * 12]
+        assert self.race(phi_alpha(1), cases, range(4)) == []
+
+    def test_threads_read_a_table_that_others_grow(self):
+        # one key throughout: each thread starts a quarter of the way further
+        # on, so rows are added in many blocks while other curves read them
+        rng = np.random.default_rng(10)
+        cases = [(random_sparse_spectrum(rng, 40, 3), 1.5) for _ in range(24)]
+        assert self.race(phi_alpha(1), cases, range(0, 24, 6)) == []
+        assert len(smoothness._table.blocks) >= 6 and self.rows() > 30
 
     def test_rekeys_and_fallbacks_log_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="spapprox")
