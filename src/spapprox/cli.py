@@ -347,10 +347,13 @@ def _suite_sharpness(cfg: SuiteConfig) -> Iterator[tuple[dict, bool]]:
         for alpha in cfg.params["alpha"]:
             shape = phi_alpha(alpha)
             for n in cfg.params["n"]:
-                k_max = cfg.params["k_factor"] * n + 16
+                # the window infimum does not depend on r
+                report = inf_quantity(n, shape, p, measure, k_max=cfg.params["k_factor"] * n + 16)
                 for r in cfg.params["r"]:
                     try:
-                        cert = sharpness_certificate(shape, p, measure, power(r), n, k_max=k_max)
+                        cert = sharpness_certificate(
+                            shape, p, measure, power(r), n, inf_report=report
+                        )
                     except SharpnessNotCertifiedError as exc:
                         raise SharpnessNotCertifiedError(
                             f"row p={p:g}, alpha={alpha:g}, r={r:g}, n={n}: {exc}"

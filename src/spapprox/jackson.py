@@ -17,12 +17,18 @@ m_p the mean of shape^p over a period, and stay within C n / k of it, C
 from the shape's periodic antiderivative and the density's variation.  So
 :func:`inf_quantity` integrates k in [n, 2n] first and skips every larger k
 whose lower bound L - C n / k already lies above that minimum.
+
+The period table, m_p, C and the shape mass depend on (shape, p, mu) alone,
+so each shape object keeps them per (p, mu) and every call shares them; the
+integrals at each k are taken anew by each call.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +61,12 @@ EQUIV_REL_TOL = 1e-7
 SLIVER_ULPS = 4
 #: Cells per piece of a period in the bound of :attr:`_ShapeIntegrals.spread`.
 SPREAD_CELLS = 16
+#: Most (p, weight) entries of :class:`_ShapeIntegrals` one shape keeps; a new
+#: entry past it drops the oldest.
+SHAPE_INTEGRALS_PER_SHAPE = 8
+
+_log = logging.getLogger(__name__)
+_integrals_lock = threading.Lock()
 
 
 class SharpnessNotCertifiedError(RuntimeError):
@@ -66,8 +78,11 @@ def default_k_max(n: int) -> int:
 
 
 def shape_mass(shape: ShapeFunction, p, mu: WeightMeasure) -> float:
-    """integral_0^tau shape(t)^p dmu(t): the dilated integral at theta = 1."""
-    return float(_dilated_shape_integrals(shape, as_exponent(p), mu, np.ones(1))[0])
+    """integral_0^tau shape(t)^p dmu(t): the dilated integral at theta = 1.
+
+    Integrated once per (shape, p, mu) and kept (see :func:`_shape_integrals`).
+    """
+    return _shape_integrals(shape, as_exponent(p), mu).mass
 
 
 def _split_panels(tags, points, numbers, tau: float, count: int):
@@ -114,11 +129,44 @@ def _dilated_shape_integrals(
     shape: ShapeFunction, p: float, mu: WeightMeasure, thetas: np.ndarray
 ) -> np.ndarray:
     """integral_0^tau shape(theta * t)^p dmu(t) for every theta in one pass."""
-    return _ShapeIntegrals(shape, p, mu)(thetas)
+    return _shape_integrals(shape, p, mu)(thetas)
+
+
+def _shape_integrals(shape: ShapeFunction, p: float, mu: WeightMeasure) -> _ShapeIntegrals:
+    """The one :class:`_ShapeIntegrals` of (shape, p, mu), kept on the shape.
+
+    The shape's cache is keyed by (p, id(mu)), so neither the shape nor the
+    weight is ever hashed.  An entry holds its mu, so no other weight can
+    take that id while the entry lives, and a hit checks the identity too.
+    A shape keeps at most :data:`SHAPE_INTEGRALS_PER_SHAPE` entries and drops
+    the oldest past that, with one DEBUG record on the ``spapprox.jackson``
+    logger; the entries die with their shape.  A lock makes each look-up
+    atomic, so threads that race for one triple get one entry.
+    """
+    key = (p, id(mu))
+    with _integrals_lock:
+        cache = shape._integrals
+        found = cache.get(key)
+        if found is not None and found.mu is mu:
+            return found
+        cache.pop(key, None)
+        if len(cache) >= SHAPE_INTEGRALS_PER_SHAPE:
+            old = cache.pop(next(iter(cache)))
+            _log.debug(
+                "shape %r dropped its dilated shape integrals at p=%g on weight %r",
+                shape.label, old.p, old.mu.label,
+            )
+        found = cache[key] = _ShapeIntegrals(shape, p, mu)
+        return found
 
 
 class _ShapeIntegrals:
     """The dilated shape integrals of one (shape, p, mu), sharing one period table.
+
+    :func:`_shape_integrals` keeps one object per triple on the shape, so its
+    :attr:`table`, :attr:`mean`, :attr:`spread` and :attr:`mass` are computed
+    once per triple, when first read, and shared by every later call; the
+    integrals of each batch of theta are never kept.
 
     Calling it integrates a batch of theta in one pass.  The density part is
     a batched tanh-sinh pass whose panel edges sit at the shape's declared
@@ -199,6 +247,11 @@ class _ShapeIntegrals:
                 _tabled=tabled,
             )
         return totals
+
+    @functools.cached_property
+    def mass(self) -> float:
+        """integral_0^tau shape^p dmu, from one theta = 1 :func:`_dilated_shape_integrals`."""
+        return float(_dilated_shape_integrals(self.shape, self.p, self.mu, np.ones(1))[0])
 
     @functools.cached_property
     def mean(self) -> tuple[float, float]:
@@ -297,8 +350,10 @@ def inf_quantity(
 ) -> InfReport:
     """Minimum over k in [n, k_max] of the dilated shape integral.
 
-    The dilations are integrated in two batched passes that share one
-    period table.  The first takes k in [n, min(2n, k_max)]; the second
+    The dilations are integrated in two batched passes that share the
+    triple's period table, which with m_p and C the triple computes once
+    for all calls (see :func:`_shape_integrals`); each call integrates its
+    own dilations.  The first pass takes k in [n, min(2n, k_max)]; the second
     takes the rest of the window, up to the last k that
     :meth:`_ShapeIntegrals.reach` lets fall to the first pass's minimum:
     for a periodic shape and a density that declares its variation, the
@@ -314,7 +369,7 @@ def inf_quantity(
         raise ValueError(f"k_max must be >= n, got {k_max} < {n}")
     p = as_exponent(p)
     thetas = np.arange(n, k_max + 1) / n
-    integrals = _ShapeIntegrals(shape, p, mu)
+    integrals = _shape_integrals(shape, p, mu)
     first = min(n, k_max - n) + 1
     values = integrals(thetas[:first])
     rest = thetas[first:]

@@ -164,7 +164,9 @@ class ShapeFunction:
     :mod:`spapprox.jackson` rely on it: they evaluate the shape on one period
     only, after reading :attr:`period`, which probes the declaration.  A
     shape whose kinks repeat but whose values do not must list its kinks
-    without a period.
+    without a period.  Each shape object also keeps the period table, mean,
+    spread and mass of its dilated shape integrals per (p, weight), so those
+    too rest on ``eval`` being pure.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -200,6 +202,11 @@ class ShapeFunction:
                 "but is not periodic on the probe grid"
             )
         return bp.period
+
+    @functools.cached_property
+    def _integrals(self) -> dict:
+        """Dilated shape integrals by (p, id(mu)); see :func:`spapprox.jackson._shape_integrals`."""
+        return {}
 
     def nondecreasing_on(self, tau: float) -> bool:
         """Whether the shape is declared nondecreasing on [0, tau]."""

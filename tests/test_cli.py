@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapprox import cli
+from spapprox import cli, jackson
 from spapprox.cli import (
     ConfigError,
     SuiteConfig,
@@ -358,6 +358,33 @@ class TestSuites:
         report, status = run_suite(cfg)
         assert status == 1
         assert report["pass"] is False
+
+    def test_sharpness_takes_one_infimum_per_p_alpha_n(self, monkeypatch, tmp_path, capsys):
+        params = {"p": [2.0], "alpha": [1.0, 2.0], "r": [0.0, 1.0, 2.0], "n": [1, 2],
+                  "k_factor": 8}
+        path = write_config(tmp_path, {"suite": "sharpness", "params": params})
+        calls = []
+        inf_quantity = jackson.inf_quantity
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return inf_quantity(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "inf_quantity", counting)
+        monkeypatch.setattr(jackson, "inf_quantity", counting)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        shared = capsys.readouterr().out
+        assert calls == [1, 2, 1, 2]
+
+        def per_r(shape, p, mu, psi, n, inf_report):
+            # the route before: each r takes its own window infimum
+            return sharpness_certificate(shape, p, mu, psi, n, k_max=inf_report.k_max)
+
+        calls.clear()
+        monkeypatch.setattr(cli, "sharpness_certificate", per_r)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        assert len(calls) == 4 + 12
+        assert capsys.readouterr().out == shared
 
     def test_modulus_oracle_small(self):
         cfg = SuiteConfig(suite="modulus-oracle", params={"cases": 8}, no_timestamp=True)

@@ -1,5 +1,9 @@
 import dataclasses
+import gc
+import logging
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -427,6 +431,148 @@ class TestPrunedWindow:
         thetas = np.arange(3.0, 65.0)
         best = float(dilated(shape, 1.0, mu, [1.0, 2.0]).min())
         assert jackson._ShapeIntegrals(shape, 1.0, mu).reach(thetas, best) < thetas.size
+
+
+
+def counted(shape):
+    """(shape with a counting eval, the list of point counts it was called with)."""
+    seen = []
+
+    def count(t):
+        t = np.asarray(t, dtype=float)
+        seen.append(t.size)
+        return shape.eval(t)
+
+    return dataclasses.replace(shape, eval=count), seen
+
+
+class Unhashable:
+    """A callable that cannot be hashed, as a shape's eval or a density."""
+
+    __hash__ = None
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, t):
+        return self.f(t)
+
+
+class TestSharedTriple:
+    """Each (shape, p, mu) computes its period table, mean, spread and mass once."""
+
+    def test_a_second_window_skips_the_table_and_spread(self):
+        # phi_alpha(2) on mu2(3pi/4) reads the spread (see the pruned pin above)
+        shape, seen = counted(phi_alpha(2))
+        mu = mu2(TAU34)
+        shape.period  # the period probe is the shape's own, cached before
+        seen.clear()
+        first = inf_quantity(1, shape, 1, mu, k_max=64)
+        cold = sum(seen)
+        seen.clear()
+        second = inf_quantity(1, shape, 1, mu, k_max=64)
+        warm = sum(seen)
+        # the same quantities read on a fresh triple, for their point count
+        fresh, fresh_seen = counted(phi_alpha(2))
+        fresh.period
+        fresh_seen.clear()
+        jackson._shape_integrals(fresh, 1.0, mu2(TAU34)).spread
+        assert cold - warm == sum(fresh_seen) == 105 + 2 * 105 + 14 * 15
+        assert warm == 2 * 105
+        assert second == first
+
+    def test_a_second_shape_mass_evaluates_nothing(self):
+        shape, seen = counted(phi_alpha(1.5))
+        mu = mu1(np.pi)
+        first = shape_mass(shape, 2, mu)
+        seen.clear()
+        assert shape_mass(shape, 2.0, mu) == first
+        assert sum(seen) == 0
+
+    def test_each_triple_has_its_own_entry(self):
+        shape, mu = phi_alpha(2), mu2(TAU34)
+        entry = jackson._shape_integrals(shape, 1.0, mu)
+        assert jackson._shape_integrals(shape, 1.0, mu) is entry
+        others = [
+            jackson._shape_integrals(shape, 2.0, mu),
+            jackson._shape_integrals(shape, 1.0, mu2(TAU34)),
+            jackson._shape_integrals(dataclasses.replace(shape), 1.0, mu),
+        ]
+        assert all(other is not entry for other in others)
+        assert len({id(other) for other in others}) == 3
+        # the replaced shape keeps its entry on itself, not on the original
+        assert len(shape._integrals) == 3
+
+    def test_unhashable_shape_and_density_share(self):
+        shape, seen = counted(phi_alpha(1))
+        shape = dataclasses.replace(shape, eval=Unhashable(shape.eval))
+        mu = weight_measure(np.pi, density=Unhashable(np.sin), cdf=lambda s: 1.0 - np.cos(s))
+        for unhashable in (shape, mu):
+            with pytest.raises(TypeError):
+                hash(unhashable)
+        first = inf_quantity(2, shape, 1.5, mu, k_max=16)
+        mass = shape_mass(shape, 1.5, mu)
+        seen.clear()
+        assert shape_mass(shape, 1.5, mu) == mass
+        assert sum(seen) == 0
+        assert inf_quantity(2, shape, 1.5, mu, k_max=16) == first
+        assert len(shape._integrals) == 1
+
+    def test_entries_die_with_their_shape_and_weight(self):
+        shape, mu = phi_alpha(2), mu2(TAU34)
+        inf_quantity(1, shape, 1, mu, k_max=64)
+        shape_mass(shape, 1, mu)
+        refs = weakref.ref(shape), weakref.ref(mu)
+        del shape, mu
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_past_the_cap_the_oldest_entry_is_dropped(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="spapprox")
+        shape = phi_alpha(2)
+        mus = [mu2(TAU34) for _ in range(jackson.SHAPE_INTEGRALS_PER_SHAPE + 1)]
+        entries = [jackson._shape_integrals(shape, 1.0, mu) for mu in mus]
+        kept = list(shape._integrals.values())
+        assert len(kept) == jackson.SHAPE_INTEGRALS_PER_SHAPE
+        assert all(a is b for a, b in zip(kept, entries[1:], strict=True))
+        records = [r for r in caplog.records if r.name == "spapprox.jackson"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "dropped" in records[0].getMessage()
+
+    def test_threads_share_one_entry(self):
+        ns = [1, 2, 3, 4]
+
+        def triple():
+            return phi_alpha(2), 1.0, mu2(TAU34)
+
+        serial_shape, p, serial_mu = triple()
+        serial = [inf_quantity(n, serial_shape, p, serial_mu, k_max=16 * n) for n in ns]
+        serial_mass = shape_mass(serial_shape, p, serial_mu)
+        shape, p, mu = triple()
+        start = threading.Barrier(8)
+        seen = {}
+
+        def work(j):
+            start.wait()
+            reports = [None] * len(ns)
+            for i in np.roll(np.arange(len(ns)), j):
+                reports[i] = inf_quantity(ns[i], shape, p, mu, k_max=16 * ns[i])
+            entry = jackson._shape_integrals(shape, p, mu)
+            seen[j] = (reports, shape_mass(shape, p, mu), entry, entry.table)
+
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        (kept,) = shape._integrals.values()
+        for reports, mass, entry, table in seen.values():
+            assert reports == serial
+            assert mass == serial_mass
+            assert entry is kept
+            assert np.array_equal(table, kept.table)
 
 
 def simpson_reference(shape, p, mu, theta):

@@ -318,6 +318,27 @@ class TestCertify:
         certificate()
         assert sum(passes) == 1
 
+    @pytest.mark.parametrize(
+        "build,n",
+        [(lambda: fixed_class(n=2), None), (solved_linear_majorant_class, 2)],
+        ids=["fixed", "majorant"],
+    )
+    def test_one_shape_mass_pass_across_certificates_of_a_class(self, monkeypatch, build, n):
+        # the class's shape keeps its mass, so a second certificate takes none
+        passes = []
+        batched = jackson._dilated_shape_integrals
+
+        def counting(shape, p, mu, thetas):
+            passes.append(thetas.size == 1 and thetas[0] == 1.0)
+            return batched(shape, p, mu, thetas)
+
+        monkeypatch.setattr(jackson, "_dilated_shape_integrals", counting)
+        cls = build()
+        first = certify_widths(cls, n, samples=2, seed=5, k_max=16)
+        second = certify_widths(cls, n, samples=2, seed=5, k_max=16)
+        assert sum(passes) == 1
+        assert second == first
+
     @pytest.mark.parametrize("samples", [0, -3])
     @pytest.mark.parametrize("certificate", [certify_widths, lower_certificate, upper_certificate])
     def test_no_samples_raise_before_any_integral(self, monkeypatch, certificate, samples):
