@@ -374,12 +374,15 @@ def _suite_jackson_fuzz(cfg: SuiteConfig) -> Iterator[tuple[dict, bool]]:
     shape = phi_alpha(cfg.params["alpha"])
     samples = cfg.params["samples"]
     for p in cfg.params["p"]:
+        # the window infimum does not depend on psi
+        reports = {
+            n: inf_quantity(n, shape, p, measure, k_max=cfg.params["k_factor"] * n + 16)
+            for n in cfg.params["n"]
+        }
         for psi_token in cfg.params["psi"]:
             psi = parse_psi(psi_token)
             for n in cfg.params["n"]:
-                report = inf_quantity(
-                    n, shape, p, measure, k_max=cfg.params["k_factor"] * n + 16
-                )
+                report = reports[n]
                 rng = np.random.default_rng(cfg.seed)
                 violations = violations_plain = 0
                 for _ in range(samples):

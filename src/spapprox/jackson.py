@@ -421,7 +421,10 @@ class JacksonBound:
     """One evaluation of the direct estimate.
 
     ``bound`` uses the averaged modulus, ``bound_plain`` the plain modulus at
-    the same window; the former never exceeds the latter.
+    the same window; the former never exceeds the latter.  ``holds`` and
+    ``holds_plain`` test lhs <= bound (1 + 1e-9), a relative slack, so that
+    scaling the spectrum, which scales lhs and both bounds alike, keeps
+    every verdict.
     """
 
     lhs: float
@@ -459,9 +462,9 @@ def jackson_bound(
     return JacksonBound(
         lhs=lhs,
         bound=bound,
-        holds=lhs <= bound + 1e-9,
+        holds=lhs <= bound * (1.0 + 1e-9),
         bound_plain=bound_plain,
-        holds_plain=lhs <= bound_plain + 1e-9,
+        holds_plain=lhs <= bound_plain * (1.0 + 1e-9),
     )
 
 

@@ -18,15 +18,17 @@ per step.  Each local maximum h_j of the scan is seeded with the triple
 the scan table below, and refined by safeguarded successive parabolic
 interpolation: each step evaluates the vertex of the parabola through the
 triple and keeps the best point with its nearest neighbour on each side.  A
-peak retires when its parabola is flat, or predicts a gain, interpolation
-error included, of at most 1e-16 |g|; a smooth peak takes a few steps.  The
-last cell [h_{N-2}, u] is probed at 1e-8 of its width inside each end: g
-falling into u puts its peak at u, g falling away from h_{N-2} puts it
-there.  Peaks still open after :data:`PARABOLA_STEPS` steps (kinks, as on
-tabulated shapes) and a last cell that the probes do not settle go to
-golden-section search on their grid cells, :data:`REFINE_STEPS` steps, all
-in one lockstep run.  Both the probes and golden section assume that g is
-unimodal on the cell they search.
+peak retires when its parabola is flat, when its triple is narrower than
+4 sqrt(eps) |h| (Brent's x-tolerance), or when the parabola predicts a
+gain, interpolation error included, of at most 1e-16 |g|; a smooth peak
+takes a few steps.  The last cell [h_{N-2}, u] is seeded with its ends,
+its midpoint and a point 1e-8 of its width inside each end: when the best
+of the five is an end (u on a tie) the cell's peak is there, and otherwise
+the best point and its neighbours are one more triple.  A peak still open
+after :data:`PARABOLA_STEPS` steps (a kink, as on tabulated shapes)
+evaluates g once at the shape's cusps inside its grid cells,
+:meth:`ModulusCurve.cusps`.  Every peak value is a value of g at an
+evaluated point, so refinement never overstates the supremum.
 
 Scans on one grid share their shape values.  The module keeps one scan
 table, keyed by the shape object itself and by (p, u, scan points), holding
@@ -60,8 +62,6 @@ from scipy.optimize import minimize_scalar
 from .quadrature import _spread
 from .spectral import SpectralFunction, as_exponent
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 #: Most point x harmonic elements :meth:`ModulusCurve.shift_sum` holds at once.
 BLOCK_ELEMENTS = 2**15
 #: Most points the resolution floor of a shift scan may ask for.
@@ -70,10 +70,10 @@ MAX_SCAN_POINTS = 2**20
 SHAPE_PROBE_POINTS = 257
 #: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
 CROSSING_STEPS = 8
-#: Parabolic steps that refine each peak of a shift scan before golden section.
+#: Parabolic steps that refine each peak of a shift scan before its cusps are tried.
 PARABOLA_STEPS = 6
-#: Golden-section steps that refine a peak the parabolic steps leave open.
-REFINE_STEPS = 40
+#: Brent's x-tolerance: a peak's triple a < b < c retires once c - a <= _X_TOL |b|.
+_X_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
 
 _log = logging.getLogger(__name__)
 
@@ -330,51 +330,6 @@ def tabulated_shape(
     return shape
 
 
-def _golden_max(
-    g: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    iters: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section maximization over the brackets [lo_i, hi_i].
-
-    Returns the best evaluated point and value per bracket (endpoints
-    included), never an extrapolation.
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    best_x = lo.copy()
-    best_v = np.asarray(g(lo), dtype=float).copy()
-    v_hi = np.asarray(g(hi), dtype=float)
-    upd = v_hi > best_v
-    best_x[upd] = hi[upd]
-    best_v[upd] = v_hi[upd]
-
-    dist = hi - lo
-    c = lo + _INV_PHI2 * dist
-    d = lo + _INV_PHI * dist
-    fc = np.asarray(g(c), dtype=float)
-    fd = np.asarray(g(d), dtype=float)
-    for _ in range(iters):
-        left = fc >= fd  # keep [lo, d]
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        dist = hi - lo
-        c_new = lo + _INV_PHI2 * dist
-        d_new = lo + _INV_PHI * dist
-        # one interior point is inherited (d'=c on keep-left, c'=d on
-        # keep-right), the other is fresh
-        fresh = np.where(left, c_new, d_new)
-        f_fresh = np.asarray(g(fresh), dtype=float)
-        fc, fd = np.where(left, f_fresh, fd), np.where(left, fc, f_fresh)
-        c, d = c_new, d_new
-        for x_arr, v_arr in ((c, fc), (d, fd)):
-            upd = v_arr > best_v
-            best_x[upd] = x_arr[upd]
-            best_v[upd] = v_arr[upd]
-    return best_x, best_v
-
-
 #: For each case 2 [t < b] + [g(t) > g(b)] of a parabolic step, where the
 #: new a, b, c and the dropped point come from among (a, b, c, t).
 _PARABOLA_KEEP = np.array([[0, 1, 3, 2], [1, 3, 2, 0], [3, 1, 2, 0], [0, 3, 1, 2]]).T
@@ -396,14 +351,17 @@ def _parabolic_max(
     Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
 
     A row retires when P is not concave (a flat triple, which costs no
-    evaluation) or when P predicts a gain of at most 1e-16 |g(b)| over its
-    middle point b.  The prediction counts the vertex's interpolation error,
+    evaluation), when c - a <= 4 sqrt(eps) |b| (Brent's x-tolerance, which
+    retires a triple tight enough that its parabola fits rounding noise) or
+    when P predicts a gain of at most 1e-16 |g(b)| over its middle point b.
+    The prediction counts the vertex's interpolation error,
     |g[a,b,c,d]| (b-a)(c-b) / |P''|, with d the point the last step
     dropped: a triple whose outer points stay far apart keeps the vertex of
     the parabola through them, whatever its new middle point, so its own
     vertex alone would retire it early.  A seeded triple has no such d, so
-    only flatness retires it.  A vertex on b itself is moved off it by 1e-3
-    of the wider side, toward that side, so that every step learns a point.
+    no predicted gain retires it.  A vertex on b itself is moved off it by
+    1e-3 of the wider side, toward that side, so that every step learns a
+    point.
 
     Returns the best point of each row's last triple, its value and whether
     the row retired; a row still open after ``steps`` steps, or whose best
@@ -429,6 +387,7 @@ def _parabolic_max(
         t = np.where(t == b, b + 1e-3 * np.where(c - b > b - a, c - b, a - b), t)
         retire = (
             ~concave
+            | (c - a <= _X_TOL * np.abs(b))
             | (-d2 * miss**2 <= 1e-16 * np.abs(fb))
             | (t <= a) | (t >= c) | (t == b)  # the triple is at float resolution
         )
@@ -459,37 +418,50 @@ def _refine_peaks(
     g: Callable[[np.ndarray], np.ndarray],
     hs: np.ndarray,
     interior: np.ndarray,
+    cusps: Callable[[], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The peaks of g at the grid maxima h_j, j in ``interior``, and in the last cell.
 
     Each interior peak starts from the triple (h_{j-1}, h_j, h_{j+1}) under
-    g, and :func:`_parabolic_max` refines it for :data:`PARABOLA_STEPS` steps.
-    The last cell [h_{N-2}, u] is probed at eta = 1e-8 of its width inside
-    each end: if g falls into u, or away from h_{N-2}, the peak of the cell
-    is at that end.  A peak still open, and a last cell that neither probe
-    settles, go to :func:`_golden_max` on their grid cells with
-    :data:`REFINE_STEPS` steps, all in one lockstep run.  Returns the peaks'
-    points and values, the interior ones in the order given and the last
-    cell's at the end.
+    g.  The last cell [h_{N-2}, u] is seeded with five points: its ends, one
+    eta = 1e-8 of its width inside each end and its midpoint.  If the best
+    of them is an end (ties go to u), the cell's peak is that end; otherwise
+    the best point and its two neighbours are one more triple.  One call of
+    g takes every seed, and :func:`_parabolic_max` refines all triples in
+    lockstep for :data:`PARABOLA_STEPS` steps.  Rows still open then (kinks,
+    as on tabulated shapes) evaluate g once more, in one call, at the points
+    of ``cusps()`` inside their grid cells, [h_{j-1}, h_{j+1}] or the last
+    cell, and keep the best point evaluated; ``cusps`` is called only when
+    some row is open.  Returns the peaks' points and values, each value an
+    evaluated g, the interior ones in the order given and the last cell's
+    at the end.
     """
     m = interior.size
     lo, hi = hs[-2], hs[-1]
     eta = 1e-8 * (hi - lo)
-    ends = np.array([lo, lo + eta, hi - eta, hi])
-    seeds = np.concatenate([hs[interior - 1], hs[interior], hs[interior + 1], ends])
+    cell = np.array([lo, lo + eta, 0.5 * (lo + hi), hi - eta, hi])
+    seeds = np.concatenate([hs[interior - 1], hs[interior], hs[interior + 1], cell])
     gs = np.asarray(g(seeds), dtype=float)
-    px, pv, done = _parabolic_max(
-        g, seeds[:3 * m].reshape(3, m).T, gs[:3 * m].reshape(3, m).T, PARABOLA_STEPS
-    )
-    g_lo, g_lo_in, g_hi_in, g_hi = gs[3 * m:]
-    settled = g_hi > g_hi_in or g_lo > g_lo_in
-    last_x, last_v = (hi, g_hi) if g_hi > g_lo else (lo, g_lo)
-    px, pv = np.append(px, last_x), np.append(pv, last_v)
-    fallback = np.flatnonzero(np.append(~done, not settled))
-    if fallback.size:
-        cell_lo = np.append(hs[interior - 1], lo)[fallback]
-        cell_hi = np.append(hs[interior + 1], hi)[fallback]
-        px[fallback], pv[fallback] = _golden_max(g, cell_lo, cell_hi, REFINE_STEPS)
+    x, v, cv = seeds[:3 * m].reshape(3, m).T, gs[:3 * m].reshape(3, m).T, gs[3 * m:]
+    top = cell.size - 1 - np.argmax(cv[::-1])  # the last best point of the cell
+    if 0 < top < cell.size - 1:
+        x, v = np.vstack([x, cell[top - 1:top + 2]]), np.vstack([v, cv[top - 1:top + 2]])
+    px, pv, done = _parabolic_max(g, x, v, PARABOLA_STEPS)
+    if px.size == m:  # the last cell's peak is one of its ends
+        px, pv, done = np.append(px, cell[top]), np.append(pv, cv[top]), np.append(done, True)
+    rows = np.flatnonzero(~done)
+    if rows.size:
+        kinks = cusps()
+        first = np.searchsorted(kinks, np.append(hs[interior - 1], lo)[rows], side="left")
+        last = np.searchsorted(kinks, np.append(hs[interior + 1], hi)[rows], side="right")
+        tag, rank = _spread(last - first)
+        if tag.size:
+            at = kinks[first[tag] + rank]
+            gk = np.asarray(g(at), dtype=float)
+            best = np.full(rows.size, -np.inf)
+            np.maximum.at(best, tag, gk)
+            win = (gk == best[tag]) & (gk > pv[rows[tag]])
+            px[rows[tag[win]]], pv[rows[tag[win]]] = at[win], gk[win]
     return px, pv
 
 
@@ -548,13 +520,14 @@ class ModulusCurve:
     last cell [h_{N-2}, u] (:func:`_refine_peaks`): a local maximum h_j by
     parabolic steps from the triple (h_{j-1}, h_j, h_{j+1}) under
     :meth:`shift_sum`, until its parabola is flat or predicts a gain of at
-    most 1e-16 |g|; the last cell by one probe 1e-8 of its width inside each
-    end, which settles it when g falls into u or away from h_{N-2}.  A peak
-    that :data:`PARABOLA_STEPS` steps leave open, and a last cell that the
-    probes do not settle, take :data:`REFINE_STEPS` golden-section steps on
-    their grid cells instead.  A converged scan thus costs at most
-    1 + :data:`PARABOLA_STEPS` calls of :meth:`shift_sum` over its peaks, a
-    fallback 44 more.  A query at t <= u
+    most 1e-16 |g|, or its triple is narrower than 4 sqrt(eps) |h_j|; the
+    last cell from five points, its ends, its midpoint and one point 1e-8
+    of its width inside each end, which settle it on an end (u on a tie) or
+    seed one more triple.  A peak that :data:`PARABOLA_STEPS` steps leave
+    open evaluates :meth:`shift_sum` once at the :meth:`cusps` inside its
+    grid cells, computed only then.  A scan thus costs at most
+    1 + :data:`PARABOLA_STEPS` + 1 calls of :meth:`shift_sum` over its
+    peaks, and every peak value is an evaluated one.  A query at t <= u
     returns the largest of g(t), the grid values at or below t and the
     refined peaks located at or below t; no search runs inside the partial
     cell ending at t.  Scaling the spectrum scales all values exactly, and
@@ -609,7 +582,7 @@ class ModulusCurve:
                 (gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])
             ) + 1
             # a peak inside the last cell is no grid maximum: refine that cell too
-            px, pv = _refine_peaks(self.shift_sum, self._hs, interior)
+            px, pv = _refine_peaks(self.shift_sum, self._hs, interior, self.cusps)
             pv[:-1] = np.maximum(pv[:-1], gv[interior])
             order = np.argsort(px, kind="stable")
             self._peak_x = px[order]

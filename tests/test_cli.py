@@ -386,6 +386,32 @@ class TestSuites:
         assert len(calls) == 4 + 12
         assert capsys.readouterr().out == shared
 
+    def test_jackson_fuzz_takes_one_infimum_per_p_n(self, monkeypatch, tmp_path, capsys):
+        # the default config but one sample per row: 4 p x 2 psi at n = 2
+        path = write_config(tmp_path, {"suite": "jackson-fuzz", "params": {"samples": 1}})
+        calls = []
+        inf_quantity = jackson.inf_quantity
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return inf_quantity(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "inf_quantity", counting)
+        monkeypatch.setattr(jackson, "inf_quantity", counting)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        shared = capsys.readouterr().out
+        assert calls == [2, 2, 2, 2]
+
+        def per_psi(f, psi, shape, p, mu, n, inf_report):
+            # the route before: each (p, psi, n) row takes its own window infimum
+            return jackson.jackson_bound(f, psi, shape, p, mu, n, k_max=inf_report.k_max)
+
+        calls.clear()
+        monkeypatch.setattr(cli, "jackson_bound", per_psi)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        assert len(calls) == 4 + 8
+        assert capsys.readouterr().out == shared
+
     def test_modulus_oracle_small(self):
         cfg = SuiteConfig(suite="modulus-oracle", params={"cases": 8}, no_timestamp=True)
         report, status = run_suite(cfg)

@@ -666,6 +666,35 @@ class TestJacksonBound:
             assert res.holds_plain
             assert res.bound <= res.bound_plain + 1e-9
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_verdicts_do_not_depend_on_the_scale_of_f(self, p):
+        # the spectra of acceptance criterion 4
+        shape, mu = phi_alpha(1), mu1(np.pi)
+        report = inf_quantity(2, shape, p, mu, k_max=48)
+        rng = np.random.default_rng(67)
+        for _ in range(6):
+            f = random_sparse_spectrum(rng, 32, 8)
+            for r in (0, 1):
+                verdicts = {
+                    (res.holds, res.holds_plain)
+                    for s in (1e-10, 1.0, 1e10)
+                    for res in [jackson_bound(s * f, power(r), shape, p, mu, 2, inf_report=report)]
+                }
+                assert verdicts == {(True, True)}
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_a_cut_bound_is_violated_at_any_scale(self, p):
+        # a window infimum 1000^p too large cuts both bounds to 1e-3 of their
+        # value, below E_n(f) for this spectrum at every scale
+        shape, mu = phi_alpha(1), mu1(np.pi)
+        report = inf_quantity(2, shape, p, mu, k_max=48)
+        cut = dataclasses.replace(report, value=report.value * 1e3**p)
+        for s in (1e-10, 1.0, 1e10):
+            f = SpectralFunction({3: s, -5: 0.5j * s})
+            res = jackson_bound(f, power(1), shape, p, mu, 2, inf_report=cut)
+            assert res.lhs > 0
+            assert not res.holds and not res.holds_plain
+
     def test_tail_supremum_is_scanned_once_per_psi_and_n(self):
         # psi is not declared monotone-even, so its tail supremum is a scan
         # to the horizon: once for all 20 spectra, plus psi_derivative's one

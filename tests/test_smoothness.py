@@ -21,7 +21,6 @@ from spapprox.smoothness import (
     ModulusCurve,
     ModulusGrid,
     ShapeFunction,
-    _golden_max,
     check_shape,
     difference_modulus_oracle,
     generalized_modulus,
@@ -178,7 +177,6 @@ class TestModulusGrid:
     def test_defaults(self):
         grid = ModulusGrid()
         assert grid.base_points == 4096
-        assert smoothness.REFINE_STEPS == 40
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
@@ -326,10 +324,10 @@ class TestPlateaus:
         shape = dataclasses.replace(base, eval=lambda t: (seen.append(np.size(t)), base.eval(t))[1])
         curve = self.full_curve(11, 1.5, shape)
         # the scan of 4096 points, one call seeding the 4 interior peaks (3
-        # points each) and probing the last cell (4 points), and parabolic
-        # steps at 4, 4 and 3 vertices, each over the 8 harmonics: nothing
-        # for the table
-        assert sum(seen) == 32984
+        # points each) and the last cell (5 points, its peak on an end), and
+        # parabolic steps at 4, 4 and 3 vertices, each over the 8 harmonics:
+        # nothing for the table
+        assert sum(seen) == 8 * (4096 + 17 + 4 + 4 + 3) == 32992
         seen.clear()
         crossings = curve.plateaus.ends.size - 1
         assert sum(seen) == (2 + CROSSING_STEPS) * crossings * 8
@@ -338,66 +336,98 @@ class TestPlateaus:
         assert seen == []
 
 
+def golden_sup(g, lo, hi, steps=100):
+    """Best value of g that golden-section search finds on each [lo_i, hi_i].
+
+    Test-local oracle: ``steps`` steps of two fresh evaluations each, ends
+    included, the bracket kept around the better interior point.
+    """
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    best = np.maximum(g(lo), g(hi))
+    for _ in range(steps):
+        c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+        fc, fd = g(c), g(d)
+        best = np.maximum(best, np.maximum(fc, fd))
+        left = fc >= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    return best
+
+
 class TestPeakRefinement:
-    """Parabolic steps from the scan's peak triples, golden section as fallback."""
+    """Parabolic steps from the scan's peak triples, then the cusps of open rows."""
 
     @staticmethod
-    def spy_golden(monkeypatch):
-        """The (lo, hi, iters) of every golden-section run from now on."""
-        runs = []
-
-        def spy(g, lo, hi, iters):
-            runs.append((lo, hi, iters))
-            return _golden_max(g, lo, hi, iters)
-
-        monkeypatch.setattr(smoothness, "_golden_max", spy)
-        return runs
+    def grid_maxima(curve):
+        gv = curve.shift_sum(curve._hs)
+        return np.flatnonzero((gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])) + 1
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_peaks_reach_a_long_golden_search(self, p, monkeypatch):
-        golden = self.spy_golden(monkeypatch)
+    def test_peaks_reach_a_long_golden_search(self, p):
         shape = phi_alpha(1)
-        converged = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
             f = random_sparse_spectrum(rng, 32, 8) if seed % 2 else random_full_spectrum(rng, 12)
             for u in (np.pi, 2.5):
                 curve = ModulusCurve(f, p, shape, u)
                 calls = []
-                golden.clear()
-                g = lambda h: calls.append(np.size(h)) or curve.shift_sum(h)
-                hs = curve._hs
-                gv = curve.shift_sum(hs)
-                interior = np.flatnonzero((gv[1:-1] >= gv[:-2]) & (gv[1:-1] >= gv[2:])) + 1
-                px, pv = smoothness._refine_peaks(g, hs, interior)
-                if not golden:  # every peak converged: one seed call and the steps
-                    converged += 1
-                    assert len(calls) <= 1 + PARABOLA_STEPS <= 8
+
+                def g(h):
+                    calls.append((np.copy(h), curve.shift_sum(h)))
+                    return calls[-1][1]
+
+                hs, interior = curve._hs, self.grid_maxima(curve)
+                px, pv = smoothness._refine_peaks(g, hs, interior, curve.cusps)
+                # the seed call, the parabolic steps and one call at cusps
+                assert len(calls) <= 1 + PARABOLA_STEPS + 1
+                # every peak is a point g was evaluated at, with its value
+                seen = set(zip(*map(np.concatenate, zip(*calls))))
+                assert set(zip(px, pv)) <= seen
                 lo = np.append(hs[interior - 1], hs[-2])
                 hi = np.append(hs[interior + 1], u)
-                _, best = _golden_max(curve.shift_sum, lo, hi, 100)
+                best = golden_sup(curve.shift_sum, lo, hi)
                 assert np.all(pv >= best * (1.0 - 1e-14))
                 assert np.all((lo <= px) & (px <= hi))
-        # u = pi is a critical point of every term once p > 1, so the last
-        # cell's probes cannot settle it there; at u = 2.5 they do
-        assert converged >= 10
 
-    def test_a_kinked_peak_takes_the_golden_fallback(self, monkeypatch):
+    def test_a_kinked_peak_reads_g_at_its_knot(self, monkeypatch):
         # the peak of shape(h)^p sits on the knot h = 1, between grid points
         shape = tabulated_shape([(0.0, 0.0), (1.0, 1.0), (np.pi, 0.2)], None, 1.0)
-        brackets = self.spy_golden(monkeypatch)
+        cusps, real = [], ModulusCurve.cusps
+        monkeypatch.setattr(ModulusCurve, "cusps", lambda self: cusps.append(real(self)) or cusps[-1])
         curve = ModulusCurve(SpectralFunction({1: 1.0}), 1.5, shape, np.pi)
         j = np.searchsorted(curve._hs, 1.0)
         assert curve._hs[j - 1] < 1.0 < curve._hs[j]
-        (lo, hi, iters), = brackets
-        assert iters == smoothness.REFINE_STEPS
-        cell = np.flatnonzero((lo < 1.0) & (1.0 < hi))
-        assert cell.size == 1 and hi[cell] - lo[cell] == pytest.approx(2 * np.pi / 4095)
-        # the value is golden section's alone: the parabolic steps leave no trace
-        _, golden = _golden_max(curve.shift_sum, lo[cell], hi[cell], iters)
-        expected = max(golden[0], float(curve._run_max[-1]))
-        assert curve.pow_values(np.pi)[0] == expected
-        assert expected == pytest.approx(1.0, abs=1e-12)
+        (kinks,) = cusps  # the parabolic steps leave the kink open
+        assert kinks.tolist() == [1.0]
+        assert curve.pow_values(np.pi)[0] == curve.shift_sum(1.0) == 1.0
+
+    def test_converged_peaks_compute_no_cusps(self, monkeypatch):
+        monkeypatch.setattr(ModulusCurve, "cusps", lambda self: pytest.fail("cusps computed"))
+        f = random_sparse_spectrum(np.random.default_rng(5), 32, 8)
+        ModulusCurve(f, 2.0, phi_alpha(1), 2.5)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_a_stationary_window_end_settles_the_last_cell(self, p):
+        # even harmonics are stationary at u = pi/2: g(u - eta) rounds to g(u)
+        curve = ModulusCurve(SpectralFunction({2: 1.0, 4: 0.5j, -6: 0.3}), p, phi_alpha(1), np.pi / 2)
+        calls = []
+        g = lambda h: calls.append(np.size(h)) or curve.shift_sum(h)
+        interior = self.grid_maxima(curve)
+        px, pv = smoothness._refine_peaks(g, curve._hs, interior, curve.cusps)
+        assert interior.size == 0 and calls == [5]  # the seed call alone
+        assert px[-1] == curve.u and pv[-1] == curve.shift_sum(curve.u)
+
+    def test_a_triple_within_ulps_of_its_top_retires_at_once(self):
+        curve = ModulusCurve(SpectralFunction({3: 1.0, 7: 0.4, 12: 0.25j}), 1.5, phi_alpha(1), 2.5)
+        top = curve._peak_x[np.argmin(np.abs(curve._peak_x - 1.26))]
+        x0 = np.array([[top - 1e-8, top, top + 1e-8]])
+        v0 = curve.shift_sum(x0)
+        assert np.all(v0 >= v0.max() * (1.0 - 4 * np.finfo(float).eps))
+        calls = []
+        g = lambda h: calls.append(h) or curve.shift_sum(h)
+        x, v, done = smoothness._parabolic_max(g, x0, v0, PARABOLA_STEPS)
+        assert calls == [] and done.tolist() == [True]
+        assert x.tolist() == [top] and v.tolist() == [v0.max()]
 
     def test_a_peak_strictly_inside_the_last_cell_is_found(self):
         # shape(3h)^2 peaks at h = pi/3, half a cell before u
