@@ -381,8 +381,9 @@ class TestPeakRefinement:
                 # the seed call, the parabolic steps and one call at cusps
                 assert len(calls) <= 1 + PARABOLA_STEPS + 1
                 # every peak is a point g was evaluated at, with its value
-                seen = set(zip(*map(np.concatenate, zip(*calls))))
-                assert set(zip(px, pv)) <= seen
+                points = np.concatenate([h for h, _ in calls])
+                values = np.concatenate([v for _, v in calls])
+                assert set(zip(px, pv)) <= set(zip(points, values))
                 lo = np.append(hs[interior - 1], hs[-2])
                 hi = np.append(hs[interior + 1], u)
                 best = golden_sup(curve.shift_sum, lo, hi)
@@ -393,7 +394,9 @@ class TestPeakRefinement:
         # the peak of shape(h)^p sits on the knot h = 1, between grid points
         shape = tabulated_shape([(0.0, 0.0), (1.0, 1.0), (np.pi, 0.2)], None, 1.0)
         cusps, real = [], ModulusCurve.cusps
-        monkeypatch.setattr(ModulusCurve, "cusps", lambda self: cusps.append(real(self)) or cusps[-1])
+        monkeypatch.setattr(
+            ModulusCurve, "cusps", lambda self: cusps.append(real(self)) or cusps[-1]
+        )
         curve = ModulusCurve(SpectralFunction({1: 1.0}), 1.5, shape, np.pi)
         j = np.searchsorted(curve._hs, 1.0)
         assert curve._hs[j - 1] < 1.0 < curve._hs[j]
@@ -409,7 +412,8 @@ class TestPeakRefinement:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_a_stationary_window_end_settles_the_last_cell(self, p):
         # even harmonics are stationary at u = pi/2: g(u - eta) rounds to g(u)
-        curve = ModulusCurve(SpectralFunction({2: 1.0, 4: 0.5j, -6: 0.3}), p, phi_alpha(1), np.pi / 2)
+        f = SpectralFunction({2: 1.0, 4: 0.5j, -6: 0.3})
+        curve = ModulusCurve(f, p, phi_alpha(1), np.pi / 2)
         calls = []
         g = lambda h: calls.append(np.size(h)) or curve.shift_sum(h)
         interior = self.grid_maxima(curve)
