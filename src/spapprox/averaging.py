@@ -5,9 +5,10 @@ function is bounded, nondecreasing and non-constant.  The averaged modulus
 rescales the weight onto a window [0, u] and averages the p-th power of the
 modulus of smoothness against it.  Integrals against a weight take the
 form integral_0^tau F(theta s) dmu(s) of :func:`dilated_integrals`.  The
-averaged moduli of one curve over an array of windows take a route of
-their own: the running supremum is flat on plateaus, integrated through the
-weight's cumulative function, and follows the shift sum in between.
+averaged modulus reads the running supremum off the curve's piece table,
+so the shift sum is evaluated only on the rising stretches between plateaus.
+A float window is one integral of it; an array of windows takes the
+plateaus through the weight's cumulative function instead.
 """
 
 from __future__ import annotations
@@ -268,24 +269,48 @@ def averaged_pow_modulus(curve: ModulusCurve, mu: WeightMeasure, u):
     """Mean of the p-th power running supremum against the rescaled weight.
 
     ``curve`` must cover [0, u]; reusing one curve across several windows u
-    is the supported (and cheap) pattern.  A float ``u`` is one
-    :func:`stieltjes_integral` of the running supremum, whose first panels
-    are cut at its kinks inside the window: the cusps of the shift sum and
-    the two ends of every plateau (the last plateau ends at the curve's
-    end).  A 1-D array of windows is integrated piece by piece
-    (:func:`_window_integrals`), and an array is returned.
+    is the supported (and cheap) pattern.  Both forms integrate
+    :func:`_running_sup`, which evaluates the shift sum on rising stretches
+    only.  A float ``u`` is one :func:`stieltjes_integral`, its first panels
+    cut at the kinks inside the window: the cusps of the shift sum and the
+    two ends of every plateau (the last ends at the curve's end).  A 1-D
+    array of windows gets an array, integrated piece by piece
+    (:func:`_window_integrals`).
     """
-    if np.ndim(u) == 0:
-        flat = curve.plateaus
-        kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
-        raw = stieltjes_integral(curve.pow_values, mu, u, cusps=kinks)
-        return max(raw, 0.0) / mu.total_mass
     us = np.asarray(u, dtype=float)
     if not np.all(us > 0):
         raise ValueError(f"window length must be positive, got {u}")
     if us.max() > curve.u * (1.0 + 1e-12):
         raise ValueError("query outside the precomputed window")
+    if us.ndim == 0:
+        flat = curve.plateaus
+        kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
+        raw = stieltjes_integral(_running_sup(curve), mu, u, cusps=kinks)
+        return max(raw, 0.0) / mu.total_mass
     return np.maximum(_window_integrals(curve, mu, us), 0.0) / mu.total_mass
+
+
+def _running_sup(curve: ModulusCurve) -> Callable[[np.ndarray], np.ndarray]:
+    """The running supremum of ``curve``, read off its piece table.
+
+    It is v_j inside plateau j, [starts_j, ends_j], and max(g, v_j) from
+    ends_j to the next start (g before the first), so the shift sum g is
+    evaluated nowhere inside a plateau.  Points are clipped to [0, u] as in
+    :meth:`ModulusCurve.pow_values`.
+    """
+    flat = curve.plateaus
+    floor, last_end = np.append(0.0, flat.values), np.append(-np.inf, flat.ends)
+
+    def evaluate(t):
+        t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, curve.u)
+        j = np.searchsorted(flat.starts, t, side="right")  # plateaus begun by t
+        out = floor[j]
+        # a plateau's end reads g too: its crossing may lie a rounding past v_j
+        up = t >= last_end[j]
+        out[up] = np.maximum(curve.shift_sum(t[up]), out[up])
+        return out
+
+    return evaluate
 
 
 def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) -> np.ndarray:
@@ -293,13 +318,13 @@ def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) ->
 
     On each plateau the running supremum is its value v_j, so the plateau
     adds v_j times the weight's mass there, from :meth:`WeightMeasure.cdf`.
-    On the rising stretches in between it is max(g, previous plateau value)
-    for the shift sum g, integrated in one :func:`_density_integrals` pass
-    whose cells are also cut at the cusps of g.  The atoms add
-    :meth:`WeightMeasure.atom_sums`.
+    On the rising stretches in between, :func:`_running_sup` is integrated
+    in one :func:`_density_integrals` pass whose cells are also cut at the
+    cusps of the shift sum.  The atoms add :meth:`WeightMeasure.atom_sums`.
     """
     thetas = us / mu.tau
-    totals = mu.atom_sums(curve.pow_values, thetas)
+    running_sup = _running_sup(curve)
+    totals = mu.atom_sums(running_sup, thetas)
     if mu.density is None:
         return totals
     flat = curve.plateaus
@@ -309,19 +334,11 @@ def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) ->
     mass = mu.cdf(s)
     totals += (mass[1] - mass[0]) @ flat.values
     # a rising stretch runs from each plateau's end (or 0) to the next start
-    lo = np.append(0.0, flat.ends)
-    hi = np.append(flat.starts, curve.u)
-    floor = np.append(0.0, flat.values)
-    rising = hi > lo
-    lo, hi, floor = lo[rising], hi[rising], floor[rising]
-
-    def running_sup(t):
-        return np.maximum(curve.shift_sum(t), floor[np.searchsorted(lo, t, side="right") - 1])
-
+    lo, hi = np.append(0.0, flat.ends), np.append(flat.starts, curve.u)
     return totals + _density_integrals(
         running_sup, mu, thetas,
         lambda i: f"stieltjes[{mu.label or 'measure'}] (u={us[i]:g})",
-        support=(lo, hi), cusps=curve.cusps(),
+        support=(lo[hi > lo], hi[hi > lo]), cusps=curve.cusps(),
     )
 
 

@@ -389,7 +389,9 @@ def _suite_jackson_fuzz(cfg: SuiteConfig) -> Iterator[tuple[dict, bool]]:
                     f = random_sparse_spectrum(
                         rng, cfg.params["max_order"], cfg.params["max_terms"]
                     )
-                    result = jackson_bound(f, psi, shape, p, measure, n, inf_report=report)
+                    result = jackson_bound(
+                        f, psi, shape, p, measure, n, inf_report=report, tol=cfg.tolerance
+                    )
                     violations += not result.holds
                     violations_plain += not result.holds_plain
                 yield {

@@ -422,7 +422,7 @@ class JacksonBound:
 
     ``bound`` uses the averaged modulus, ``bound_plain`` the plain modulus at
     the same window; the former never exceeds the latter.  ``holds`` and
-    ``holds_plain`` test lhs <= bound (1 + 1e-9), a relative slack, so that
+    ``holds_plain`` test lhs <= bound (1 + tol), a relative slack, so that
     scaling the spectrum, which scales lhs and both bounds alike, keeps
     every verdict.
     """
@@ -443,12 +443,14 @@ def jackson_bound(
     n: int,
     k_max: int | None = None,
     inf_report: InfReport | None = None,
+    tol: float = 1e-9,
 ) -> JacksonBound:
     """Check the direct estimate for one spectrum.
 
     lhs = E_n(f); bound = (mass/I(n))^(1/p) * tail_sup * averaged modulus of
     the roughened spectrum over [0, tau/n].  ``inf_report`` may be supplied
-    to reuse a precomputed window minimum.
+    to reuse a precomputed window minimum; ``tol`` is the relative slack of
+    both verdicts.
     """
     p = as_exponent(p)
     report = inf_report if inf_report is not None else inf_quantity(n, shape, p, mu, k_max)
@@ -462,9 +464,9 @@ def jackson_bound(
     return JacksonBound(
         lhs=lhs,
         bound=bound,
-        holds=lhs <= bound * (1.0 + 1e-9),
+        holds=lhs <= bound * (1.0 + tol),
         bound_plain=bound_plain,
-        holds_plain=lhs <= bound_plain * (1.0 + 1e-9),
+        holds_plain=lhs <= bound_plain * (1.0 + tol),
     )
 
 

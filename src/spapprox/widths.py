@@ -153,9 +153,13 @@ def membership(
     cls: SmoothnessClass,
     tol: float = 1e-9,
 ) -> bool:
-    """Constraint check for one spectrum (up to additive slack ``tol``)."""
+    """Constraint check for one spectrum, up to the relative slack ``tol``.
+
+    Each value is compared with its target times (1 + tol), so a verdict
+    does not change when the values and their targets scale together.
+    """
     values, targets = _constraint(f, cls)
-    return bool(np.all(values <= targets + tol))
+    return bool(np.all(values <= targets * (1.0 + tol)))
 
 
 @dataclass(frozen=True)

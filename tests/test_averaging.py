@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,14 @@ def running_sup_kinks(curve, points=4097, steps=60):
     return 0.5 * (lo + hi)
 
 
+def pow_values_average(curve, mu, u):
+    """The float-window average through :meth:`ModulusCurve.pow_values`, which
+    evaluates the shift sum at every node, cut at the same kinks."""
+    flat = curve.plateaus
+    kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
+    return max(stieltjes_integral(curve.pow_values, mu, u, cusps=kinks), 0.0) / mu.total_mass
+
+
 #: A spectrum of the jackson-fuzz mix (seed 81) whose running supremum on
 #: [0, pi/2] has a kink in the last uniform Simpson panel of mu1(pi).
 TWO_HIGH_HARMONICS = SpectralFunction({
@@ -279,7 +288,8 @@ class TestWindowBatch:
         curve = ModulusCurve(f, 1.5, phi_alpha(1), mu.tau)
         us = mu.tau * np.arange(1, 65) / 64
         values = averaged_pow_modulus(curve, mu, us)
-        reference = np.array([averaged_pow_modulus(curve, mu, u) for u in us])
+        # the reference reads g everywhere, not the piece table both routes share
+        reference = np.array([pow_values_average(curve, mu, u) for u in us])
         np.testing.assert_allclose(values, reference, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("weight", ["mu1", "mu2", "tabulated", "atoms+density"])
@@ -418,6 +428,84 @@ class TestWindowBatch:
         assert type(stieltjes_integral(curve.pow_values, mu1(np.pi), np.pi / 2)) is float
         assert type(averaged_pow_modulus(curve, mu1(np.pi), np.pi / 2)) is float
         assert averaged_pow_modulus(curve, mu1(np.pi), np.array([np.pi / 2])).shape == (1,)
+
+
+class TestPieceTableRoute:
+    """The float window integrates the running supremum of the piece table."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_float_window_equals_the_pow_values_integral(self, p):
+        u, mu = np.pi / 2, mu1(np.pi)
+        rng = np.random.default_rng(11)
+        spectra = [random_sparse_spectrum(rng, 32, 8) for _ in range(12)]
+        # k_max u = pi, the shape's cap point: a curve without plateaus
+        spectra.append(SpectralFunction({1: 0.5, -2: 1j}))
+        fast = last_reaches_u = 0
+        for f in spectra:
+            curve = ModulusCurve(f, p, phi_alpha(1), u)
+            flat = curve.plateaus
+            fast += flat.starts.size == 0
+            last_reaches_u += flat.starts.size > 0 and flat.starts[-1] < flat.ends[-1] == u
+            want = pow_values_average(curve, mu, u)
+            assert averaged_pow_modulus(curve, mu, u) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert fast == 1 and last_reaches_u >= 6
+
+    def test_shift_sum_is_evaluated_off_the_plateaus_only(self):
+        evals = []
+        base = phi_alpha(1)
+
+        def counted(t):
+            evals.append(np.size(t))
+            return base.eval(t)
+
+        shape = replace(base, eval=counted)
+        u, mu = np.pi / 2, mu1(np.pi)
+        curve = ModulusCurve(TWO_HIGH_HARMONICS, 1, shape, u)
+        flat = curve.plateaus
+        assert flat.starts.size == 2
+        shift_sum, points = curve.shift_sum, []
+
+        def spy(h):
+            points.append(np.array(h, dtype=float).ravel())
+            return shift_sum(h)
+
+        curve.shift_sum = spy
+        evals.clear()
+        got = averaged_pow_modulus(curve, mu, u)
+        del curve.shift_sum
+        # 253 points of 2 harmonics; the pow_values route evaluates all of
+        # its 769 nodes, 1,538 shape points
+        assert sum(evals) == 506
+        points = np.sort(np.concatenate(points))
+        assert not np.any((points[:, None] > flat.starts) & (points[:, None] < flat.ends))
+        nodes = []
+
+        def pow_values(t):
+            nodes.append(np.array(t, dtype=float).ravel())
+            return curve.pow_values(t)
+
+        kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
+        assert stieltjes_integral(pow_values, mu, u, cusps=kinks) / mu.total_mass == got
+        nodes = np.concatenate(nodes)
+        on_plateau = (nodes[:, None] >= flat.starts) & (nodes[:, None] < flat.ends)
+        assert np.array_equal(points, np.sort(nodes[~on_plateau.any(axis=1)]))
+
+    @pytest.mark.parametrize("u", [0.0, -1.0, np.nan, 2.0 * (1.0 + 1e-9)])
+    def test_float_and_array_windows_share_their_input_checks(self, u):
+        curve = ModulusCurve(SpectralFunction({3: 1.0}), 2, phi_alpha(1), 2.0)
+        calls = []
+        curve.shift_sum = lambda h: calls.append(h)
+        message = "window length must be positive" if not u > 0 else "outside the precomputed"
+        for window in (u, np.array([u])):
+            with pytest.raises(ValueError, match=message):
+                averaged_pow_modulus(curve, mu1(np.pi), window)
+        assert calls == []
+
+    def test_a_window_a_rounding_past_the_curve_is_accepted_by_both_forms(self):
+        curve = ModulusCurve(SpectralFunction({3: 1.0}), 2, phi_alpha(1), 2.0)
+        u = 2.0 * (1.0 + 1e-13)
+        one = averaged_pow_modulus(curve, mu1(np.pi), u)
+        assert one == pytest.approx(averaged_pow_modulus(curve, mu1(np.pi), np.array([u]))[0])
 
 
 class TestAveragedModulus:

@@ -402,15 +402,47 @@ class TestSuites:
         shared = capsys.readouterr().out
         assert calls == [2, 2, 2, 2]
 
-        def per_psi(f, psi, shape, p, mu, n, inf_report):
+        def per_psi(f, psi, shape, p, mu, n, inf_report, tol):
             # the route before: each (p, psi, n) row takes its own window infimum
-            return jackson.jackson_bound(f, psi, shape, p, mu, n, k_max=inf_report.k_max)
+            return jackson.jackson_bound(f, psi, shape, p, mu, n, k_max=inf_report.k_max, tol=tol)
 
         calls.clear()
         monkeypatch.setattr(cli, "jackson_bound", per_psi)
         assert main(["suite", "--config", path, "--no-timestamp"]) == 0
         assert len(calls) == 4 + 8
         assert capsys.readouterr().out == shared
+
+    def test_jackson_fuzz_passes_its_tolerance_to_every_bound(self, monkeypatch, tmp_path, capsys):
+        # the default config but two samples per row: 4 p x 2 psi at n = 2
+        path = write_config(tmp_path, {"suite": "jackson-fuzz", "params": {"samples": 2}})
+        tols = []
+        jackson_bound = jackson.jackson_bound
+
+        def recording(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return jackson_bound(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "jackson_bound", recording)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        report = capsys.readouterr().out
+        assert tols == [cli.SUITES["jackson-fuzz"].tolerance] * 16 == [1e-9] * 16
+
+        def fixed_slack(*args, tol, **kwargs):
+            # the route before: both verdicts at jackson_bound's own 1e-9
+            return jackson_bound(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "jackson_bound", fixed_slack)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == report
+
+        tols.clear()
+        path = write_config(
+            tmp_path, {"suite": "jackson-fuzz", "tolerance": 0.25, "params": {"samples": 2}}
+        )
+        monkeypatch.setattr(cli, "jackson_bound", recording)
+        assert main(["suite", "--config", path, "--no-timestamp"]) == 0
+        assert tols == [0.25] * 16
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.25
 
     def test_modulus_oracle_small(self):
         cfg = SuiteConfig(suite="modulus-oracle", params={"cases": 8}, no_timestamp=True)

@@ -695,6 +695,20 @@ class TestJacksonBound:
             assert res.lhs > 0
             assert not res.holds and not res.holds_plain
 
+    def test_tol_is_the_relative_slack_of_both_verdicts(self):
+        # the bounds cut to 1e-3 of their value hold again at a slack of
+        # lhs / bound - 1, and fail just below it
+        shape, mu, p = phi_alpha(1), mu1(np.pi), 2.0
+        report = inf_quantity(2, shape, p, mu, k_max=48)
+        cut = dataclasses.replace(report, value=report.value * 1e3**p)
+        f = SpectralFunction({3: 1.0, -5: 0.5j})
+        res = jackson_bound(f, power(1), shape, p, mu, 2, inf_report=cut)
+        for bound, name in ((res.bound, "holds"), (res.bound_plain, "holds_plain")):
+            slack = res.lhs / bound - 1.0
+            for tol, verdict in ((slack * (1 + 1e-9), True), (slack * (1 - 1e-9), False)):
+                again = jackson_bound(f, power(1), shape, p, mu, 2, inf_report=cut, tol=tol)
+                assert getattr(again, name) is verdict
+
     def test_tail_supremum_is_scanned_once_per_psi_and_n(self):
         # psi is not declared monotone-even, so its tail supremum is a scan
         # to the horizon: once for all 20 spectra, plus psi_derivative's one

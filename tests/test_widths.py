@@ -50,6 +50,16 @@ def solved_linear_majorant_class(r=1):
     )
 
 
+def criterion_6_classes():
+    """The classes of acceptance criterion 6: three fixed-mode ones at n = 1,
+    2 and 4, then the majorant-mode one."""
+    fixed = [(1.0, 2.0, mu1(np.pi)), (2.0, 1.0, mu1(np.pi)), (1.0, 2.0, mu2(TAU34))]
+    return [
+        SmoothnessClass(psi=power(1), shape=phi_alpha(alpha), p=p, mu=mu, n=n)
+        for alpha, p, mu in fixed for n in (1, 2, 4)
+    ] + [solved_linear_majorant_class()]
+
+
 class TestClassValidation:
     def test_exactly_one_mode(self):
         with pytest.raises(ValueError):
@@ -177,6 +187,36 @@ class TestMembership:
         assert membership(scale * f, cls, tol=1e-9)
         assert not membership((1.001 * scale) * f, cls, tol=1e-9)
 
+
+    def test_verdicts_do_not_depend_on_the_scale(self, monkeypatch):
+        # the averaged moduli of f s are s times those of f: against the
+        # class bounds times s every verdict stays, also 1e-7 relative off an
+        # active constraint, where an additive slack of 1e-9 admits f 1e-10.
+        # The bounds move, not f: amplitudes below COEFF_TOL = 1e-12 are
+        # pruned, so every amplitude of f 1e-10 stays above 1e-12 here.
+        rng = np.random.default_rng(61)
+        bound = SmoothnessClass.bound
+        for cls in criterion_6_classes():
+            f = random_full_spectrum(rng, cls.n or 2)
+            assert min(map(abs, f.coeffs.values())) > 1e-2
+            values, _ = _constraint(f, cls)
+            active = _active_scale(values, bound(cls, cls.windows()))
+            for c, member in ((1.0 - 1e-7, True), (1.0 + 1e-7, False), (0.5, True), (2.0, False)):
+                for s in (1e-10, 1.0, 1e10):
+                    monkeypatch.setattr(
+                        SmoothnessClass, "bound",
+                        lambda self, u: s * bound(self, u) / (active * c),
+                    )
+                    assert membership(s * f, cls) is member, (cls, c, s)
+
+    @pytest.mark.parametrize("s", [1e-10, 1.0, 1e10])
+    def test_a_target_cut_below_an_extremal_value_is_violated_at_any_scale(self, s, monkeypatch):
+        for cls in criterion_6_classes():
+            f = extremal_function(cls.n or 2, cls.psi)
+            values, _ = _constraint(f, cls)
+            for cut, member in ((1.0, True), (1.0 - 1e-6, False)):
+                monkeypatch.setattr(SmoothnessClass, "bound", lambda self, u: s * cut * values)
+                assert membership(s * f, cls) is member, (cls, cut)
 
     def test_majorant_mode_rejects_a_violation_at_the_last_window_only(self):
         # for phi_alpha(2) and one low harmonic the averaged modulus grows
