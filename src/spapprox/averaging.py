@@ -293,9 +293,9 @@ def averaged_pow_modulus(curve: ModulusCurve, mu: WeightMeasure, u):
 def _running_sup(curve: ModulusCurve) -> Callable[[np.ndarray], np.ndarray]:
     """The running supremum of ``curve``, read off its piece table.
 
-    It is v_j inside plateau j, [starts_j, ends_j], and max(g, v_j) from
-    ends_j to the next start (g before the first), so the shift sum g is
-    evaluated nowhere inside a plateau.  Points are clipped to [0, u] as in
+    It is v_j on plateau j, [starts_j, ends_j), and max(g, v_j) from ends_j
+    to the next start (g before the first), so the shift sum g is evaluated
+    nowhere inside a plateau.  Points are clipped to [0, u] as in
     :meth:`ModulusCurve.pow_values`.
     """
     flat = curve.plateaus

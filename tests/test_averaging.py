@@ -262,12 +262,14 @@ def running_sup_kinks(curve, points=4097, steps=60):
     return 0.5 * (lo + hi)
 
 
-def pow_values_average(curve, mu, u):
-    """The float-window average through :meth:`ModulusCurve.pow_values`, which
-    evaluates the shift sum at every node, cut at the same kinks."""
+def pow_values_average(curve, mu, u, pow_values=None):
+    """The float-window average through :meth:`ModulusCurve.pow_values` (or
+    ``pow_values``, which wraps it), evaluating the shift sum at every node,
+    its first panels cut at the same kinks as the piece-table route."""
     flat = curve.plateaus
     kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
-    return max(stieltjes_integral(curve.pow_values, mu, u, cusps=kinks), 0.0) / mu.total_mass
+    raw = stieltjes_integral(pow_values or curve.pow_values, mu, u, cusps=kinks)
+    return max(raw, 0.0) / mu.total_mass
 
 
 #: A spectrum of the jackson-fuzz mix (seed 81) whose running supremum on
@@ -484,8 +486,7 @@ class TestPieceTableRoute:
             nodes.append(np.array(t, dtype=float).ravel())
             return curve.pow_values(t)
 
-        kinks = np.concatenate([curve.cusps(), flat.starts, flat.ends[:-1]])
-        assert stieltjes_integral(pow_values, mu, u, cusps=kinks) / mu.total_mass == got
+        assert pow_values_average(curve, mu, u, pow_values) == got
         nodes = np.concatenate(nodes)
         on_plateau = (nodes[:, None] >= flat.starts) & (nodes[:, None] < flat.ends)
         assert np.array_equal(points, np.sort(nodes[~on_plateau.any(axis=1)]))
