@@ -83,8 +83,8 @@ class WeightMeasure:
 def _integrated_cdf(density, breakpoints, s: np.ndarray, label: str) -> np.ndarray:
     """integral_0^s density for every s, on cells shared by all of them."""
     return nested_integrals(
-        density, lambda t, i: 1.0, 0.0, s.ravel(), singular=np.append(breakpoints, 0.0),
-        context=lambda i: f"cdf of {label or 'measure'}",
+        density, lambda t, i: 1.0, 0.0, s.ravel(), breakpoints=s.ravel(),
+        singular=np.append(breakpoints, 0.0), context=lambda i: f"cdf of {label or 'measure'}",
     ).reshape(s.shape)
 
 
@@ -214,7 +214,7 @@ def dilated_integrals(
                 breakpoints=np.append(mu.breakpoints, np.asarray(cusps) / thetas[0]),
             )
         else:
-            totals += _density_integrals(F, mu, thetas, context, cusps=cusps)
+            totals += _density_integrals(F, mu, thetas, context, cusps=cusps, cuts=thetas * mu.tau)
     return totals + mu.atom_sums(F, thetas)
 
 
@@ -226,20 +226,28 @@ def _density_integrals(
     *,
     support: tuple[np.ndarray, np.ndarray] | None = None,
     cusps=(),
+    cuts=(),
 ) -> np.ndarray:
     """integral_0^(theta_i tau) F(t) density(t / theta_i) / theta_i dt for every i.
 
     One :func:`nested_integrals` pass at :data:`DEFAULT_BUDGET`: F is
     evaluated once per node for all dilations, cells are cut at the
-    density's breakpoints times each theta_i, and the cells at the origin
-    and at the ``cusps`` of F get tanh-sinh.  ``support`` limits F to
-    stretches, as in :func:`nested_integrals`.
+    density's breakpoints times each theta_i and at ``cuts``, and the cells
+    at the origin and at the ``cusps`` of F get tanh-sinh.  An end
+    theta_i tau cuts the cells of the other dilations only when ``cuts``
+    lists it.  ``support`` limits F to stretches, as in
+    :func:`nested_integrals`.
     """
+    inverse = 1.0 / thetas
+
+    def weight(t, i):
+        scale = inverse[i]
+        # t / theta may round above tau at the end
+        return mu.density(np.minimum(t * scale, mu.tau)) * scale
+
     return nested_integrals(
-        # theta tau / theta may round above tau
-        F, lambda t, i: mu.density(np.minimum(t / thetas[i], mu.tau)) / thetas[i],
-        0.0, thetas * mu.tau, support=support,
-        breakpoints=np.multiply.outer(thetas, mu.breakpoints),
+        F, weight, 0.0, thetas * mu.tau, support=support,
+        breakpoints=np.append(np.multiply.outer(thetas, mu.breakpoints), cuts),
         singular=np.append(cusps, 0.0), budget=DEFAULT_BUDGET, context=context,
     )
 
@@ -320,7 +328,8 @@ def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) ->
     adds v_j times the weight's mass there, from :meth:`WeightMeasure.cdf`.
     On the rising stretches in between, :func:`_running_sup` is integrated
     in one :func:`_density_integrals` pass whose cells are also cut at the
-    cusps of the shift sum.  The atoms add :meth:`WeightMeasure.atom_sums`.
+    cusps of the shift sum and at every window end.  The atoms add
+    :meth:`WeightMeasure.atom_sums`.
     """
     thetas = us / mu.tau
     running_sup = _running_sup(curve)
@@ -338,7 +347,7 @@ def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) ->
     return totals + _density_integrals(
         running_sup, mu, thetas,
         lambda i: f"stieltjes[{mu.label or 'measure'}] (u={us[i]:g})",
-        support=(lo[hi > lo], hi[hi > lo]), cusps=curve.cusps(),
+        support=(lo[hi > lo], hi[hi > lo]), cusps=curve.cusps(), cuts=thetas * mu.tau,
     )
 
 

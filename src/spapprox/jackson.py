@@ -18,9 +18,10 @@ from the shape's periodic antiderivative and the density's variation.  So
 :func:`inf_quantity` integrates k in [n, 2n] first and skips every larger k
 whose lower bound L - C n / k already lies above that minimum.
 
-The period table, m_p, C and the shape mass depend on (shape, p, mu) alone,
-so each shape object keeps them per (p, mu) and every call shares them; the
-integrals at each k are taken anew by each call.
+m_p, C and the shape mass depend on (shape, p, mu) alone, so each shape
+object keeps them per (p, mu) and every call shares them; the integrals at
+each k are taken anew by each call, a batch of k in one
+:func:`~spapprox.quadrature.nested_integrals` pass.
 """
 
 from __future__ import annotations
@@ -35,19 +36,18 @@ import numpy as np
 
 from .averaging import (
     WeightMeasure,
+    _density_integrals,
     averaged_modulus,
     averaged_pow_modulus,
 )
 from .psi import PsiSequence, psi_derivative, tail_sup_info
 from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from here
-    _TS_WEIGHTS,
     DEFAULT_BUDGET,
     _accepted_error,
-    _panel_nodes,
+    _sliver,
     _spread,
     adaptive_simpson,
     nested_integrals,
-    tanh_sinh_panels,
 )
 from .smoothness import ModulusCurve, ShapeFunction
 from .spectral import SpectralFunction, as_exponent, best_approximation
@@ -56,9 +56,6 @@ from .spectral import SpectralFunction, as_exponent, best_approximation
 ARGMIN_REL_TOL = 1e-9
 #: Relative tolerance of the sharpness (equivalence) condition.
 EQUIV_REL_TOL = 1e-7
-#: A breakpoint this many ulps of tau or fewer from the panel edge before it,
-#: or below tau, ends no panel.
-SLIVER_ULPS = 4
 #: Cells per piece of a period in the bound of :attr:`_ShapeIntegrals.spread`.
 SPREAD_CELLS = 16
 #: Most (p, weight) entries of :class:`_ShapeIntegrals` one shape keeps; a new
@@ -83,46 +80,6 @@ def shape_mass(shape: ShapeFunction, p, mu: WeightMeasure) -> float:
     Integrated once per (shape, p, mu) and kept (see :func:`_shape_integrals`).
     """
     return _shape_integrals(shape, as_exponent(p), mu).mass
-
-
-def _split_panels(tags, points, numbers, tau: float, count: int):
-    """Panels of ``count`` integrals over [0, tau], split at tagged points.
-
-    ``points[j]`` is a breakpoint of integral ``tags[j]`` and ``numbers[j]``
-    its number in the shape's periodic breakpoint set (-1 for none, see
-    :meth:`Breakpoints.numbered`).  Points outside (0, tau) are dropped, and
-    so is a point within :data:`SLIVER_ULPS` ulps of tau below tau or above
-    the point before it (or the origin): rounding moves a kink there, as a
-    cusp at tau when theta tau is a whole number of periods, or a cusp onto
-    a density knot, and the sliver of a panel it would leave has nodes that
-    collapse onto its two ends, where its two rules never agree.
-    Returns (left, right, owner) for :func:`tanh_sinh_panels` and the
-    numbers of each panel's two ends, the origin counting as number 0: it is
-    when 0 is declared, and otherwise the first point inside is number 0, so
-    no panel from the origin spans a gap.
-    """
-    keep = (points > 0.0) & (points < tau)
-    order = np.lexsort((points[keep], tags[keep]))
-    tags, points, numbers = tags[keep][order], points[keep][order], numbers[keep][order]
-    before = np.concatenate([[0.0], points[:-1]])
-    before[np.flatnonzero(np.diff(tags)) + 1] = 0.0
-    sliver = SLIVER_ULPS * np.spacing(tau)
-    keep = (points - before > sliver) & (points < tau - sliver)
-    tags, points, numbers = tags[keep], points[keep], numbers[keep]
-    per = np.bincount(tags, minlength=count) + 1
-    owner = np.repeat(np.arange(count), per)
-    # integral i has one panel more than breakpoints, so the j-th breakpoint
-    # overall ends panel j + i
-    pos = np.arange(tags.size) + tags
-    left = np.zeros(owner.size)
-    right = np.full(owner.size, tau)
-    right[pos] = points
-    left[pos + 1] = points
-    ends = np.full((2, owner.size), -1, dtype=np.intp)
-    ends[0, np.cumsum(per) - per] = 0
-    ends[1, pos] = numbers
-    ends[0, pos + 1] = numbers
-    return left, right, owner, ends
 
 
 def _dilated_shape_integrals(
@@ -161,32 +118,24 @@ def _shape_integrals(shape: ShapeFunction, p: float, mu: WeightMeasure) -> _Shap
 
 
 class _ShapeIntegrals:
-    """The dilated shape integrals of one (shape, p, mu), sharing one period table.
+    """The dilated shape integrals of one (shape, p, mu), and their limit.
 
     :func:`_shape_integrals` keeps one object per triple on the shape, so its
-    :attr:`table`, :attr:`mean`, :attr:`spread` and :attr:`mass` are computed
-    once per triple, when first read, and shared by every later call; the
-    integrals of each batch of theta are never kept.
+    :attr:`period_cells`, :attr:`mean`, :attr:`spread` and :attr:`mass` are
+    computed once per triple, when first read, and shared by every later
+    call; the integrals of each batch of theta are never kept.
 
-    Calling it integrates a batch of theta in one pass.  The density part is
-    a batched tanh-sinh pass whose panel edges sit at the shape's declared
-    breakpoints divided by theta and at the density's breakpoints; a shape
-    that declares none starts from max(64, 2 theta tau / pi + 1) uniform
-    panels and relies on bisection.  Each integral may use
-    :data:`DEFAULT_BUDGET` evaluations.  The atoms add
+    Calling it integrates a batch of theta in one
+    :func:`~spapprox.averaging._density_integrals` pass, in the shape's
+    variable x = theta t: shape^p is evaluated once per node for every
+    theta, and the cells are cut at the shape's declared breakpoints inside
+    (0, max theta tau), which are also its singular points, and at the
+    density's breakpoints times each theta.  Each theta ends its own last
+    cell.  A shape that declares no breakpoints is cut, for each theta, into
+    max(64, 2 theta tau / pi + 1) uniform cells of [0, theta tau], which
+    every theta shares, and relies on bisection for its kinks.  Each
+    integral may use :data:`DEFAULT_BUDGET` evaluations.  The atoms add
     :meth:`WeightMeasure.atom_sums`.
-
-    A shape whose breakpoints have a period (as :func:`phi_alpha`'s) is
-    declared periodic (:attr:`ShapeFunction.period` probes it), and a panel
-    between two neighbouring breakpoints, in the shape's variable
-    x = theta t, is a copy of one gap of a period: its tanh-sinh nodes are
-    that gap's nodes shifted by whole periods.  So shape^p is evaluated once
-    per object on the nodes of each gap (:attr:`table`), and in the first
-    pass every such panel takes that table times the density at its own
-    nodes.  The partial last panel of each theta, panels that end at a
-    density breakpoint, bisected halves and shapes without a period
-    evaluate shape(theta t)^p directly.  The same table gives the limit of
-    the integrals as theta grows, which :meth:`reach` uses.
     """
 
     def __init__(self, shape: ShapeFunction, p: float, mu: WeightMeasure) -> None:
@@ -195,58 +144,27 @@ class _ShapeIntegrals:
     def power(self, x) -> np.ndarray:
         return np.asarray(self.shape.eval(x), dtype=float) ** self.p
 
-    @functools.cached_property
-    def table(self) -> np.ndarray:
-        """shape^p on the tanh-sinh nodes of each gap of one period: (gaps, nodes)."""
-        nodes = _panel_nodes(*self.shape.breakpoints.gaps())
-        return self.power(nodes.ravel()).reshape(nodes.shape)
-
-    def panels(self, thetas: np.ndarray):
-        """(left, right, owner, rows) of the density pass over these thetas.
-
-        rows[j] is the gap of one period that panel j copies whole, -1 when
-        it evaluates the shape directly.
-        """
-        shape, tau = self.shape, self.mu.tau
-        kinks = np.asarray(self.mu.breakpoints, dtype=float)
-        if shape.breakpoints is None:
-            per = np.maximum(64, (2.0 * thetas * tau / math.pi).astype(np.intp) + 1)
-            tags, rank = _spread(per - 1)
-            points = (rank + 1) * tau / per[tags]
-            numbers = np.full(tags.size, -1, dtype=np.intp)
-        else:
-            tags, points, numbers = shape.breakpoints.numbered(thetas * tau)
-            points = points / thetas[tags]
-        tags = np.concatenate([tags, np.repeat(np.arange(thetas.size), kinks.size)])
-        points = np.concatenate([points, np.tile(kinks, thetas.size)])
-        numbers = np.concatenate([numbers, np.full(thetas.size * kinks.size, -1, dtype=np.intp)])
-        left, right, owner, ends = _split_panels(tags, points, numbers, tau, thetas.size)
-        rows = np.full(owner.size, -1, dtype=np.intp)
-        whole = (ends[0] >= 0) & (ends[1] == ends[0] + 1)
-        if whole.any() and shape.period is not None:
-            rows[whole] = ends[0][whole] % shape.breakpoints.gaps()[0].size
-        return left, right, owner, rows
-
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
         """integral_0^tau shape(theta * t)^p dmu(t) for every theta."""
         mu = self.mu
         totals = mu.atom_sums(self.power, thetas)
-        if mu.density is not None:
-            left, right, owner, rows = self.panels(thetas)
-
-            def density(t, i):
-                return np.asarray(mu.density(t), dtype=float)
-
-            def integrand(t, i):
-                return self.power(thetas[i] * t) * density(t, i)
-
-            tabled = (rows, self.table, density) if (rows >= 0).any() else None
-            totals += tanh_sinh_panels(
-                integrand, left, right, owner, budget=DEFAULT_BUDGET,
-                context=lambda i: f"dilated shape integral (theta={thetas[i]:g})",
-                _tabled=tabled,
-            )
-        return totals
+        if mu.density is None:
+            return totals
+        ends = thetas * mu.tau
+        kinks = self.shape.breakpoints
+        if kinks is None:
+            per = np.maximum(64, (2.0 * ends / math.pi).astype(np.intp) + 1)
+            tags, rank = _spread(per - 1)
+            cusps, cuts = (), (rank + 1) * ends[tags] / per[tags]
+        else:
+            # a cusp that rounds a sliver past the last end still flags it
+            top = ends.max()
+            cusps, cuts = kinks.inside([top + _sliver(top)])[1], ()
+        return totals + _density_integrals(
+            self.power, mu, thetas,
+            lambda i: f"dilated shape integral (theta={thetas[i]:g})",
+            cusps=cusps, cuts=cuts,
+        )
 
     @functools.cached_property
     def mass(self) -> float:
@@ -254,31 +172,14 @@ class _ShapeIntegrals:
         return float(_dilated_shape_integrals(self.shape, self.p, self.mu, np.ones(1))[0])
 
     @functools.cached_property
-    def mean(self) -> tuple[float, float]:
-        """(m_p, error): the mean of shape^p over one period, from :attr:`table`.
+    def period_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, ends, cumulative): integral_0^a shape^p at each cell end a of a period.
 
-        m_p is the table's fine rule summed over the gaps and divided by the
-        period; the error is the sum of |fine - coarse| divided likewise.
+        [0, period] is cut at the breakpoints and each piece into
+        :data:`SPREAD_CELLS` cells, and one :func:`nested_integrals` pass on
+        those cells, with tanh-sinh at the breakpoints, integrates up to
+        every cell end.
         """
-        lo, hi = self.shape.breakpoints.gaps()
-        fine, coarse = (self.table @ _TS_WEIGHTS).T * (0.5 * (hi - lo))
-        period = self.shape.period
-        return float(np.sum(fine)) / period, float(np.sum(np.abs(fine - coarse))) / period
-
-    @functools.cached_property
-    def spread(self) -> float:
-        """C: a bound on theta |I(theta) - L| over every theta > 0.
-
-        With G(x) = integral_0^x (shape^p - m_p), periodic, an integration by
-        parts gives |I(theta) - L| <= sup|G| (|rho(tau)| + TV(rho)) / theta
-        for the density rho; atoms only add to I.  [0, period] is cut at
-        the breakpoints and each piece into :data:`SPREAD_CELLS` cells; one
-        :func:`nested_integrals` pass gives integral_0^a shape^p at every
-        cell end a.  On a cell [a, b] with mass S, G lies in
-        [G(a) - m_p (b - a), G(a) + S], since shape^p >= 0; sup|G| is at most
-        the largest absolute end of these ranges, plus the quadrature error.
-        """
-        mean, mean_err = self.mean
         period = self.shape.period
         lo, _ = self.shape.breakpoints.gaps()
         pieces = np.unique(np.concatenate([[0.0], lo, [period]]))
@@ -286,14 +187,40 @@ class _ShapeIntegrals:
         starts = (pieces[:-1, None] + np.outer(np.diff(pieces), steps)).ravel()
         ends = np.append(starts[1:], period)
         cumulative = nested_integrals(
-            self.power, lambda t, i: 1.0, 0.0, ends, singular=pieces,
+            self.power, lambda t, i: 1.0, 0.0, ends, breakpoints=ends, singular=pieces,
             budget=DEFAULT_BUDGET,
             context=lambda i: f"period integral of shape^p (x={ends[i]:g})",
         )
+        return starts, ends, cumulative
+
+    @functools.cached_property
+    def mean(self) -> tuple[float, float]:
+        """(m_p, error): the mean of shape^p over one period, and its error.
+
+        m_p is the last of :attr:`period_cells`, divided by the period; the
+        error is the most that integral may be off, divided likewise.
+        """
+        total = float(self.period_cells[2][-1])
+        period = self.shape.period
+        return total / period, _accepted_error(total) / period
+
+    @functools.cached_property
+    def spread(self) -> float:
+        """C: a bound on theta |I(theta) - L| over every theta > 0.
+
+        With G(x) = integral_0^x (shape^p - m_p), periodic, an integration by
+        parts gives |I(theta) - L| <= sup|G| (|rho(tau)| + TV(rho)) / theta
+        for the density rho; atoms only add to I.  On each cell [a, b] of
+        :attr:`period_cells`, with mass S, G lies in
+        [G(a) - m_p (b - a), G(a) + S], since shape^p >= 0; sup|G| is at most
+        the largest absolute end of these ranges, plus the quadrature error.
+        """
+        mean, mean_err = self.mean
+        starts, ends, cumulative = self.period_cells
         masses = np.diff(cumulative, prepend=0.0)
         g = cumulative - masses - mean * starts  # G at each cell start
         sup = float(np.max(np.maximum(np.abs(g + masses), np.abs(g - mean * (ends - starts)))))
-        err = 2.0 * _accepted_error(cumulative[-1]) + period * mean_err
+        err = 2.0 * _accepted_error(cumulative[-1]) + self.shape.period * mean_err
         return self.mu.variation * (sup + err)
 
     def reach(self, thetas: np.ndarray, best: float) -> int:
@@ -305,13 +232,11 @@ class _ShapeIntegrals:
         bound, less the quadrature errors of L, of I(theta) and of best,
         exceeds best (1 + ARGMIN_REL_TOL) can be neither the window minimum nor tie
         with it, and neither can any larger theta.  Anything else reaches
-        every theta, and so does a call whose largest theta copies no gap
-        whole, which would build the table for the bound alone.
+        every theta.  The bound reads :attr:`ShapeFunction.period`, whose
+        probe refuses a shape that breaks the period it declares.
         """
-        mu, bp = self.mu, self.shape.breakpoints
-        if mu.density is None or mu.variation is None or bp is None or bp.period is None:
-            return thetas.size
-        if not (self.panels(thetas[-1:])[3] >= 0).any():
+        mu = self.mu
+        if mu.density is None or mu.variation is None or self.shape.period is None:
             return thetas.size
         mean, mean_err = self.mean
         mass = mu.total_mass - sum(m for _, m in mu.atoms)
@@ -350,10 +275,9 @@ def inf_quantity(
 ) -> InfReport:
     """Minimum over k in [n, k_max] of the dilated shape integral.
 
-    The dilations are integrated in two batched passes that share the
-    triple's period table, which with m_p and C the triple computes once
-    for all calls (see :func:`_shape_integrals`); each call integrates its
-    own dilations.  The first pass takes k in [n, min(2n, k_max)]; the second
+    The dilations are integrated in two batched passes; m_p and C the
+    triple computes once for all calls (see :func:`_shape_integrals`), and
+    each call integrates its own dilations.  The first pass takes k in [n, min(2n, k_max)]; the second
     takes the rest of the window, up to the last k that
     :meth:`_ShapeIntegrals.reach` lets fall to the first pass's minimum:
     for a periodic shape and a density that declares its variation, the

@@ -1,6 +1,6 @@
-"""Budgeted vectorized quadrature: adaptive Simpson, nested cells, tanh-sinh panels.
+"""Budgeted vectorized quadrature: adaptive Simpson and nested cells.
 
-Three integrators share one contract.  The integrand must be vectorized
+Two integrators share one contract.  The integrand must be vectorized
 (ndarray in, ndarray out); each routine keeps a work list of panels, splits
 every non-converged panel once per pass, and accounts for each point
 evaluation against a hard budget.  Running out of budget raises, it never
@@ -16,22 +16,14 @@ costs one pass per halving of the panel that holds it.
 * :func:`nested_integrals` integrates F w_i over nested intervals [a, b_i]
   on cells shared by all of them: F is evaluated once per node for all
   integrals, w_i is a cheap factor per (cell, integral) pair.  A cell with
-  a declared singular end gets a tanh-sinh pair, any other a Gauss-Kronrod
-  7/15 pair.  It serves the batch of ``averaging.dilated_integrals``, the
-  rising stretches of the averaged moduli of one curve over many windows
-  and the cumulative function of a density without a closed form.
-* :func:`tanh_sinh_panels` integrates many integrals at once from panels
-  tagged with the integral they belong to.  Each panel gets a nested pair of
-  double-exponential (tanh-sinh) rules, which converge exponentially even
-  with an algebraic singularity of any order at a panel end (Takahasi and
-  Mori, 1974).  Every dilated shape integral, capped or not, goes through
-  it.  For a shape that declares a period, the first pass takes shape^p
-  from one table, built by the caller, on the nodes of each gap between
-  breakpoints of a period: every panel spanning such a gap whole, in the
-  shape's variable, has the same nodes there.
-  The partial last panel of each dilation, panels that end at a density
-  breakpoint, bisected halves, and shapes without a period (tabulated and
-  capped shapes) evaluate the integrand directly.
+  a declared singular end gets a nested pair of double-exponential
+  (tanh-sinh) rules, which converge exponentially with an algebraic
+  singularity at that end (Takahasi and Mori, 1974); any other cell gets a
+  Gauss-Kronrod 7/15 pair.  It serves every other weight integral: the
+  batch of ``averaging.dilated_integrals``, every dilated shape integral of
+  ``jackson``, capped or not, the rising stretches of the averaged moduli
+  of one curve over many windows and the cumulative function of a density
+  without a closed form.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 10**6
-#: Most integrand points evaluated at once by :func:`tanh_sinh_panels`.
+#: Most integrand points weighted at once by :func:`nested_integrals`.
 BLOCK_NODES = 2**15
 
 
@@ -53,11 +45,12 @@ def _tanh_sinh_rule(level: int, t_max: float) -> tuple[np.ndarray, int, np.ndarr
     Returns the distance of each node from the panel end it is measured
     from (as a fraction of the half-width), the number of leading nodes
     measured from the left end (the midpoint and the left half; the rest
-    are measured from the right end), and a (nodes, 2) matrix of the fine
-    and the coarse weights; the coarse rule uses every other node of the
-    fine one.  Distances are computed as 1 - tanh(u) = 2 / (1 + e^(2u))
-    directly, so the nodes next to an end keep their full relative
-    precision.
+    are measured from the right end), and a (nodes, 4) matrix of weights:
+    the fine and the coarse rule, the coarse one on every other node of the
+    fine one, then the fine weight of the outermost node on the left and on
+    the right, 0 elsewhere.  Distances are computed as
+    1 - tanh(u) = 2 / (1 + e^(2u)) directly, so the nodes next to an end
+    keep their full relative precision.
     """
     h = 2.0 ** -(level + 1)
     t = h * np.arange(int(round(t_max / h)) + 1)
@@ -65,8 +58,14 @@ def _tanh_sinh_rule(level: int, t_max: float) -> tuple[np.ndarray, int, np.ndarr
     dist = 2.0 / (1.0 + np.exp(2.0 * u))
     fine = h * 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
     coarse = np.where(np.arange(t.size) % 2 == 0, 2.0 * fine, 0.0)
+    outer = np.where(np.arange(t.size) == t.size - 1, fine, 0.0)
     # node order: the midpoint, then the left half, then the right half
-    weights = np.stack([np.concatenate([w, w[1:]]) for w in (fine, coarse)], axis=1)
+    none = np.zeros(t.size)
+    weights = np.stack(
+        [np.concatenate([w, v[1:]])
+         for w, v in ((fine, fine), (coarse, coarse), (outer, none), (none, outer))],
+        axis=1,
+    )
     return np.concatenate([dist, dist[1:]]), t.size, weights
 
 
@@ -75,7 +74,8 @@ def _tanh_sinh_rule(level: int, t_max: float) -> tuple[np.ndarray, int, np.ndarr
 _TS_DIST, _TS_SPLIT, _TS_WEIGHTS = _tanh_sinh_rule(3, 3.25)
 #: Gauss-Kronrod 7/15 pair in the same layout: abscissae 0 <= x < 1 of the
 #: Kronrod rule, its weights, and the weights of the Gauss rule on every
-#: other abscissa (Piessens et al., QUADPACK, 1983).
+#: other abscissa (Piessens et al., QUADPACK, 1983); its nodes stay clear of
+#: the ends, so it has no outermost terms.
 _GK_X = np.array([
     0.0, 0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
     0.586087235467691130294144845693013, 0.741531185599394439863864773280788,
@@ -95,19 +95,22 @@ _GK_GAUSS = np.array([
 _GK_DIST = np.concatenate([1.0 - _GK_X, 1.0 - _GK_X[1:]])
 _GK_SPLIT = _GK_X.size
 _GK_WEIGHTS = np.stack(
-    [np.concatenate([w, w[1:]]) for w in (_GK_KRONROD, _GK_GAUSS)], axis=1
+    [np.concatenate([w, w[1:]]) for w in (_GK_KRONROD, _GK_GAUSS)]
+    + [np.zeros(_GK_DIST.size)] * 2, axis=1
 )
-#: Relative floor and bisection limit of every integrator.
+#: Relative floor and bisection limit of every integrator; the halves that
+#: close in on an integrable singularity at 0, where floats are dense, may
+#: take a hundred passes.
 _REL_FLOOR = 1e-12
-_MAX_PASSES = 64
+_MAX_PASSES = 128
 #: Uniform panels that :func:`adaptive_simpson` starts from.
 _START_PANELS = 64
+#: A cell of :func:`nested_integrals` this many ulps wide or less is a sliver.
+_SLIVER_ULPS = 4
 
 
-def _panel_nodes(
-    a: np.ndarray, b: np.ndarray, dist: np.ndarray = _TS_DIST, split: int = _TS_SPLIT
-) -> np.ndarray:
-    """The (panels, nodes) nodes of a rule (tanh-sinh by default) on each [a[j], b[j]]."""
+def _panel_nodes(a: np.ndarray, b: np.ndarray, dist: np.ndarray, split: int) -> np.ndarray:
+    """The (panels, nodes) nodes of a rule on each [a[j], b[j]]."""
     half = 0.5 * (b - a)
     xs = np.empty((a.size, dist.size))
     xs[:, :split] = a[:, None] + half[:, None] * dist[:split]
@@ -119,10 +122,12 @@ def _accepted_error(value: float) -> float:
     """The most an accepted integral of this value may keep as its error estimate.
 
     Every integrator accepts a panel whose two rules agree within its
-    width's share of :data:`DEFAULT_TOL` or within the relative floor, so
-    the estimates of one integral add up to at most this.
+    share of :data:`DEFAULT_TOL` or within the relative floor.  The shares
+    of one integral add up to its width, and in :func:`nested_integrals`
+    at most twice more for the halves that keep a singular end (two per
+    first cell), so the estimates of one integral add up to at most this.
     """
-    return DEFAULT_TOL + _REL_FLOOR * abs(value)
+    return 3.0 * DEFAULT_TOL + _REL_FLOOR * abs(value)
 
 
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +177,7 @@ def adaptive_simpson(
     number of oscillations, so that the error estimate is trustworthy.  A
     panel is accepted when the Richardson error estimate there is within
     its width share of ``tol`` or the relative floor 1e-12 of its value;
-    otherwise it is bisected, at most 64 times.  Every point counts against
+    otherwise it is bisected, at most 128 times.  Every point counts against
     ``budget``; ``context`` names the integral in errors.  ``g`` is called
     once for the starting nodes and twice per pass.
     """
@@ -239,6 +244,13 @@ def adaptive_simpson(
     raise QuadratureBudgetError(f"{context}: refinement depth {_MAX_PASSES} exceeded")
 
 
+
+
+def _sliver(x: np.ndarray) -> np.ndarray:
+    """The width up to which a cell ending at x is a sliver: :data:`_SLIVER_ULPS` ulps of x."""
+    return _SLIVER_ULPS * np.spacing(np.abs(x))
+
+
 def nested_integrals(
     F: Callable[[np.ndarray], np.ndarray],
     w: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -256,26 +268,41 @@ def nested_integrals(
 
     ``support`` = (lo, hi) lists sorted disjoint stretches outside which the
     integrand counts as 0 (None: all of [a, max b]).  The stretches are cut
-    into cells at every b[i], every point of ``breakpoints`` and every
-    point of ``singular``; integral i covers the cells inside [a, b[i]].  F
-    is evaluated once per node for all the integrals that cover its cell,
+    into cells at every point of ``breakpoints`` and every point of
+    ``singular``.  Integral i covers the cells inside [a, b[i]] and one
+    partial cell, from the last edge below b[i] to b[i], that it shares only
+    with the integrals of the same end: an end cuts the cells of the other
+    integrals only when it is listed among ``breakpoints``, and a cell that
+    no integral covers is never evaluated.  Rounding may put a kink a few
+    ulps from another edge, and the nodes of so narrow a cell collapse onto
+    its two ends, where its rules never agree: so a cut within
+    :data:`_SLIVER_ULPS` ulps of the edge before it (or of a) is dropped,
+    the edge that stays keeping the singular flag, a partial cell that
+    narrow is dropped too, and an end that narrow below an edge moves onto
+    it.
+
+    F is evaluated once per node for all the integrals that cover its cell,
     ``w(t, i)`` per (cell, integral) pair, with t of shape (pairs, nodes)
-    and i of shape (pairs, 1).  A cell with an end in
-    ``singular`` gets the nested tanh-sinh pair of :func:`tanh_sinh_panels`,
-    which converges exponentially with an algebraic singularity at that end;
-    any other cell gets the Gauss-Kronrod 7/15 pair (Piessens et al.,
-    QUADPACK, 1983).  Integral i accepts a cell when the two rules agree
-    within the cell's width share of ``tol`` in [a, b[i]], or within the
-    relative floor 1e-12; a cell is bisected, at most 64 times, while an
-    integral that covers it rejects, and only the rejecting integrals go on
-    to its halves (a half keeps the tanh-sinh pair only at a singular end).
-    The ``budget`` of integral i counts the nodes of the cells it
-    integrates; ``context(i)`` names it in errors.  F is called once per
-    pass, and pairs are weighted in blocks of at most :data:`BLOCK_NODES`
-    points.
+    and i of shape (pairs, 1).  A cell with an end in ``singular`` gets the
+    nested tanh-sinh pair, which converges exponentially with an algebraic
+    singularity at that end; any other cell gets the Gauss-Kronrod 7/15
+    pair (Piessens et al., QUADPACK, 1983).  Integral i accepts a cell when
+    the two rules agree within the cell's share of ``tol``, or within the
+    relative floor 1e-12; the share is the cell's width over b[i] - a.  Next
+    to an integrable singularity the two tanh-sinh rules differ by about
+    the tail that both miss beyond their outermost nodes, which shrinks
+    slower than the width: so the terms of those two nodes count into the
+    error estimate of a tanh-sinh cell, and a half that keeps a singular end
+    keeps the share of the cell it was cut from.  A cell is bisected, at
+    most 128 times, while an integral that covers it rejects, and only the
+    rejecting integrals go on to its halves (a half keeps the tanh-sinh pair
+    only at a singular end).  The ``budget`` of integral i counts the nodes
+    of the cells it integrates; ``context(i)`` names it in errors.  F is
+    called once per pass, and pairs are weighted in blocks of at most
+    :data:`BLOCK_NODES` points.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    if np.any(b < a):
+    if (b < a).any():
         i = int(np.argmax(b < a))
         raise ValueError(f"{context(i)}: inverted interval [{a}, {b[i]}]")
     totals = np.zeros(b.size)
@@ -283,36 +310,60 @@ def nested_integrals(
     if not top > a:
         return totals
     singular = np.asarray(singular, dtype=float).ravel()
-    cuts = [[a, top], b, np.asarray(breakpoints, dtype=float).ravel(), singular]
+    cuts = [singular, [a], np.asarray(breakpoints, dtype=float).ravel()]
     if support is not None:
         starts, stops = (np.asarray(x, dtype=float) for x in support)
         cuts += [starts, stops]
-    edges = np.unique(np.concatenate(cuts))
-    edges = edges[(edges >= a) & (edges <= top)]
-    left, right = edges[:-1], edges[1:]
+    points = np.concatenate(cuts)
+    marks = np.arange(points.size) < singular.size
+    # a cut a sliver above the last end still flags that end
+    kept = (points >= a) & (points <= top + _sliver(top))
+    points, marks = points[kept], marks[kept]
+    sorting = np.argsort(points, kind="stable")
+    points, marks = points[sorting], marks[sorting]
+    # a cut within a sliver of the one before it (or equal to it) ends no cell
+    new = np.empty(points.size, dtype=bool)
+    new[0] = True
+    np.greater(points[1:] - points[:-1], _sliver(points[1:]), out=new[1:])
+    edges = points[new]
+    flags = np.bincount(np.cumsum(new) - 1, marks) > 0
+    # in order of their ends, integral i covers the whole cells before edge
+    # last[i], then its own partial cell from that edge to its end; an end
+    # a sliver below an edge moves onto it
+    order = np.argsort(b, kind="stable")
+    ends = b[order]
+    slivers = _sliver(ends)
+    last = np.searchsorted(edges, ends + slivers, side="right") - 1
+    stub = ends - edges[last] > slivers
+    head = stub.copy()  # the first integral of each partial cell
+    head[1:] &= ends[1:] != ends[:-1]
+    at = np.flatnonzero(head)
+    whole = int(last[-1])
+    left = np.concatenate([edges[:whole], edges[last[at]]])
+    right = np.concatenate([edges[1:whole + 1], ends[at]])
+    sing_l = np.concatenate([flags[:whole], flags[last[at]]])
+    sing_r = np.concatenate([flags[1:whole + 1], np.zeros(at.size, dtype=bool)])
+    # pair k is integral win[k] on cell cell[k]
+    tag, cell = _spread(last)
+    win = order[np.concatenate([tag, np.flatnonzero(stub)])]
+    cell = np.concatenate([cell, whole - 1 + np.cumsum(head)[stub]])
     if support is not None:
         mid = 0.5 * (left + right)
         j = np.searchsorted(starts, mid, side="right") - 1
         inside = (j >= 0) & (mid < stops[np.maximum(j, 0)])
-        left, right = left[inside], right[inside]
-    # a cell with a singular end gets tanh-sinh, and so does the half of it
-    # that keeps that end
-    sing_l, sing_r = np.isin(left, singular), np.isin(right, singular)
-    # pair k is integral win[k] on cell cell[k]: cell c belongs to every
-    # integral with b[i] >= right[c]
-    order = np.argsort(b, kind="stable")
-    first = np.searchsorted(b[order], right, side="left")
-    cell, rank = _spread(b.size - first)
-    win = order[first[cell] + rank]
+        covered = inside[cell]
+        cell, win = (np.cumsum(inside) - 1)[cell[covered]], win[covered]
+        left, right, sing_l, sing_r = left[inside], right[inside], sing_l[inside], sing_r[inside]
+    share = right - left
     scale = tol / np.where(b > a, b - a, 1.0)
-    used = np.zeros(b.size, dtype=np.int64)
+    used = np.zeros(b.size)
     rules = {False: (_GK_DIST, _GK_SPLIT, _GK_WEIGHTS), True: (_TS_DIST, _TS_SPLIT, _TS_WEIGHTS)}
     for _ in range(_MAX_PASSES):
         if not cell.size:
             return totals
         uses_ts = sing_l | sing_r
         size = np.where(uses_ts, _TS_DIST.size, _GK_DIST.size)
-        used += np.bincount(win, size[cell], minlength=b.size).astype(np.int64)
+        used += np.bincount(win, size[cell], minlength=b.size)
         over = np.flatnonzero(used > budget)
         if over.size:
             i = int(over[0])
@@ -322,15 +373,16 @@ def nested_integrals(
             )
         # the nodes of every cell under its rule, all in one call of F
         row = np.empty(left.size, dtype=np.intp)  # row of each cell in its group
-        groups = []
+        groups, pair_ts = [], uses_ts[cell]
         for flag, (dist, split, weights) in rules.items():
             members = np.flatnonzero(uses_ts == flag)
+            if not members.size:
+                continue
             row[members] = np.arange(members.size)
             lo, hi = left[members], right[members]
-            half = 0.5 * (hi - lo)
             xs = _panel_nodes(lo, hi, dist, split)
-            groups.append((np.flatnonzero(uses_ts[cell] == flag), xs, half, weights))
-        fx = np.asarray(F(np.concatenate([xs.ravel() for _, xs, _, _ in groups])), dtype=float)
+            groups.append((np.flatnonzero(pair_ts == flag), xs, 0.5 * (hi - lo), weights))
+        fx = np.asarray(F(np.concatenate([g[1].ravel() for g in groups])), dtype=float)
         offset, rejected = 0, np.zeros(cell.size, dtype=bool)
         for pairs, xs, half, weights in groups:
             values = fx[offset:offset + xs.size].reshape(xs.shape)
@@ -338,14 +390,18 @@ def nested_integrals(
             step = max(BLOCK_NODES // xs.shape[1], 1)
             for start in range(0, pairs.size, step):
                 k = pairs[start:start + step]
-                r, i = row[cell[k]], win[k]
+                c, i = cell[k], win[k]
+                r = row[c]
                 t = xs[r]
                 vals = values[r] * w(t, i[:, None])
-                _check_finite(vals.ravel(), t.ravel(), np.repeat(i, t.shape[1]), context)
-                fine, coarse = (vals @ weights).T * half[r]
-                done = np.abs(fine - coarse) <= np.maximum(
-                    scale[i] * (2.0 * half[r]), _REL_FLOOR * np.abs(fine)
-                )
+                with np.errstate(invalid="ignore"):
+                    fine, coarse, *outer = (vals @ weights).T * half[r]
+                # every fine weight is positive, so a non-finite value
+                # leaves a non-finite sum
+                if not np.isfinite(fine).all():
+                    _check_finite(vals.ravel(), t.ravel(), np.repeat(i, t.shape[1]), context)
+                err = np.abs(fine - coarse) + np.abs(outer[0]) + np.abs(outer[1])
+                done = err <= np.maximum(scale[i] * share[c], _REL_FLOOR * np.abs(fine))
                 totals += np.bincount(i[done], fine[done], minlength=b.size)
                 rejected[k[~done]] = True
         if not rejected.any():
@@ -358,113 +414,14 @@ def nested_integrals(
         lo, hi = left[split_cells], right[split_cells]
         mid = 0.5 * (lo + hi)
         left, right = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        kept, sing_l, sing_r = share[split_cells], sing_l[split_cells], sing_r[split_cells]
+        share = np.concatenate([np.where(sing_l, kept, mid - lo), np.where(sing_r, kept, hi - mid)])
         smooth = np.zeros(split_cells.size, dtype=bool)
-        sing_l = np.concatenate([sing_l[split_cells], smooth])
-        sing_r = np.concatenate([smooth, sing_r[split_cells]])
+        sing_l = np.concatenate([sing_l, smooth])
+        sing_r = np.concatenate([smooth, sing_r])
         c = child[cell[rejected]]
         cell = np.concatenate([c, c + split_cells.size])
         win = np.concatenate([win[rejected], win[rejected]])
     raise QuadratureBudgetError(
         f"{context(int(win[0]))}: refinement depth {_MAX_PASSES} exceeded"
-    )
-
-
-def tanh_sinh_panels(
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    left,
-    right,
-    owner,
-    *,
-    tol: float = DEFAULT_TOL,
-    budget: int = DEFAULT_BUDGET,
-    context: Callable[[int], str] = lambda i: f"integral {i}",
-    _tabled=None,
-) -> np.ndarray:
-    """Integrate many integrals at once over tagged panels.
-
-    Panel ``j`` is ``[left[j], right[j]]`` and belongs to integral
-    ``owner[j]``; owners are numbered 0..N-1 and the result holds the N
-    integrals.  ``g(t, i)`` gets the points and, pointwise, the integral
-    each belongs to.  A panel is accepted when its nested tanh-sinh pair
-    agrees to within its width's share of ``tol`` in its integral, or to
-    the relative floor 1e-12; otherwise it is bisected, at most 64 times.
-    Every point counts against the integral's ``budget``; ``context(i)``
-    names integral ``i`` in errors.  Points are evaluated in blocks of at
-    most :data:`BLOCK_NODES`.
-
-    ``_tabled`` serves ``jackson._ShapeIntegrals`` alone: a tuple
-    (rows, table, weight) under which, in the first pass, panel j with
-    rows[j] = r >= 0 takes table[r] * weight(t, i) at its nodes t; the
-    caller vouches that this is g(t, i) there.  The budget counts those
-    panels' nodes as evaluated, and their bisected halves call ``g``.
-    """
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    owner = np.asarray(owner, dtype=np.intp)
-    if np.any(right < left):
-        j = int(np.argmax(right < left))
-        raise ValueError(f"{context(int(owner[j]))}: inverted panel [{left[j]}, {right[j]}]")
-    count = int(owner.max()) + 1 if owner.size else 0
-    totals = np.zeros(count)
-    span = np.bincount(owner, right - left, minlength=count)
-    span[span == 0.0] = 1.0  # an integral of zero length accepts at once
-    used = np.zeros(count, dtype=np.int64)
-    nodes = _TS_DIST.size
-    per_block = max(BLOCK_NODES // nodes, 1)
-    rows = None
-    if _tabled is not None:
-        rows, table, weight = _tabled
-        rows = np.asarray(rows, dtype=np.intp)
-        # tabled panels first: a block then holds at most one run of each
-        # kind, and the direct panels share a few calls of g
-        first = np.argsort(rows < 0, kind="stable")
-        left, right, owner, rows = left[first], right[first], owner[first], rows[first]
-        tabled = int(np.sum(rows >= 0))
-    for _ in range(_MAX_PASSES):
-        used += nodes * np.bincount(owner, minlength=count)
-        over = np.flatnonzero(used > budget)
-        if over.size:
-            i = int(over[0])
-            raise QuadratureBudgetError(
-                f"{context(i)}: evaluation budget {budget} exhausted "
-                f"({int(np.sum(owner == i))} panels still refining)"
-            )
-        rejected = []
-        for start in range(0, left.size, per_block):
-            a = left[start:start + per_block]
-            b = right[start:start + per_block]
-            o = owner[start:start + per_block]
-            half = 0.5 * (b - a)
-            xs = _panel_nodes(a, b)
-            tags = np.repeat(o, nodes)
-            if rows is None:
-                fx = np.asarray(g(xs.ravel(), tags), dtype=float)
-            else:
-                # the first m panels take table times weight, the rest call g
-                m = min(max(tabled - start, 0), a.size) * nodes
-                fx = np.empty(xs.size)
-                if m:
-                    fx[:m] = np.asarray(weight(xs.ravel()[:m], tags[:m]), dtype=float)
-                    fx[:m] *= table[rows[start:start + m // nodes]].ravel()
-                if m < fx.size:
-                    fx[m:] = np.asarray(g(xs.ravel()[m:], tags[m:]), dtype=float)
-            _check_finite(fx, xs.ravel(), tags, context)
-            fx = fx.reshape(xs.shape)
-            fine, coarse = (fx @ _TS_WEIGHTS).T * half
-            done = np.abs(fine - coarse) <= np.maximum(
-                tol * (b - a) / span[o], _REL_FLOOR * np.abs(fine)
-            )
-            totals += np.bincount(o[done], fine[done], minlength=count)
-            if not done.all():
-                rejected.append((a[~done], b[~done], o[~done]))
-        if not rejected:
-            return totals
-        a, b, o = (np.concatenate(part) for part in zip(*rejected))
-        mid = 0.5 * (a + b)
-        left = np.concatenate([a, mid])
-        right = np.concatenate([mid, b])
-        owner = np.concatenate([o, o])
-        rows = None
-    raise QuadratureBudgetError(
-        f"{context(int(owner[0]))}: refinement depth {_MAX_PASSES} exceeded"
     )

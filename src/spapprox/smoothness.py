@@ -85,8 +85,8 @@ class Breakpoints:
     The declared set is ``points``.  A ``period`` declares the set and the
     function periodic: the set then holds every t >= 0 congruent to one of
     ``points`` modulo ``period``, and f(t + period) = f(t) for t >= 0, so that
-    quadrature may evaluate f once on each gap between consecutive points of
-    one period (see :meth:`gaps`).
+    the mean of f may be taken over one period, cut into the gaps between
+    its consecutive points (see :meth:`gaps`).
     """
 
     points: tuple[float, ...] = ()
@@ -101,48 +101,33 @@ class Breakpoints:
 
         Returns (tags, points), with no order among the points of one tag.
         """
-        return self.numbered(his)[:2]
-
-    def numbered(self, his) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`inside`, plus the number of each point in a periodic set.
-
-        The declared points t >= 0 of a periodic set are numbered 0, 1, 2,
-        ... in increasing order, so two points are neighbours in the set
-        exactly when their numbers differ by one: the j-th repetition of the
-        i-th of the m sorted residues in [0, period) is number j m + i.  A
-        set without a period numbers every point -1.
-        """
         his = np.asarray(his, dtype=float)
         base = np.asarray(self.points, dtype=float)
         if self.period is None:
             base = np.unique(base[base > 0.0])
             tag, rank = _spread(np.searchsorted(base, his, side="left"))
-            return tag, base[rank], np.full(tag.size, -1, dtype=np.intp)
-        residues = np.unique(np.mod(base, self.period))
-        tags, pts, numbers = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
-        for i, b in enumerate(residues):
+            return tag, base[rank]
+        tags, pts = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for b in np.unique(np.mod(base, self.period)):
             first = 1 if b == 0.0 else 0  # offset 0 itself is not inside (0, hi)
             count = np.ceil((his - b) / self.period).astype(np.intp) - first
             tag, rank = _spread(np.maximum(count, 0))
-            j = rank + first
-            pt = b + j * self.period
+            pt = b + (rank + first) * self.period
             keep = pt < his[tag]  # ceil may overshoot by one in rounding
             tags.append(tag[keep])
             pts.append(pt[keep])
-            numbers.append(j[keep] * residues.size + i)
-        return np.concatenate(tags), np.concatenate(pts), np.concatenate(numbers)
+        return np.concatenate(tags), np.concatenate(pts)
 
     def gaps(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi): the gaps between consecutive declared points of one period.
 
         lo holds the m sorted residues in [0, period) and gap i runs from
         residue i to the next one, the last gap to the first residue plus the
-        period; the point numbered j m + i starts a copy of gap i shifted by
-        j periods.  Only a periodic set has gaps.
+        period.  Only a periodic set has gaps.
         """
         if self.period is None:
             raise ValueError("only a periodic breakpoint set has gaps")
-        lo = np.unique(np.mod(np.asarray(self.points, dtype=float), self.period))  # as numbered
+        lo = np.unique(np.mod(np.asarray(self.points, dtype=float), self.period))
         return lo, np.append(lo[1:], lo[:1] + self.period)
 
 
@@ -161,12 +146,13 @@ class ShapeFunction:
     declares nothing, and quadrature then finds the kinks by bisection.
     Breakpoints with a ``period`` also declare the shape itself periodic,
     shape(t + period) = shape(t), and the dilated shape integrals of
-    :mod:`spapprox.jackson` rely on it: they evaluate the shape on one period
-    only, after reading :attr:`period`, which probes the declaration.  A
-    shape whose kinks repeat but whose values do not must list its kinks
-    without a period.  Each shape object also keeps the period table, mean,
-    spread and mass of its dilated shape integrals per (p, weight), so those
-    too rest on ``eval`` being pure.
+    :mod:`spapprox.jackson` rely on it: the bound that skips dilations
+    evaluates the shape on one period only, after reading :attr:`period`,
+    which probes the declaration.  A shape whose kinks repeat but whose
+    values do not must list its kinks without a period.  Each shape object
+    also keeps the period integrals, mean, spread and mass of its dilated
+    shape integrals per (p, weight), so those too rest on ``eval`` being
+    pure.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

@@ -115,6 +115,25 @@ VARIATION_MEASURES = {
 }
 
 
+class TestSingularDensity:
+    """A density with an integrable singularity at 0 and no closed-form cdf."""
+
+    @pytest.mark.parametrize("lam", [0.5, 0.75])
+    def test_cdf_meets_the_closed_form(self, lam):
+        def density(t):
+            t = np.asarray(t, dtype=float)
+            with np.errstate(divide="ignore"):
+                return np.where(t > 0.0, t**-lam, 0.0)
+
+        def closed(s):
+            return s ** (1.0 - lam) / (1.0 - lam)
+
+        mu = weight_measure(1.5, density=density, label=f"t^-{lam}")
+        assert mu.total_mass == pytest.approx(closed(1.5), rel=1e-10)
+        s = np.array([0.5, 1.0, 1.5])
+        np.testing.assert_allclose(mu.cdf(s), closed(s), rtol=1e-10)
+
+
 class TestVariation:
     """The declared |rho(tau)| + TV(rho) on [0, tau]."""
 

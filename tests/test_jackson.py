@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import beta, betainc
 
-from spapprox import jackson
+from spapprox import averaging, jackson
 from spapprox.averaging import atom_measure, mu1, mu2, tabulated_density, weight_measure
 from spapprox.jackson import (
     SharpnessNotCertifiedError,
@@ -149,7 +149,9 @@ class TestLowFractionalOrder:
             assert value == pytest.approx(cusp_panel_quad(lam, theta), rel=1e-10)
 
     def test_tiny_budget_raises_with_theta(self, monkeypatch):
-        monkeypatch.setattr(jackson, "DEFAULT_BUDGET", 300)
+        # theta = 5 integrates two whole periods and a partial cell, all
+        # tanh-sinh: 315 nodes
+        monkeypatch.setattr(averaging, "DEFAULT_BUDGET", 300)
         with pytest.raises(QuadratureBudgetError, match=r"theta=\d+.*budget 300"):
             inf_quantity(1, phi_alpha(0.25), 1, mu1(np.pi), k_max=40)
 
@@ -202,10 +204,10 @@ TABLE_THETAS = [1.0, 2.0, 2.75, 7.5, 17.0, 64.0]
 
 
 class TestPeriodTable:
-    """Panels spanning a whole gap of a periodic shape use one table of shape^p.
+    """Dilated integrals of periodic shapes over many whole periods.
 
     The references are scipy's quad, split at every kink of the shape and the
-    density; they share no code with the tanh-sinh route.
+    density; they share no code with the nested-cell route.
     """
 
     @pytest.mark.parametrize("measure", list(TABLE_MEASURES))
@@ -235,7 +237,7 @@ class TestPeriodTable:
 
 
 class TestPeriodTableWork:
-    #: shape points of this window when every panel evaluates the shape directly
+    #: shape points of this window when each theta evaluates all of its cells alone
     DIRECT_POINTS = 110880
 
     def counted(self, shape):
@@ -249,40 +251,46 @@ class TestPeriodTableWork:
         return dataclasses.replace(shape, eval=count), seen
 
     def test_window_shape_points_are_pinned(self):
-        # the 512 points of the period probe, one table of 105 nodes, then
-        # the partial last panel of each of the 64 thetas; every
-        # whole-period panel is served from the table
+        # the partial cells of theta = 1, 2, the 512 points of the period
+        # probe, the one-period pass for m_p and the bound (2 tanh-sinh cells
+        # at the cusps, 14 Gauss-Kronrod cells of 15), then theta = 3..64 in
+        # one pass: 32 whole periods shared by every theta, and the partial
+        # last cells of the 31 odd thetas (an even one ends on a cusp); every
+        # cell at a cusp takes 105 tanh-sinh nodes
         shape, seen = self.counted(phi_alpha(1))
         inf_quantity(1, shape, 1, mu1(np.pi), k_max=64)
-        assert sum(seen) == 7337 == 512 + 105 * 65
+        assert sum(seen) == 7757 == 2 * 105 + 512 + (2 * 105 + 14 * 15) + 63 * 105
         assert sum(seen) < self.DIRECT_POINTS / 10
 
     def test_a_shape_that_breaks_its_declared_period_is_refused(self):
+        # the bound that skips dilations reads the period, and its probe
+        # refuses the shape
         phi = phi_alpha(1)
         bad = ShapeFunction(
             eval=lambda t: np.minimum(phi.eval(t), np.asarray(t, float) ** 2),
             cap_point=np.pi, sup_value=2.0, breakpoints=phi.breakpoints,
         )
         with pytest.raises(ValueError, match="not periodic"):
-            dilated(bad, 1.5, mu1(np.pi), [3.0])
+            inf_quantity(1, bad, 1.5, mu1(np.pi), k_max=8)
 
     def test_budget_exhausted_by_whole_periods_names_theta(self, monkeypatch):
-        # theta = 19 has 9 whole periods and one partial panel: 1050 nodes,
-        # of which only the 105 of the partial panel evaluate the shape
-        monkeypatch.setattr(jackson, "DEFAULT_BUDGET", 1000)
+        # theta = 19 covers 9 whole periods and one partial cell, all
+        # tanh-sinh: 1050 nodes, though the whole periods are evaluated once
+        # for every theta
+        monkeypatch.setattr(averaging, "DEFAULT_BUDGET", 1000)
         with pytest.raises(QuadratureBudgetError, match=r"theta=19\).*budget 1000"):
             inf_quantity(1, phi_alpha(1), 1, mu1(np.pi), k_max=64)
         assert dilated(phi_alpha(1), 1, mu1(np.pi), [18.0])[0] > 0
 
     def test_pruned_window_shape_points_are_pinned(self):
-        # the probe's 512, one table of 105 for the limit, the two partial
-        # panels of stage one (theta = 1, 2), then 2 tanh-sinh cells at the
-        # cusps and 14 Gauss-Kronrod cells of 15 for the bound; the bound
-        # skips every theta >= 3
+        # the two partial cells of stage one (theta = 1, 2), the probe's
+        # 512, then 2 tanh-sinh cells at the cusps and 14 Gauss-Kronrod
+        # cells of 15 for the limit and the bound; the bound skips every
+        # theta >= 3
         shape, seen = self.counted(phi_alpha(2))
         inf_quantity(1, shape, 1, mu2(TAU34), k_max=64)
-        assert sum(seen) == 1247 == 512 + 105 + 2 * 105 + 2 * 105 + 14 * 15
-        assert sum(seen) < 7337 / 3
+        assert sum(seen) == 1142 == 2 * 105 + 512 + 2 * 105 + 14 * 15
+        assert sum(seen) < 7757 / 3
 
 
 class TestSliverPanel:
@@ -316,6 +324,24 @@ class TestSliverPanel:
         want = split_quad(
             lambda x: (2 * abs(math.sin(x / 2))) ** 0.25, [0.0], 2 * np.pi, theta, np.pi,
             lambda t: float(np.interp(t, *zip(*table))), knots=(knot,),
+        )
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestCuspPastTheEnd:
+    """A cusp that rounding puts a few ulps past theta tau still flags the last cell."""
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5])
+    def test_cusp_rounded_just_past_tau(self, lam):
+        # theta tau = 26 pi, and the cusp 13 (2 pi) rounds one ulp above it;
+        # the last cell starts at a density knot, not at a cusp
+        theta = 104 / 3
+        assert 13 * (2 * np.pi) > theta * TAU34
+        table = [(0.0, 1.0), (2.25, 1.5), (TAU34, 0.5)]
+        got = dilated(phi_alpha(lam), 1.0, tabulated_density(TAU34, table), [theta])[0]
+        want = split_quad(
+            lambda x: (2 * abs(math.sin(x / 2))) ** lam, [0.0], 2 * np.pi, theta, TAU34,
+            lambda t: float(np.interp(t, *zip(*table))), knots=(2.25,),
         )
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -459,7 +485,7 @@ class Unhashable:
 
 
 class TestSharedTriple:
-    """Each (shape, p, mu) computes its period table, mean, spread and mass once."""
+    """Each (shape, p, mu) computes its period integrals, mean, spread and mass once."""
 
     def test_a_second_window_skips_the_table_and_spread(self):
         # phi_alpha(2) on mu2(3pi/4) reads the spread (see the pruned pin above)
@@ -477,7 +503,7 @@ class TestSharedTriple:
         fresh.period
         fresh_seen.clear()
         jackson._shape_integrals(fresh, 1.0, mu2(TAU34)).spread
-        assert cold - warm == sum(fresh_seen) == 105 + 2 * 105 + 14 * 15
+        assert cold - warm == sum(fresh_seen) == 2 * 105 + 14 * 15
         assert warm == 2 * 105
         assert second == first
 
@@ -558,7 +584,7 @@ class TestSharedTriple:
             for i in np.roll(np.arange(len(ns)), j):
                 reports[i] = inf_quantity(ns[i], shape, p, mu, k_max=16 * ns[i])
             entry = jackson._shape_integrals(shape, p, mu)
-            seen[j] = (reports, shape_mass(shape, p, mu), entry, entry.table)
+            seen[j] = (reports, shape_mass(shape, p, mu), entry, entry.mean)
 
         threads = [threading.Thread(target=work, args=(j,)) for j in range(8)]
         for thread in threads:
@@ -568,11 +594,11 @@ class TestSharedTriple:
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8
         (kept,) = shape._integrals.values()
-        for reports, mass, entry, table in seen.values():
+        for reports, mass, entry, mean in seen.values():
             assert reports == serial
             assert mass == serial_mass
             assert entry is kept
-            assert np.array_equal(table, kept.table)
+            assert mean == kept.mean
 
 
 def simpson_reference(shape, p, mu, theta):
@@ -618,6 +644,27 @@ class TestAgainstAdaptiveSimpson:
         shape = ShapeFunction(eval=phi_alpha(1).eval, cap_point=np.pi, sup_value=2.0)
         assert shape.breakpoints is None
         self.check(shape, 1.0, mu2(TAU34))
+
+    def test_undeclared_narrow_bump_is_not_missed(self):
+        # one tanh-sinh cell of [0, 4 pi] has no node within 15 widths of the
+        # bump at 1.9 pi, so both its rules read 0; the floor of 64 cells does
+        def bump(t):
+            return np.exp(-0.5 * ((np.abs(np.asarray(t, dtype=float)) - 1.9 * np.pi) / 0.02) ** 2)
+
+        shape = ShapeFunction(eval=bump, cap_point=None, sup_value=1.0)
+        got = dilated(shape, 1.0, mu2(np.pi), [4.0])[0]
+        assert got == pytest.approx(0.02 * math.sqrt(2 * math.pi) / 4, rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [mu1(np.pi), mu2(TAU34)], ids=["mu1", "mu2"])
+    def test_undeclared_shape_meets_the_declared_one(self, mu):
+        # without breakpoints each theta starts from its own floor of
+        # uniform cells, at most pi / 2 wide
+        declared = phi_alpha(1)
+        bare = ShapeFunction(eval=declared.eval, cap_point=np.pi, sup_value=2.0)
+        thetas = np.arange(1.0, 65.0)
+        np.testing.assert_allclose(
+            dilated(bare, 1.0, mu, thetas), dilated(declared, 1.0, mu, thetas), rtol=1e-10
+        )
 
 
 class TestEquivCondition:

@@ -6,7 +6,6 @@ from spapprox.quadrature import (
     QuadratureBudgetError,
     adaptive_simpson,
     nested_integrals,
-    tanh_sinh_panels,
 )
 
 
@@ -121,60 +120,6 @@ class TestSimpsonBreakpoints:
         assert (len(calls) - 1) // 2 <= 3
 
 
-class TestTanhSinhPanels:
-    def test_many_integrals_in_one_call(self):
-        # integral i is sin over [0, pi] split into i + 1 equal panels
-        lefts, rights, owners = [], [], []
-        for i in range(4):
-            edges = np.linspace(0.0, np.pi, i + 2)
-            lefts += edges[:-1].tolist()
-            rights += edges[1:].tolist()
-            owners += [i] * (i + 1)
-        vals = tanh_sinh_panels(lambda t, i: np.sin(t), lefts, rights, owners)
-        assert vals == pytest.approx([2.0] * 4, rel=1e-14)
-
-    def test_owner_reaches_the_integrand(self):
-        vals = tanh_sinh_panels(
-            lambda t, i: t ** i, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0, 1, 2]
-        )
-        assert vals == pytest.approx([1.0, 1 / 2, 1 / 3], rel=1e-14)
-
-    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.5])
-    def test_algebraic_end_singularity(self, lam):
-        # sqrt-type cusp at both ends: int_0^1 (t (1 - t))^lam = B(lam+1, lam+1)
-        from scipy.special import beta
-
-        val = tanh_sinh_panels(lambda t, i: (t * (1.0 - t)) ** lam, [0.0], [1.0], [0])
-        assert val[0] == pytest.approx(beta(lam + 1, lam + 1), rel=1e-13)
-
-    def test_interior_kink_is_bisected(self):
-        # |t - 1/3| on [0, 1] = 1/18 + 2/9 = 5/18; the kink is inside the panel
-        val = tanh_sinh_panels(lambda t, i: np.abs(t - 1.0 / 3.0), [0.0], [1.0], [0])
-        assert val[0] == pytest.approx(5.0 / 18.0, abs=1e-10)
-
-    def test_budget_exhaustion_names_the_integral(self):
-        # integral 0 is smooth and done in one pass; integral 1 keeps refining
-        with pytest.raises(QuadratureBudgetError, match="integral 1"):
-            tanh_sinh_panels(
-                lambda t, i: np.where(i == 1, np.abs(t - 1.0 / 3.0) ** 0.1, t),
-                [0.0, 0.0], [1.0, 1.0], [0, 1], budget=400,
-                context=lambda i: f"integral {i}",
-            )
-
-    def test_non_finite_integrand_aborts_with_diagnostic(self):
-        with pytest.raises(NonFiniteIntegrandError, match="non-finite"):
-            tanh_sinh_panels(lambda t, i: np.where(t > 0.5, np.nan, t), [0.0], [1.0], [0])
-
-    def test_inverted_panel_rejected(self):
-        with pytest.raises(ValueError, match="inverted"):
-            tanh_sinh_panels(lambda t, i: t, [1.0], [0.0], [0])
-
-    def test_empty_and_zero_width(self):
-        assert tanh_sinh_panels(lambda t, i: t, [], [], []).size == 0
-        assert tanh_sinh_panels(lambda t, i: t, [0.5], [0.5], [0])[0] == 0.0
-
-
-
 def unit(t, i):
     return 1.0
 
@@ -200,7 +145,8 @@ class TestSimpsonIntegrals:
             seen.append(np.asarray(t).copy())
             return self.F(t)
 
-        batch = nested_integrals(counted, self.w, -1.0, self.B)
+        # the ends are listed, so that every integral shares every cell
+        batch = nested_integrals(counted, self.w, -1.0, self.B, breakpoints=self.B)
         alone_points = 0
         for i in range(self.B.size):
             points = []
@@ -315,3 +261,111 @@ class TestNestedIntegralCells:
         vals = nested_integrals(F, unit, 0.0, [1.0], breakpoints=[0.3])
         assert vals[0] == pytest.approx(0.5 * (0.3**2 + 0.7**2), rel=1e-14)
         assert sizes == [30]
+
+
+class TestNestedTanhSinhCases:
+    """The cases of the retired tanh-sinh panel integrator, on nested_integrals."""
+
+    def test_integral_index_reaches_the_weight(self):
+        vals = nested_integrals(
+            lambda t: np.ones(np.shape(t)), lambda t, i: t**i, 0.0, [1.0, 1.0, 1.0]
+        )
+        assert vals == pytest.approx([1.0, 1 / 2, 1 / 3], rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.5])
+    def test_algebraic_end_singularity(self, lam):
+        # sqrt-type cusp at both ends: int_0^1 (t (1 - t))^lam = B(lam+1, lam+1)
+        from scipy.special import beta
+
+        vals = nested_integrals(
+            lambda t: (t * (1.0 - t)) ** lam, unit, 0.0, [1.0], singular=[0.0, 1.0]
+        )
+        assert vals[0] == pytest.approx(beta(lam + 1, lam + 1), rel=1e-13)
+
+    def test_interior_kink_is_bisected(self):
+        # |t - 1/3| on [0, 1] = 1/18 + 2/9 = 5/18; the kink is inside the cell
+        vals = nested_integrals(lambda t: np.abs(t - 1.0 / 3.0), unit, 0.0, [1.0])
+        assert vals[0] == pytest.approx(5.0 / 18.0, abs=1e-10)
+
+    @pytest.mark.parametrize("singular", [(), (0.0, 1.0)], ids=["gauss-kronrod", "tanh-sinh"])
+    def test_non_finite_integrand_aborts_with_diagnostic(self, singular):
+        with pytest.raises(NonFiniteIntegrandError, match="non-finite"):
+            nested_integrals(
+                lambda t: np.where(t > 0.5, np.nan, t), unit, 0.0, [1.0], singular=singular
+            )
+
+    def test_inverted_interval_rejected(self):
+        with pytest.raises(ValueError, match="inverted"):
+            nested_integrals(lambda t: t, unit, 1.0, [0.0])
+
+    def test_empty_and_zero_width(self):
+        assert nested_integrals(lambda t: t, unit, 0.0, []).size == 0
+        assert nested_integrals(lambda t: t, unit, 0.5, [0.5])[0] == 0.0
+
+
+def first_nodes(b, **kwargs):
+    """The values of nested_integrals of cos, and the nodes of its first call of F."""
+    calls = []
+
+    def F(t):
+        calls.append(np.array(t))
+        return np.cos(t)
+
+    return nested_integrals(F, unit, 0.0, b, **kwargs), calls[0]
+
+
+class TestPrivateEnds:
+    """An end cuts only the last cell of its own integrals unless it is a breakpoint."""
+
+    def test_an_unlisted_end_cuts_no_other_cell(self):
+        b = [0.3, 0.6, 1.0]
+        vals, nodes = first_nodes(b, breakpoints=[0.5])
+        np.testing.assert_allclose(vals, np.sin(b), rtol=1e-14)
+        # cells [0, 0.5], and the partial cells [0, 0.3], [0.5, 0.6], [0.5, 1]
+        assert nodes.size == 4 * 15
+        assert 0.75 in nodes and 0.8 not in nodes
+
+    def test_a_listed_end_cuts_every_cell(self):
+        b = [0.3, 0.6, 1.0]
+        vals, nodes = first_nodes(b, breakpoints=[0.5, *b])
+        np.testing.assert_allclose(vals, np.sin(b), rtol=1e-14)
+        assert nodes.size == 4 * 15
+        assert 0.8 in nodes and 0.75 not in nodes
+
+    def test_equal_ends_share_their_partial_cell(self):
+        vals, nodes = first_nodes([0.3, 1.0, 0.3])
+        np.testing.assert_allclose(vals, np.sin([0.3, 1.0, 0.3]), rtol=1e-14)
+        assert nodes.size == 2 * 15
+
+
+class TestSlivers:
+    """Cuts and ends that rounding puts a few ulps apart leave no sliver cell."""
+
+    @staticmethod
+    def ulps(x, n):
+        for _ in range(abs(n)):
+            x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+        return x
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_cut_just_past_another_is_dropped_and_keeps_its_flag(self, n):
+        # the kink of |t - c|^0.25 is declared twice, the second copy n ulps
+        # past the first and as the singular one
+        c = 0.7
+        vals = nested_integrals(
+            lambda t: np.abs(t - c) ** 0.25, unit, 0.0, [2.0],
+            breakpoints=[c], singular=[self.ulps(c, n)],
+        )
+        assert vals[0] == pytest.approx((c**1.25 + (2.0 - c) ** 1.25) / 1.25, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [-4, -2, -1, 1, 2, 4])
+    def test_an_end_a_few_ulps_from_a_singular_cut(self, n):
+        # an end just past the kink drops its sliver; one just short of it
+        # ends with the kink's tanh-sinh rule
+        c = 0.7
+        end = self.ulps(c, n)
+        vals = nested_integrals(
+            lambda t: np.abs(t - c) ** 0.25, unit, 0.0, [end, 2.0], singular=[c],
+        )
+        assert vals[0] == pytest.approx(c**1.25 / 1.25, rel=1e-12)
+        assert vals[1] == pytest.approx((c**1.25 + (2.0 - c) ** 1.25) / 1.25, rel=1e-12)

@@ -83,21 +83,19 @@ class TestBreakpoints:
         assert tags[order].tolist() == [1, 1, 1, 1, 1]
         assert pts[order].tolist() == [1.0, 2.0, 4.0, 5.0, 7.0]
 
-    def test_periodic_numbers_mark_neighbours(self):
-        tags, pts, numbers = Breakpoints(points=(1.0, 5.0), period=3.0).numbered([7.5])
-        order = np.argsort(pts)
-        # residues 1 and 2 mod 3: the points 1, 2, 4, 5, 7 are numbers 0..4
-        assert pts[order].tolist() == [1.0, 2.0, 4.0, 5.0, 7.0]
-        assert numbers[order].tolist() == [0, 1, 2, 3, 4]
-        _, pts, numbers = phi_alpha(1).breakpoints.numbered([13.0])
-        assert pts.tolist() == pytest.approx([2 * np.pi, 4 * np.pi])
-        assert numbers.tolist() == [1, 2]  # the origin is number 0
+    def test_periodic_points_of_each_bound(self):
+        tags, pts = Breakpoints(points=(1.0, 5.0), period=3.0).inside([4.0, 7.5])
+        order = np.lexsort((pts, tags))
+        # residues 1 and 2 mod 3: the points 1, 2 below 4 and 1, 2, 4, 5, 7 below 7.5
+        assert tags[order].tolist() == [0, 0, 1, 1, 1, 1, 1]
+        assert pts[order].tolist() == [1.0, 2.0, 1.0, 2.0, 4.0, 5.0, 7.0]
+        _, pts = phi_alpha(1).breakpoints.inside([13.0])
+        assert np.sort(pts).tolist() == pytest.approx([2 * np.pi, 4 * np.pi])  # not the origin
 
-    def test_a_set_without_period_numbers_nothing(self):
-        tags, pts, numbers = Breakpoints(points=(0.0, 1.0, 2.5)).numbered([2.0, 3.0])
+    def test_a_set_without_period(self):
+        tags, pts = Breakpoints(points=(0.0, 1.0, 2.5)).inside([2.0, 3.0])
         assert tags.tolist() == [0, 1, 1]
         assert pts.tolist() == [1.0, 1.0, 2.5]
-        assert numbers.tolist() == [-1, -1, -1]
 
     @pytest.mark.parametrize("period", [0.0, -1.0, math.inf])
     def test_period_must_be_positive(self, period):
