@@ -232,8 +232,10 @@ def _density_integrals(
 
     One :func:`nested_integrals` pass at :data:`DEFAULT_BUDGET`: F is
     evaluated once per node for all dilations, cells are cut at the
-    density's breakpoints times each theta_i and at ``cuts``, and the cells
-    at the origin and at the ``cusps`` of F get tanh-sinh.  An end
+    density's breakpoints times each theta_i, at ``cuts`` and at the
+    ``cusps``, and the cells at the origin and at the ``cusps`` get
+    tanh-sinh: ``cusps`` lists the singular points of F, ``cuts`` the
+    points where F is only not smooth.  An end
     theta_i tau cuts the cells of the other dilations only when ``cuts``
     lists it.  ``support`` limits F to stretches, as in
     :func:`nested_integrals`.
@@ -328,7 +330,8 @@ def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) ->
     adds v_j times the weight's mass there, from :meth:`WeightMeasure.cdf`.
     On the rising stretches in between, :func:`_running_sup` is integrated
     in one :func:`_density_integrals` pass whose cells are also cut at the
-    cusps of the shift sum and at every window end.  The atoms add
+    cusps of the shift sum and at every window end; the cusps take
+    tanh-sinh only where the shape's breakpoints are singular at p.  The atoms add
     :meth:`WeightMeasure.atom_sums`.
     """
     thetas = us / mu.tau
@@ -344,10 +347,14 @@ def _window_integrals(curve: ModulusCurve, mu: WeightMeasure, us: np.ndarray) ->
     totals += (mass[1] - mass[0]) @ flat.values
     # a rising stretch runs from each plateau's end (or 0) to the next start
     lo, hi = np.append(0.0, flat.ends), np.append(flat.starts, curve.u)
+    cusps, cuts = curve.cusps(), thetas * mu.tau
+    kinks = curve.shape.breakpoints
+    if kinks is not None and not kinks.singular(curve.p):
+        cusps, cuts = (), np.append(cuts, cusps)
     return totals + _density_integrals(
         running_sup, mu, thetas,
         lambda i: f"stieltjes[{mu.label or 'measure'}] (u={us[i]:g})",
-        support=(lo[hi > lo], hi[hi > lo]), cusps=curve.cusps(), cuts=thetas * mu.tau,
+        support=(lo[hi > lo], hi[hi > lo]), cusps=cusps, cuts=cuts,
     )
 
 

@@ -129,8 +129,11 @@ class _ShapeIntegrals:
     :func:`~spapprox.averaging._density_integrals` pass, in the shape's
     variable x = theta t: shape^p is evaluated once per node for every
     theta, and the cells are cut at the shape's declared breakpoints inside
-    (0, max theta tau), which are also its singular points, and at the
-    density's breakpoints times each theta.  Each theta ends its own last
+    (0, max theta tau) and at the density's breakpoints times each theta.
+    The cells at the origin take tanh-sinh, and so do the cells at the
+    shape's breakpoints where shape^p is singular there
+    (:meth:`~spapprox.smoothness.Breakpoints.singular`); elsewhere the
+    breakpoints are plain edges of Gauss-Kronrod cells.  Each theta ends its own last
     cell.  A shape that declares no breakpoints is cut, for each theta, into
     max(64, 2 theta tau / pi + 1) uniform cells of [0, theta tau], which
     every theta shares, and relies on bisection for its kinks.  Each
@@ -159,7 +162,8 @@ class _ShapeIntegrals:
         else:
             # a cusp that rounds a sliver past the last end still flags it
             top = ends.max()
-            cusps, cuts = kinks.inside([top + _sliver(top)])[1], ()
+            points = kinks.inside([top + _sliver(top)])[1]
+            cusps, cuts = (points, ()) if kinks.singular(self.p) else ((), points)
         return totals + _density_integrals(
             self.power, mu, thetas,
             lambda i: f"dilated shape integral (theta={thetas[i]:g})",
@@ -177,7 +181,8 @@ class _ShapeIntegrals:
 
         [0, period] is cut at the breakpoints and each piece into
         :data:`SPREAD_CELLS` cells, and one :func:`nested_integrals` pass on
-        those cells, with tanh-sinh at the breakpoints, integrates up to
+        those cells, with tanh-sinh at the breakpoints where shape^p is
+        singular and Gauss-Kronrod on every cell elsewhere, integrates up to
         every cell end.
         """
         period = self.shape.period
@@ -186,8 +191,9 @@ class _ShapeIntegrals:
         steps = np.arange(SPREAD_CELLS) / SPREAD_CELLS
         starts = (pieces[:-1, None] + np.outer(np.diff(pieces), steps)).ravel()
         ends = np.append(starts[1:], period)
+        singular = pieces if self.shape.breakpoints.singular(self.p) else ()
         cumulative = nested_integrals(
-            self.power, lambda t, i: 1.0, 0.0, ends, breakpoints=ends, singular=pieces,
+            self.power, lambda t, i: 1.0, 0.0, ends, breakpoints=ends, singular=singular,
             budget=DEFAULT_BUDGET,
             context=lambda i: f"period integral of shape^p (x={ends[i]:g})",
         )

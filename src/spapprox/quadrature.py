@@ -19,7 +19,10 @@ costs one pass per halving of the panel that holds it.
   a declared singular end gets a nested pair of double-exponential
   (tanh-sinh) rules, which converge exponentially with an algebraic
   singularity at that end (Takahasi and Mori, 1974); any other cell gets a
-  Gauss-Kronrod 7/15 pair.  It serves every other weight integral: the
+  Gauss-Kronrod 7/15 pair.  Callers declare singular only the points where
+  the integrand is not analytic on either side, and pass a point where it
+  is analytic on each side (a cusp |t - c|^m, m a positive integer) as a
+  plain breakpoint, whose cells take Gauss-Kronrod.  It serves every other weight integral: the
   batch of ``averaging.dilated_integrals``, every dilated shape integral of
   ``jackson``, capped or not, the rising stretches of the averaged moduli
   of one curve over many windows and the cumulative function of a density
@@ -98,6 +101,8 @@ _GK_WEIGHTS = np.stack(
     [np.concatenate([w, w[1:]]) for w in (_GK_KRONROD, _GK_GAUSS)]
     + [np.zeros(_GK_DIST.size)] * 2, axis=1
 )
+#: The (node distances, split, weights) of each rule, by whether a cell has a singular end.
+_RULES = ((False, (_GK_DIST, _GK_SPLIT, _GK_WEIGHTS)), (True, (_TS_DIST, _TS_SPLIT, _TS_WEIGHTS)))
 #: Relative floor and bisection limit of every integrator; the halves that
 #: close in on an integrable singularity at 0, where floats are dense, may
 #: take a hundred passes.
@@ -309,24 +314,23 @@ def nested_integrals(
     top = float(b.max()) if b.size else a
     if not top > a:
         return totals
-    singular = np.asarray(singular, dtype=float).ravel()
-    cuts = [singular, [a], np.asarray(breakpoints, dtype=float).ravel()]
+    singular = np.ravel(singular)
+    cuts = [singular, [a], np.ravel(breakpoints)]
     if support is not None:
         starts, stops = (np.asarray(x, dtype=float) for x in support)
         cuts += [starts, stops]
-    points = np.concatenate(cuts)
-    marks = np.arange(points.size) < singular.size
+    points = np.concatenate(cuts, dtype=float)
+    sorting = np.argsort(points, kind="stable")
+    points = points[sorting]
     # a cut a sliver above the last end still flags that end
     kept = (points >= a) & (points <= top + _sliver(top))
-    points, marks = points[kept], marks[kept]
-    sorting = np.argsort(points, kind="stable")
-    points, marks = points[sorting], marks[sorting]
+    points, marks = points[kept], sorting[kept] < singular.size
     # a cut within a sliver of the one before it (or equal to it) ends no cell
     new = np.empty(points.size, dtype=bool)
     new[0] = True
     np.greater(points[1:] - points[:-1], _sliver(points[1:]), out=new[1:])
-    edges = points[new]
-    flags = np.bincount(np.cumsum(new) - 1, marks) > 0
+    firsts = np.flatnonzero(new)
+    edges, flags = points[firsts], np.logical_or.reduceat(marks, firsts)
     # in order of their ends, integral i covers the whole cells before edge
     # last[i], then its own partial cell from that edge to its end; an end
     # a sliver below an edge moves onto it
@@ -337,13 +341,14 @@ def nested_integrals(
     stub = ends - edges[last] > slivers
     head = stub.copy()  # the first integral of each partial cell
     head[1:] &= ends[1:] != ends[:-1]
-    at = np.flatnonzero(head)
     whole = int(last[-1])
-    left = np.concatenate([edges[:whole], edges[last[at]]])
-    right = np.concatenate([edges[1:whole + 1], ends[at]])
-    sing_l = np.concatenate([flags[:whole], flags[last[at]]])
-    sing_r = np.concatenate([flags[1:whole + 1], np.zeros(at.size, dtype=bool)])
-    # pair k is integral win[k] on cell cell[k]
+    tops = last[head]
+    left = np.concatenate([edges[:whole], edges[tops]])
+    right = np.concatenate([edges[1:whole + 1], ends[head]])
+    sing_l = np.concatenate([flags[:whole], flags[tops]])
+    sing_r = np.concatenate([flags[1:whole + 1], np.zeros(tops.size, dtype=bool)])
+    # pair k is integral win[k] on cell cell[k]; the partial cells follow
+    # the whole ones, numbered by the running count of heads
     tag, cell = _spread(last)
     win = order[np.concatenate([tag, np.flatnonzero(stub)])]
     cell = np.concatenate([cell, whole - 1 + np.cumsum(head)[stub]])
@@ -357,16 +362,15 @@ def nested_integrals(
     share = right - left
     scale = tol / np.where(b > a, b - a, 1.0)
     used = np.zeros(b.size)
-    rules = {False: (_GK_DIST, _GK_SPLIT, _GK_WEIGHTS), True: (_TS_DIST, _TS_SPLIT, _TS_WEIGHTS)}
     for _ in range(_MAX_PASSES):
         if not cell.size:
             return totals
         uses_ts = sing_l | sing_r
         size = np.where(uses_ts, _TS_DIST.size, _GK_DIST.size)
         used += np.bincount(win, size[cell], minlength=b.size)
-        over = np.flatnonzero(used > budget)
-        if over.size:
-            i = int(over[0])
+        over = used > budget
+        if over.any():
+            i = int(np.argmax(over))
             raise QuadratureBudgetError(
                 f"{context(i)}: evaluation budget {budget} exhausted "
                 f"({int(np.sum(win == i))} cells still refining)"
@@ -374,7 +378,7 @@ def nested_integrals(
         # the nodes of every cell under its rule, all in one call of F
         row = np.empty(left.size, dtype=np.intp)  # row of each cell in its group
         groups, pair_ts = [], uses_ts[cell]
-        for flag, (dist, split, weights) in rules.items():
+        for flag, (dist, split, weights) in _RULES:
             members = np.flatnonzero(uses_ts == flag)
             if not members.size:
                 continue

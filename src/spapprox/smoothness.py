@@ -86,15 +86,36 @@ class Breakpoints:
     function periodic: the set then holds every t >= 0 congruent to one of
     ``points`` modulo ``period``, and f(t + period) = f(t) for t >= 0, so that
     the mean of f may be taken over one period, cut into the gaps between
-    its consecutive points (see :meth:`gaps`).
+    its consecutive points (see :meth:`gaps`).  An ``order`` declares the
+    kind of every point b: near b, f(t) = |t - b|^order h(t) with h analytic
+    and nonzero, so that f^p is analytic on each side of b when order p is
+    a positive integer (see :meth:`singular`); None declares nothing.
     """
 
     points: tuple[float, ...] = ()
     period: float | None = None
+    order: float | None = None
 
     def __post_init__(self) -> None:
         if self.period is not None and not (self.period > 0 and math.isfinite(self.period)):
             raise ValueError(f"breakpoint period must be a positive real, got {self.period}")
+        if self.order is not None and not 0.0 < self.order < math.inf:
+            raise ValueError(f"breakpoint order must be a positive real, got {self.order}")
+
+    def singular(self, p: float) -> bool:
+        """Whether f^p may be singular at the points, so that quadrature needs tanh-sinh there.
+
+        False only when the declared order times p lies within 4 ulps of a
+        positive integer m: f^p is then |t - b|^m times an analytic function,
+        analytic on each side of b, though not across it when m is odd.  The
+        slack absorbs the rounding of order p, as in (2/p) p = 1.9999999999999998.
+        A power past the largest double counts as singular.
+        """
+        power = math.inf if self.order is None else self.order * p
+        if power == math.inf:
+            return True
+        m = round(power)
+        return not (m >= 1 and abs(power - m) <= 4 * math.ulp(m))
 
     def inside(self, his) -> tuple[np.ndarray, np.ndarray]:
         """Every declared point in (0, his[i]), tagged with i, for each i.
@@ -259,7 +280,8 @@ def phi_alpha(alpha: float) -> ShapeFunction:
 
     Equal to (2*(1 - cos t))^(alpha/2) = 2^alpha * |sin(t/2)|^alpha, which is
     nondecreasing up to pi with supremum 2^alpha; its cusps are the zeros
-    2*pi*j.
+    2*pi*j, each of order alpha, so that shape^p is analytic on each side of
+    them when alpha*p is a positive integer (see :meth:`Breakpoints.singular`).
     """
     if not (alpha > 0):
         raise ValueError(f"order alpha must be positive, got {alpha}")
@@ -276,7 +298,7 @@ def phi_alpha(alpha: float) -> ShapeFunction:
         sup_value=2.0**a,
         label=f"phi_alpha:{a:g}",
         sup_exact=True,
-        breakpoints=Breakpoints(points=(0.0,), period=2.0 * math.pi),
+        breakpoints=Breakpoints(points=(0.0,), period=2.0 * math.pi, order=a),
     )
     check_shape(shape)
     return shape
@@ -653,7 +675,9 @@ class ModulusCurve:
     def cusps(self) -> np.ndarray:
         """Sorted points of (0, u) where a term shape(k h)^p of the shift sum
         may fail to be smooth: the shape's breakpoints over each harmonic k
-        (none when the shape declares none)."""
+        (none when the shape declares none).  They are singular points of
+        the terms only where the breakpoints are at p
+        (:meth:`Breakpoints.singular`); elsewhere they are kinks."""
         if self.shape.breakpoints is None or not self._ks.size:
             return np.empty(0)
         tags, points = self.shape.breakpoints.inside(self._ks * self.u)

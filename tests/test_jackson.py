@@ -251,13 +251,29 @@ class TestPeriodTableWork:
         return dataclasses.replace(shape, eval=count), seen
 
     def test_window_shape_points_are_pinned(self):
-        # the partial cells of theta = 1, 2, the 512 points of the period
-        # probe, the one-period pass for m_p and the bound (2 tanh-sinh cells
-        # at the cusps, 14 Gauss-Kronrod cells of 15), then theta = 3..64 in
-        # one pass: 32 whole periods shared by every theta, and the partial
-        # last cells of the 31 odd thetas (an even one ends on a cusp); every
-        # cell at a cusp takes 105 tanh-sinh nodes
+        # alpha p = 1: shape^p is analytic on each side of every cusp, so only
+        # the cells at the origin take the 105 tanh-sinh nodes, and every cell
+        # at a cusp 2 pi j > 0 takes 15 Gauss-Kronrod nodes.  The partial
+        # cells of theta = 1, 2 (both at the origin), the 512 points of the
+        # period probe, the one-period pass for m_p and the bound (16
+        # Gauss-Kronrod cells), then theta = 3..64 in one pass: 32 whole
+        # periods shared by every theta, the first at the origin, and the
+        # partial last cells of the 31 odd thetas (an even one ends on a
+        # cusp); the whole cell [2 pi, 4 pi] is bisected once
         shape, seen = self.counted(phi_alpha(1))
+        inf_quantity(1, shape, 1, mu1(np.pi), k_max=64)
+        assert sum(seen) == 2027 == (
+            2 * 105 + 512 + 16 * 15 + (105 + 31 * 15 + 31 * 15) + 2 * 15
+        )
+        assert sum(seen) < self.DIRECT_POINTS / 50
+
+    def test_singular_window_shape_points_are_pinned(self):
+        # alpha p = 1/2: every cusp is singular, and every cell at one takes
+        # the 105 tanh-sinh nodes: the partial cells of theta = 1, 2, the
+        # probe's 512, the one-period pass (2 tanh-sinh cells at the cusps, 14
+        # Gauss-Kronrod cells of 15), then 32 whole periods and the partial
+        # last cells of the 31 odd thetas
+        shape, seen = self.counted(phi_alpha(0.5))
         inf_quantity(1, shape, 1, mu1(np.pi), k_max=64)
         assert sum(seen) == 7757 == 2 * 105 + 512 + (2 * 105 + 14 * 15) + 63 * 105
         assert sum(seen) < self.DIRECT_POINTS / 10
@@ -274,22 +290,32 @@ class TestPeriodTableWork:
             inf_quantity(1, bad, 1.5, mu1(np.pi), k_max=8)
 
     def test_budget_exhausted_by_whole_periods_names_theta(self, monkeypatch):
-        # theta = 19 covers 9 whole periods and one partial cell, all
-        # tanh-sinh: 1050 nodes, though the whole periods are evaluated once
-        # for every theta
-        monkeypatch.setattr(averaging, "DEFAULT_BUDGET", 1000)
-        with pytest.raises(QuadratureBudgetError, match=r"theta=19\).*budget 1000"):
+        # theta = 19 covers 9 whole periods and one partial cell: 105
+        # tanh-sinh nodes at the origin and 9 Gauss-Kronrod cells of 15, 240
+        # nodes, though the whole periods are evaluated once for every
+        # theta; theta = 18 takes 105 + 8 * 15 = 225
+        monkeypatch.setattr(averaging, "DEFAULT_BUDGET", 230)
+        with pytest.raises(QuadratureBudgetError, match=r"theta=19\).*budget 230"):
             inf_quantity(1, phi_alpha(1), 1, mu1(np.pi), k_max=64)
         assert dilated(phi_alpha(1), 1, mu1(np.pi), [18.0])[0] > 0
 
     def test_pruned_window_shape_points_are_pinned(self):
-        # the two partial cells of stage one (theta = 1, 2), the probe's
-        # 512, then 2 tanh-sinh cells at the cusps and 14 Gauss-Kronrod
-        # cells of 15 for the limit and the bound; the bound skips every
-        # theta >= 3
+        # alpha p = 2: the two partial cells of stage one (theta = 1, 2, at
+        # the origin), the probe's 512, then 16 Gauss-Kronrod cells of 15 for
+        # the limit and the bound; the bound skips every theta >= 3
         shape, seen = self.counted(phi_alpha(2))
         inf_quantity(1, shape, 1, mu2(TAU34), k_max=64)
-        assert sum(seen) == 1142 == 2 * 105 + 512 + 2 * 105 + 14 * 15
+        assert sum(seen) == 962 == 2 * 105 + 512 + 16 * 15
+        assert sum(seen) < 2027 / 2
+
+    def test_pruned_singular_window_shape_points_are_pinned(self):
+        # alpha p = 1/2: stage one's two cells, the probe's 512, 2 tanh-sinh
+        # cells at the cusps and 14 Gauss-Kronrod cells of 15 for the limit
+        # and the bound, then theta = 3 alone, on its whole first period and
+        # its partial cell past 2 pi; the bound skips every theta >= 4
+        shape, seen = self.counted(phi_alpha(0.5))
+        inf_quantity(1, shape, 1, mu2(TAU34), k_max=64)
+        assert sum(seen) == 1352 == 2 * 105 + 512 + (2 * 105 + 14 * 15) + 2 * 105
         assert sum(seen) < 7757 / 3
 
 
@@ -344,6 +370,38 @@ class TestCuspPastTheEnd:
             lambda t: float(np.interp(t, *zip(*table))), knots=(2.25,),
         )
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestAnalyticCusps:
+    """At integer alpha p the cells at the cusps 2 pi j > 0 take Gauss-Kronrod.
+
+    (2 |sin(x/2)|)^(alpha p) is |x - 2 pi j|^(alpha p) times an analytic
+    function, so it is analytic on each side of every cusp; the origin keeps
+    tanh-sinh.  The references are scipy's quad split at 2 pi j / theta.
+    """
+
+    @pytest.mark.parametrize("theta", [1.0, 3.5, 32.0])
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 3.0, 4.0, 8.0])
+    @pytest.mark.parametrize("measure", ["mu1(pi)", "mu2(3pi/4)"])
+    def test_dilated_integrals_match_split_quad(self, measure, lam, theta):
+        mu, tau, density = {
+            "mu1(pi)": (mu1(np.pi), np.pi, math.sin),
+            "mu2(3pi/4)": (mu2(TAU34), TAU34, lambda t: 1.0),
+        }[measure]
+        assert not phi_alpha(lam).breakpoints.singular(1.0)
+        got = dilated(phi_alpha(lam), 1.0, mu, [theta])[0]
+        want = split_quad(
+            lambda x: (2 * abs(math.sin(x / 2))) ** lam, [0.0], 2 * np.pi, theta, tau, density,
+        )
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0])
+    def test_mean_matches_the_zeroth_fourier_coefficient(self, lam):
+        # |1 - e^{ix}|^lam has the Fourier coefficient
+        # c_0 = Gamma(lam + 1) / Gamma(lam / 2 + 1)^2, with no quadrature
+        got, _ = jackson._ShapeIntegrals(phi_alpha(lam), 1.0, mu2(TAU34)).mean
+        want = math.gamma(lam + 1) / math.gamma(lam / 2 + 1) ** 2
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def phi_mean(lam):
@@ -503,7 +561,9 @@ class TestSharedTriple:
         fresh.period
         fresh_seen.clear()
         jackson._shape_integrals(fresh, 1.0, mu2(TAU34)).spread
-        assert cold - warm == sum(fresh_seen) == 2 * 105 + 14 * 15
+        # alpha p = 2: the period pass is 16 Gauss-Kronrod cells of 15, and the
+        # two partial cells of the window start at the origin, in tanh-sinh
+        assert cold - warm == sum(fresh_seen) == 16 * 15
         assert warm == 2 * 105
         assert second == first
 

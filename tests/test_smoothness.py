@@ -117,6 +117,50 @@ class TestBreakpoints:
         shape = ShapeFunction(eval=phi_alpha(1).eval, cap_point=np.pi, sup_value=2.0)
         assert shape.breakpoints is None
 
+    @pytest.mark.parametrize("order,p,singular", [
+        (None, 1.0, True),
+        (None, 2.0, True),
+        (0.5, 1.0, True),
+        (0.25, 2.0, True),
+        (1.0, 1.0, False),
+        (0.5, 2.0, False),
+        (2.0, 1.0, False),
+        (1.5, 2.0, False),
+        (3.0, 1.0, False),
+        (1.0, 1.9999999999999998, False),  # (2/p*) p* of the majorant class
+        (1.0, 2.0 + 1e-9, True),
+        (2.0 + 1e-9, 1.0, True),
+        (1000.0, 1e306, True),  # order p overflows
+    ])
+    def test_singular_only_off_positive_integer_powers(self, order, p, singular):
+        assert Breakpoints(points=(0.0,), period=2 * np.pi, order=order).singular(p) is singular
+
+    def test_four_ulps_of_slack(self):
+        bp = Breakpoints(points=(0.0,), order=1.0)
+        assert not bp.singular(2.0 + 4 * math.ulp(2.0))
+        assert bp.singular(2.0 + 5 * math.ulp(2.0))
+
+    def test_phi_alpha_declares_order_alpha(self):
+        assert phi_alpha(1.5).breakpoints.order == 1.5
+        assert not phi_alpha(1.5).breakpoints.singular(2.0)
+        assert phi_alpha(0.75).breakpoints.singular(2.0)
+
+    def test_tabulated_knots_stay_singular(self):
+        shape = tabulated_shape([(0, 0), (1, 2), (2.5, 2)], cap_point=1.0, sup_value=2.0)
+        assert shape.breakpoints.order is None and shape.breakpoints.singular(1.0)
+
+    def test_replace_keeps_the_order(self):
+        # a shape whose eval is wrapped, as an evaluation counter does
+        shape = phi_alpha(2)
+        counted = dataclasses.replace(shape, eval=lambda t: shape.eval(t))
+        assert counted.breakpoints.order == 2.0
+        assert not counted.breakpoints.singular(1.0)
+
+    @pytest.mark.parametrize("order", [0.0, -1.0, math.inf, math.nan])
+    def test_order_must_be_positive_and_finite(self, order):
+        with pytest.raises(ValueError, match="order"):
+            Breakpoints(points=(0.0,), order=order)
+
 
 class TestShapeValidation:
     def test_declared_period_must_repeat_the_values(self):

@@ -428,6 +428,31 @@ class TestMajorantCondition:
         check = majorant_condition_check(omega, phi_alpha(ap / p), p, mu2(tau))
         assert check.worst_rel_margin <= 1e-9  # equality at xi=1, below elsewhere
 
+    def test_capped_shape_stays_singular(self, monkeypatch):
+        # the cap point is a kink of the capped shape, not a zero of order
+        # alpha, so its breakpoints declare no order even where phi_alpha's
+        # cusps are analytic on each side
+        cls = solved_linear_majorant_class()
+        assert not cls.shape.breakpoints.singular(cls.p)
+        seen = []
+
+        def capture(shape, p, mu, thetas):
+            seen.append(shape.breakpoints)
+            return np.ones(np.size(thetas))
+
+        monkeypatch.setattr(widths, "_dilated_shape_integrals", capture)
+        _capped_shape_integrals(cls.shape, cls.p, cls.mu, np.ones(1))
+        assert seen[0].order is None and seen[0].singular(cls.p)
+
+    def test_condition_margins_are_pinned(self):
+        # the worst margins of the solved class and of the linear majorant
+        # at p = 2, as before shape^p was analytic on each side of its cusps
+        cls = solved_linear_majorant_class()
+        check = majorant_condition_check(cls.omega, cls.shape, cls.p, cls.mu)
+        assert check.worst_rel_margin == -0.0019958757172954256
+        check = majorant_condition_check(linear_majorant(), phi_alpha(1), 2, mu2(TAU34))
+        assert check.worst_rel_margin == 0.14977582737510775
+
     def test_batched_capped_integrals_match_one_simpson_per_xi(self):
         cls = solved_linear_majorant_class()
         shape, p, mu = cls.shape, cls.p, cls.mu
