@@ -19,17 +19,16 @@ from the shape's periodic antiderivative and the density's variation.  So
 whose lower bound L - C n / k already lies above that minimum.
 
 m_p, C and the shape mass depend on (shape, p, mu) alone, so each shape
-object keeps them per (p, mu) and every call shares them; the integrals at
-each k are taken anew by each call, a batch of k in one
+object keeps them per (p, mu), in the cache that also holds its scan tables
+(:func:`spapprox.smoothness._kept`), and every call shares them; the
+integrals at each k are taken anew by each call, a batch of k in one
 :func:`~spapprox.quadrature.nested_integrals` pass.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,7 @@ from .quadrature import (  # noqa: F401  adaptive_simpson stays importable from 
     adaptive_simpson,
     nested_integrals,
 )
-from .smoothness import ModulusCurve, ShapeFunction
+from .smoothness import ModulusCurve, ShapeFunction, _kept
 from .spectral import SpectralFunction, as_exponent, best_approximation
 
 #: Relative slack for deciding the integer argmin and ties toward smaller k.
@@ -58,12 +57,6 @@ ARGMIN_REL_TOL = 1e-9
 EQUIV_REL_TOL = 1e-7
 #: Cells per piece of a period in the bound of :attr:`_ShapeIntegrals.spread`.
 SPREAD_CELLS = 16
-#: Most (p, weight) entries of :class:`_ShapeIntegrals` one shape keeps; a new
-#: entry past it drops the oldest.
-SHAPE_INTEGRALS_PER_SHAPE = 8
-
-_log = logging.getLogger(__name__)
-_integrals_lock = threading.Lock()
 
 
 class SharpnessNotCertifiedError(RuntimeError):
@@ -92,29 +85,11 @@ def _dilated_shape_integrals(
 def _shape_integrals(shape: ShapeFunction, p: float, mu: WeightMeasure) -> _ShapeIntegrals:
     """The one :class:`_ShapeIntegrals` of (shape, p, mu), kept on the shape.
 
-    The shape's cache is keyed by (p, id(mu)), so neither the shape nor the
-    weight is ever hashed.  An entry holds its mu, so no other weight can
-    take that id while the entry lives, and a hit checks the identity too.
-    A shape keeps at most :data:`SHAPE_INTEGRALS_PER_SHAPE` entries and drops
-    the oldest past that, with one DEBUG record on the ``spapprox.jackson``
-    logger; the entries die with their shape.  A lock makes each look-up
-    atomic, so threads that race for one triple get one entry.
+    It is the shape's entry ("integrals", p, id(mu)) of
+    :func:`spapprox.smoothness._kept`, beside its scan tables and under the
+    same cap and lock, so threads that race for one triple get one entry.
     """
-    key = (p, id(mu))
-    with _integrals_lock:
-        cache = shape._integrals
-        found = cache.get(key)
-        if found is not None and found.mu is mu:
-            return found
-        cache.pop(key, None)
-        if len(cache) >= SHAPE_INTEGRALS_PER_SHAPE:
-            old = cache.pop(next(iter(cache)))
-            _log.debug(
-                "shape %r dropped its dilated shape integrals at p=%g on weight %r",
-                shape.label, old.p, old.mu.label,
-            )
-        found = cache[key] = _ShapeIntegrals(shape, p, mu)
-        return found
+    return _kept(shape, ("integrals", p, id(mu)), lambda: _ShapeIntegrals(shape, p, mu))
 
 
 class _ShapeIntegrals:

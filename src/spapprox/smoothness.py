@@ -30,17 +30,20 @@ evaluates g once at the shape's cusps inside its grid cells,
 :meth:`ModulusCurve.cusps`.  Every peak value is a value of g at an
 evaluated point, so refinement never overstates the supremum.
 
-Scans on one grid share their shape values.  The module keeps one scan
-table, keyed by the shape object itself and by (p, u, scan points), holding
-a row shape(k h_j)^p over the scan grid h_j for each harmonic k seen so
-far; a curve reads its grid values g(h_j) = sum_k w_k row_k off it and
-evaluates the shape only for the harmonics the table lacks.  The table
-holds a reference to its shape, so no other shape can take its identity
-while it lives.  A new key drops the old table, and the table holds at most
-:data:`MAX_SCAN_POINTS` values; a curve whose new rows would pass that cap
-scans directly and leaves the table alone.  A lock makes each scan's use of
-the table atomic, so threads may build curves at once.  Re-keying and the
-cap fallback log one DEBUG record on the ``spapprox.smoothness`` logger.
+Scans on one grid share their shape values.  Each shape object keeps, with
+:func:`_kept`, one scan table per (p, u, scan points), holding a row
+shape(k h_j)^p over the scan grid h_j for each harmonic k seen so far; a
+curve reads its grid values g(h_j) = sum_k w_k row_k off it and evaluates
+the shape only for the harmonics the table lacks.  The same per-shape cache
+holds the dilated shape integrals of :mod:`spapprox.jackson`, one entry per
+(p, weight).  A shape keeps at most :data:`KEPT_PER_SHAPE` entries of the
+two kinds together, dropping the oldest past that, and its entries die with
+it.  A table holds at most :data:`MAX_SCAN_POINTS` values (8 MB), so a live
+shape holds at most 64 MB of tables; a curve whose new rows would pass that
+cap scans directly and leaves the table alone.  One lock is held for each
+look-up or insert and while a scan reads or fills its table, so threads may
+build curves at once.  A dropped entry and the cap fallback each log one
+DEBUG record on the ``spapprox.smoothness`` logger.
 
 An independent route for integer and fractional order alpha evaluates the
 same supremum through the forward-difference multiplier |1 - e^{-ikh}|^alpha
@@ -68,6 +71,9 @@ BLOCK_ELEMENTS = 2**15
 MAX_SCAN_POINTS = 2**20
 #: Points of each probe grid of :func:`check_shape`.
 SHAPE_PROBE_POINTS = 257
+#: Most entries, scan tables and dilated shape integrals together, one shape keeps
+#: (see :func:`_kept`); a new entry past it drops the oldest.
+KEPT_PER_SHAPE = 8
 #: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
 CROSSING_STEPS = 8
 #: Parabolic steps that refine each peak of a shift scan before its cusps are tried.
@@ -76,6 +82,8 @@ PARABOLA_STEPS = 6
 _X_TOL = 4.0 * math.sqrt(np.finfo(float).eps)
 
 _log = logging.getLogger(__name__)
+#: Held for each look-up or insert of :func:`_kept`, and while a scan reads or fills its table.
+_kept_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -157,8 +165,8 @@ class ShapeFunction:
     """Even shift weight: nonnegative, bounded, zero at the origin.
 
     ``eval`` must be vectorized (ndarray in, ndarray out) and pure: the
-    same points always give the same values, since the scan table of this
-    module reuses them across the curves of one shape object.  ``cap_point``
+    same points always give the same values, since each shape object keeps
+    its values for reuse (see :func:`_kept`).  ``cap_point``
     is the largest point up to which the shape is declared nondecreasing
     (None when no such declaration is made) and ``sup_value`` its global
     supremum.  ``sup_exact`` records whether the supremum is known in closed
@@ -171,9 +179,9 @@ class ShapeFunction:
     evaluates the shape on one period only, after reading :attr:`period`,
     which probes the declaration.  A shape whose kinks repeat but whose
     values do not must list its kinks without a period.  Each shape object
-    also keeps the period integrals, mean, spread and mass of its dilated
-    shape integrals per (p, weight), so those too rest on ``eval`` being
-    pure.
+    keeps its scan tables per (p, u, scan points) and the period integrals,
+    mean, spread and mass of its dilated shape integrals per (p, weight), at
+    most :data:`KEPT_PER_SHAPE` entries in all.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -211,8 +219,8 @@ class ShapeFunction:
         return bp.period
 
     @functools.cached_property
-    def _integrals(self) -> dict:
-        """Dilated shape integrals by (p, id(mu)); see :func:`spapprox.jackson._shape_integrals`."""
+    def _kept(self) -> dict:
+        """The entries :func:`_kept` keeps on this shape, oldest first."""
         return {}
 
     def nondecreasing_on(self, tau: float) -> bool:
@@ -482,14 +490,14 @@ def _crossings(
 ) -> np.ndarray:
     """Vectorized Illinois regula falsi for g(t) = level_i on [lo_i, hi_i].
 
-    Needs g(lo_i) <= level_i < g(hi_i); returns the last iterate, which
-    stays inside its bracket.  A retained end whose value was kept twice in
-    a row has it halved, so both ends keep moving (Dowell and Jarratt, 1971).
+    Needs g(lo_i) <= level_i < g(hi_i); returns the last lower end of each
+    bracket, a point at or before the crossing where g <= level_i still
+    holds.  A retained end whose value was kept twice in a row has it
+    halved, so both ends keep moving (Dowell and Jarratt, 1971).
     """
     f = np.asarray(g(np.concatenate([lo, hi])), dtype=float) - np.tile(level, 2)
     f_lo, f_hi = f[:lo.size], f[lo.size:]
     moved = np.zeros(lo.size, dtype=np.int8)  # +1: hi moved last, -1: lo moved last
-    c = hi.copy()
     for _ in range(steps):
         den = f_hi - f_lo
         ok = den > 0
@@ -502,7 +510,7 @@ def _crossings(
         lo, f_lo = np.where(up, lo, c), np.where(up, f_lo, f_c)
         hi, f_hi = np.where(up, c, hi), np.where(up, f_c, f_hi)
         moved = np.where(up, 1, -1).astype(np.int8)
-    return c
+    return lo
 
 
 @dataclass(frozen=True)
@@ -511,7 +519,8 @@ class Plateaus:
 
     Before the first plateau and between two of them it rises with the
     shift sum itself.  Starts are record peaks of the shift sum, ends the
-    points where it climbs back to the record (the window end for the last).
+    points where it climbs back to the record, or just before them, where it
+    is still at most the record (the window end for the last).
     """
 
     starts: np.ndarray
@@ -543,7 +552,7 @@ class ModulusCurve:
     [0, u] into the stretches where the running supremum is flat and those
     where it follows the shift sum; it is computed when first read.
 
-    The grid values come from the module's scan table (see the module
+    The grid values come from the shape's scan table (see the module
     docstring): curves of one shape object, p and u on one scan grid share
     the rows shape(k h_j)^p, so a build evaluates the shape on the grid only
     for the harmonics no earlier curve of that key had.  Peak refinement,
@@ -600,17 +609,12 @@ class ModulusCurve:
 
     def _scan(self, points: int) -> tuple[np.ndarray, np.ndarray]:
         """The scan grid of [0, u] with ``points`` points, and g on it."""
-        global _table
-        key = (self.p, self.u, points)
-        with _table_lock:
-            if _table is None or _table.shape is not self.shape or _table.key != key:
-                _log.debug(
-                    "scan table re-keyed to shape %r, p=%g, u=%g, %d points",
-                    self.shape.label, self.p, self.u, points,
-                )
-                _table = None  # drop the old rows before filling the new table
-                _table = _ScanTable(self.shape, key, np.linspace(0.0, self.u, points))
-            return _table.hs, _table.grid_values(self)
+        table = _kept(
+            self.shape, ("scan", self.p, self.u, points),
+            lambda: _ScanTable(np.linspace(0.0, self.u, points)),
+        )
+        with _kept_lock:
+            return table.hs, table.grid_values(self)
 
     def shift_sum(self, h):
         """g(h) = sum_k w_k * shape(k h)^p for h >= 0 (vectorized).
@@ -658,7 +662,9 @@ class ModulusCurve:
         The crossing after record j lies before the next record peak, in
         the first scan cell whose grid values pass v_j (or in the stretch
         from that cell's left end to the next peak, when the peak comes
-        first); :data:`CROSSING_STEPS` regula falsi steps locate it inside.
+        first); :data:`CROSSING_STEPS` regula falsi steps bracket it inside,
+        and plateau j ends at the lower end of the last bracket, at or
+        before the crossing, where the shift sum is still at most v_j.
         A curve on the direct path rises all the way and has no plateau.
         """
         if self._fast:
@@ -691,15 +697,13 @@ class ModulusCurve:
 class _ScanTable:
     """Rows shape(k h_j)^p over one scan grid h_j, one per harmonic k seen so far.
 
-    It serves the curves of ``shape``, compared by identity, and of ``key``
-    = (p, u, scan points).  The rows are kept in the blocks they were
-    evaluated in, numbered in order across blocks, so that adding rows never
-    copies the old ones.
+    Its shape keeps it under the key ("scan", p, u, scan points), and it
+    serves the curves of that shape object and key.  The rows are kept in
+    the blocks they were evaluated in, numbered in order across blocks, so
+    that adding rows never copies the old ones.
     """
 
-    def __init__(self, shape: ShapeFunction, key: tuple, hs: np.ndarray):
-        self.shape = shape
-        self.key = key
+    def __init__(self, hs: np.ndarray):
         self.hs = hs
         self.hs.flags.writeable = False  # every curve of the key holds it as its grid
         self.blocks: list[np.ndarray] = []
@@ -735,10 +739,28 @@ class _ScanTable:
         return gv
 
 
-#: The one scan table alive, or None before the first scan.
-_table: _ScanTable | None = None
-#: Held while a scan reads, fills or replaces the table.
-_table_lock = threading.Lock()
+def _kept(shape: ShapeFunction, key: tuple, build: Callable[[], object]):
+    """The entry ``shape`` keeps under ``key``, from ``build()`` when it has none.
+
+    The keys are ("scan", p, u, scan points) for a :class:`_ScanTable` and
+    ("integrals", p, id(mu)) for the dilated shape integrals of
+    :func:`spapprox.jackson._shape_integrals`, so neither the shape nor a
+    weight is ever hashed; an entry holds its weight, so no other weight can
+    take that id while the entry lives.  A shape keeps at most
+    :data:`KEPT_PER_SHAPE` entries and drops the oldest past that, with one
+    DEBUG record; the entries die with their shape.  The lock makes each
+    look-up atomic, so threads that race for one key get one entry.
+    """
+    with _kept_lock:
+        kept = shape._kept
+        found = kept.get(key)
+        if found is None:
+            if len(kept) >= KEPT_PER_SHAPE:
+                old = next(iter(kept))
+                del kept[old]
+                _log.debug("shape %r dropped its %s entry at p=%g", shape.label, old[0], old[1])
+            found = kept[key] = build()
+        return found
 
 
 def generalized_modulus(

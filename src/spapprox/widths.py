@@ -189,7 +189,8 @@ def width_closed_form(
     """Closed-form width value, or the two-sided interval when uncertified."""
     n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
-    lower, mass = _radius_and_mass(cls, n)
+    lower = bernstein_radius(cls, n)
+    mass = shape_mass(cls.shape, p, cls.mu)  # kept by the shape since the radius
     report = inf_quantity(n, cls.shape, p, cls.mu, k_max)
     upper = lower * (mass / report.value) ** (1.0 / p)
     certified = _equivalent(report.value, mass)
@@ -210,11 +211,7 @@ def bernstein_radius(cls: SmoothnessClass, n: int | None = None) -> float:
     Equals the certified closed form; in majorant mode the fixed-mode radius
     is scaled by omega(tau/n).
     """
-    return _radius_and_mass(cls, _resolve_n(cls, n))[0]
-
-
-def _radius_and_mass(cls: SmoothnessClass, n: int) -> tuple[float, float]:
-    """:func:`bernstein_radius` and the shape mass it is computed from."""
+    n = _resolve_n(cls, n)
     p = as_exponent(cls.p)
     if not cls.shape.nondecreasing_on(cls.mu.tau):
         raise ValueError(
@@ -223,7 +220,7 @@ def _radius_and_mass(cls: SmoothnessClass, n: int) -> tuple[float, float]:
     _require_monotone_even(cls.psi, horizon=max(4 * n, 64))
     mass = shape_mass(cls.shape, p, cls.mu)
     scale = float(cls.bound(np.array([cls.mu.tau / n]))[0])
-    return (cls.mu.total_mass / mass) ** (1.0 / p) * abs(cls.psi(n)) * scale, mass
+    return (cls.mu.total_mass / mass) ** (1.0 / p) * abs(cls.psi(n)) * scale
 
 
 @dataclass(frozen=True)
@@ -252,13 +249,6 @@ def lower_certificate(
     _require_samples(samples)
     n = _resolve_n(cls, n)
     radius = bernstein_radius(cls, n) * radius_scale
-    return _sphere_evidence(cls, n, radius, samples, seed, tol)
-
-
-def _sphere_evidence(
-    cls: SmoothnessClass, n: int, radius: float, samples: int, seed: int, tol: float,
-) -> LowerEvidence:
-    """Membership of random order-n polynomials scaled onto the sphere of ``radius``."""
     rng = np.random.default_rng(seed)
     failed: list[int] = []
     for i in range(samples):
@@ -357,7 +347,7 @@ def certify_widths(
     _require_samples(samples)
     n = _resolve_n(cls, n)
     value = width_closed_form(cls, n, k_max)
-    lower = _sphere_evidence(cls, n, value.lower, samples, seed, tol)
+    lower = lower_certificate(cls, n, samples, seed, tol)
     upper = upper_certificate(cls, n, samples, seed + 1)
     reference = value.value if value.certified else value.upper
     violated = lower.failures > 0 or upper.max_en > reference + tol

@@ -26,7 +26,14 @@ from spapprox.jackson import (
 from spapprox.psi import PsiSequence, const_multiplier, power, tabulated_psi, tail_sup_info
 from spapprox.quadrature import QuadratureBudgetError, adaptive_simpson
 from spapprox.sampling import random_sparse_spectrum
-from spapprox.smoothness import Breakpoints, ShapeFunction, phi_alpha, tabulated_shape
+from spapprox.smoothness import (
+    KEPT_PER_SHAPE,
+    Breakpoints,
+    ModulusCurve,
+    ShapeFunction,
+    phi_alpha,
+    tabulated_shape,
+)
 from spapprox.spectral import SpectralFunction, best_approximation
 
 TAU34 = 3 * np.pi / 4
@@ -587,7 +594,9 @@ class TestSharedTriple:
         assert all(other is not entry for other in others)
         assert len({id(other) for other in others}) == 3
         # the replaced shape keeps its entry on itself, not on the original
-        assert len(shape._integrals) == 3
+        assert [key[:2] for key in shape._kept] == [
+            ("integrals", 1.0), ("integrals", 2.0), ("integrals", 1.0)
+        ]
 
     def test_unhashable_shape_and_density_share(self):
         shape, seen = counted(phi_alpha(1))
@@ -602,26 +611,28 @@ class TestSharedTriple:
         assert shape_mass(shape, 1.5, mu) == mass
         assert sum(seen) == 0
         assert inf_quantity(2, shape, 1.5, mu, k_max=16) == first
-        assert len(shape._integrals) == 1
+        assert list(shape._kept) == [("integrals", 1.5, id(mu))]
 
     def test_entries_die_with_their_shape_and_weight(self):
         shape, mu = phi_alpha(2), mu2(TAU34)
         inf_quantity(1, shape, 1, mu, k_max=64)
         shape_mass(shape, 1, mu)
-        refs = weakref.ref(shape), weakref.ref(mu)
-        del shape, mu
+        ModulusCurve(SpectralFunction({1: 1.0, 7: 0.5}), 1, shape, np.pi).value(np.pi)
+        table = shape._kept[("scan", 1.0, np.pi, 4096)]
+        refs = weakref.ref(shape), weakref.ref(mu), weakref.ref(table)
+        del shape, mu, table
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_past_the_cap_the_oldest_entry_is_dropped(self, caplog):
         caplog.set_level(logging.DEBUG, logger="spapprox")
         shape = phi_alpha(2)
-        mus = [mu2(TAU34) for _ in range(jackson.SHAPE_INTEGRALS_PER_SHAPE + 1)]
+        mus = [mu2(TAU34) for _ in range(KEPT_PER_SHAPE + 1)]
         entries = [jackson._shape_integrals(shape, 1.0, mu) for mu in mus]
-        kept = list(shape._integrals.values())
-        assert len(kept) == jackson.SHAPE_INTEGRALS_PER_SHAPE
+        kept = list(shape._kept.values())
+        assert len(kept) == KEPT_PER_SHAPE
         assert all(a is b for a, b in zip(kept, entries[1:], strict=True))
-        records = [r for r in caplog.records if r.name == "spapprox.jackson"]
+        records = [r for r in caplog.records if r.name == "spapprox.smoothness"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         assert "dropped" in records[0].getMessage()
 
@@ -653,7 +664,7 @@ class TestSharedTriple:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8
-        (kept,) = shape._integrals.values()
+        (kept,) = shape._kept.values()
         for reports, mass, entry, mean in seen.values():
             assert reports == serial
             assert mass == serial_mass

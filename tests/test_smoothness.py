@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spapprox import smoothness
+from spapprox import jackson, smoothness
+from spapprox.averaging import mu1, mu2
+from spapprox.psi import power, psi_derivative
 from spapprox.sampling import random_full_spectrum, random_sparse_spectrum
 from spapprox.smoothness import (
     CROSSING_STEPS,
+    KEPT_PER_SHAPE,
     PARABOLA_STEPS,
     Breakpoints,
     ModulusCurve,
@@ -354,6 +357,19 @@ class TestPlateaus:
         np.testing.assert_allclose(curve.shift_sum(flat.ends[:-1]), flat.values[:-1], rtol=1e-12)
         assert flat.ends[-1] == curve.u
 
+    def test_each_plateau_ends_at_or_before_its_crossing(self):
+        # a fuzz spectrum (p = 3, roughened by power:1) on whose plateaus the
+        # last regula falsi iterate read g up to 7.4e-10 above the record
+        f = SpectralFunction({
+            30: -31.12284844255212 - 25.182438152657515j,
+            1: 0.35252817564530864 + 0.36781547200709347j,
+        })
+        curve = ModulusCurve(f, 3, phi_alpha(1), np.pi / 2)
+        flat = curve.plateaus
+        assert flat.starts.size == 8
+        for start, end, value in zip(flat.starts, flat.ends, flat.values):
+            assert curve.shift_sum(np.linspace(start, end, 100001)).max() <= value
+
     def test_direct_path_has_no_plateau(self):
         # k_max u = 3 * pi/4 stays below the cap point pi
         curve = ModulusCurve(SpectralFunction({1: 1.0, -3: 0.5j}), 2, phi_alpha(1), np.pi / 4)
@@ -635,16 +651,19 @@ def assert_same_curve(a, b):
         np.testing.assert_allclose(x, y, rtol=1e-13, atol=0.0)
 
 
+def scan_table(shape, p, u=np.pi, points=4096):
+    """The scan table ``shape`` keeps for (p, u, scan points), or None."""
+    return shape._kept.get(("scan", p, u, points))
+
+
+def rows(shape, p, u=np.pi, points=4096):
+    """Rows of that table: the harmonics it holds."""
+    table = scan_table(shape, p, u, points)
+    return 0 if table is None else len(table.index)
+
+
 class TestScanTable:
     """Curves of one (shape, p, u, scan points) share one table of shape(k h_j)^p."""
-
-    @pytest.fixture(autouse=True)
-    def cold_table(self, monkeypatch):
-        monkeypatch.setattr(smoothness, "_table", None)
-
-    @staticmethod
-    def rows():
-        return 0 if smoothness._table is None else len(smoothness._table.index)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("seed", [3, 21])
@@ -653,10 +672,10 @@ class TestScanTable:
         shape = phi_alpha(1)
         for _ in range(4):
             ModulusCurve(random_sparse_spectrum(rng, 24, 6), p, shape, np.pi)
-        warm_rows = self.rows()
+        warm_rows = rows(shape, p)
         f = random_full_spectrum(rng, 12)
         warm = ModulusCurve(f, p, shape, np.pi)
-        assert 0 < warm_rows < self.rows() <= 24
+        assert 0 < warm_rows < rows(shape, p) <= 24
         assert_same_curve(warm, direct_curve(f, p, shape, np.pi))
 
     def test_tabulated_shape_and_a_sparse_high_harmonic(self):
@@ -669,8 +688,11 @@ class TestScanTable:
             ModulusCurve(SpectralFunction(warmup), 1.5, shape, np.pi)
             warm = ModulusCurve(f, 1.5, shape, np.pi)
             assert_same_curve(warm, direct_curve(f, 1.5, shape, np.pi))
+        assert rows(tab, 1.5) == 3
         # 8 points per period of k = 2000 on [0, pi]: 8001 points a row
-        assert self.rows() == 3 and smoothness._table.hs.size == 8001
+        assert rows(high, 1.5, points=8001) == 3 and list(high._kept) == [
+            ("scan", 1.5, np.pi, 8001)
+        ]
 
     def test_a_second_curve_evaluates_off_the_grid_only(self):
         seen = []
@@ -694,46 +716,50 @@ class TestScanTable:
         grid = [s for s in seen if s[-1] == 4096]
         assert grid == [(1, 4096)]
         assert all(s[-1] == 9 for s in seen if s[-1] != 4096)
-        assert self.rows() == 9
+        assert rows(shape, 1.5) == 9
 
     @pytest.mark.parametrize("p,u", [(2.0, np.pi), (1.5, 2.0)])
-    def test_a_new_p_or_u_drops_the_old_table(self, p, u):
-        shape = phi_alpha(1)
+    def test_a_new_p_or_u_adds_a_table_and_the_old_one_keeps_its_rows(self, p, u):
+        seen = []
+        shape = counted(phi_alpha(1), seen)
         f = random_full_spectrum(np.random.default_rng(4), 8)
         ModulusCurve(f, 1.5, shape, np.pi)
-        old = smoothness._table
+        old = scan_table(shape, 1.5)
         ModulusCurve(SpectralFunction({3: 1.0}), p, shape, u)
-        assert smoothness._table is not old
-        assert smoothness._table.shape is shape and smoothness._table.key == (p, u, 4096)
-        assert self.rows() == 1
+        assert rows(shape, p, u) == 1
+        assert scan_table(shape, 1.5) is old and rows(shape, 1.5) == 8
+        assert list(shape._kept) == [("scan", 1.5, np.pi, 4096), ("scan", p, u, 4096)]
+        seen.clear()
+        ModulusCurve(f, 1.5, shape, np.pi)
+        assert seen and all(s[-1] == 8 for s in seen)
 
-    def test_an_unhashable_shape_shares_the_table(self):
+    def test_an_unhashable_shape_keeps_its_table(self):
         seen = []
         base = counted(phi_alpha(1), seen)
         shape = dataclasses.replace(base, eval=_Unhashable(base.eval))
         f = random_full_spectrum(np.random.default_rng(5), 8)
         first = ModulusCurve(f, 2.0, shape, np.pi)
-        table = smoothness._table
-        assert table.shape is shape and seen[0] == (8, 4096)
+        table = scan_table(shape, 2.0)
+        assert table is not None and seen[0] == (8, 4096)
         seen.clear()
         assert_same_curve(ModulusCurve(f, 2.0, shape, np.pi), first)
         assert seen and all(s[-1] == 8 for s in seen)
         seen.clear()
         ModulusCurve(f + SpectralFunction({13: 0.7}), 2.0, shape, np.pi)
         assert [s for s in seen if s[-1] == 4096] == [(1, 4096)]
-        assert smoothness._table is table and self.rows() == 9
+        assert scan_table(shape, 2.0) is table and rows(shape, 2.0) == 9
 
     def test_a_spectrum_past_the_cap_scans_directly(self, monkeypatch):
         shape = phi_alpha(1)
         ModulusCurve(SpectralFunction({1: 1.0, 2: 0.5}), 1.0, shape, np.pi)
-        table = smoothness._table
+        table = scan_table(shape, 1.0)
         # 300 rows of 4096 points pass the 2^20-value cap
         f = random_full_spectrum(np.random.default_rng(6), 300)
         capped = ModulusCurve(f, 1.0, shape, np.pi)
-        assert smoothness._table is table and self.rows() == 2
+        assert scan_table(shape, 1.0) is table and rows(shape, 1.0) == 2
         monkeypatch.setattr(smoothness, "MAX_SCAN_POINTS", 2**21)
         assert_same_curve(capped, ModulusCurve(f, 1.0, shape, np.pi))
-        assert self.rows() == 300
+        assert rows(shape, 1.0) == 300
 
     @staticmethod
     def race(shape, cases, offsets):
@@ -768,31 +794,40 @@ class TestScanTable:
         assert not any(thread.is_alive() for thread in threads)
         return wrong
 
-    def test_threads_share_the_table_safely(self):
+    def test_threads_share_the_tables_safely(self):
         rng = np.random.default_rng(9)
         cases = [(random_sparse_spectrum(rng, 40, 8), p) for p in (1.0, 2.0) * 12]
-        assert self.race(phi_alpha(1), cases, range(4)) == []
+        shape = phi_alpha(1)
+        assert self.race(shape, cases, range(4)) == []
+        for p in (1.0, 2.0):
+            harmonics = {abs(k) for f, q in cases if q == p for k in f.coeffs if k}
+            assert rows(shape, p) == len(harmonics)
 
     def test_threads_read_a_table_that_others_grow(self):
         # one key throughout: each thread starts a quarter of the way further
         # on, so rows are added in many blocks while other curves read them
         rng = np.random.default_rng(10)
         cases = [(random_sparse_spectrum(rng, 40, 3), 1.5) for _ in range(24)]
-        assert self.race(phi_alpha(1), cases, range(0, 24, 6)) == []
-        assert len(smoothness._table.blocks) >= 6 and self.rows() > 30
+        shape = phi_alpha(1)
+        assert self.race(shape, cases, range(0, 24, 6)) == []
+        assert len(scan_table(shape, 1.5).blocks) >= 6 and rows(shape, 1.5) > 30
 
-    def test_rekeys_and_fallbacks_log_at_debug(self, caplog):
+    def test_drops_and_fallbacks_log_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="spapprox")
         shape = phi_alpha(1)
         f = SpectralFunction({1: 1.0, 7: 0.5})
         ModulusCurve(f, 1.0, shape, np.pi)
         ModulusCurve(f, 1.0, shape, np.pi)
+        assert caplog.records == []  # a new key is no event
         # 300 rows of 4096 points pass the 2^20-value cap
         ModulusCurve(random_full_spectrum(np.random.default_rng(6), 300), 1.0, shape, np.pi)
+        # 8 more windows, 9 tables: the first is dropped
+        for u in range(1, KEPT_PER_SHAPE + 1):
+            ModulusCurve(f, 1.0, shape, u)
         messages = [r.getMessage() for r in caplog.records if r.name == "spapprox.smoothness"]
         assert len(messages) == 2
-        assert messages[0].startswith("scan table re-keyed to shape 'phi_alpha:1', p=1")
-        assert "passes the scan table cap" in messages[1]
+        assert "passes the scan table cap" in messages[0]
+        assert messages[1] == "shape 'phi_alpha:1' dropped its scan entry at p=1"
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
 
     def test_the_library_is_silent_by_default(self):
@@ -810,3 +845,54 @@ class TestScanTable:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout == run.stderr == ""
+
+
+class TestOneCache:
+    """A shape keeps its scan tables and its dilated shape integrals in one capped cache."""
+
+    def test_a_fuzz_round_finds_everything_it_reuses(self, caplog):
+        # jackson_bound as the fuzz benchmark calls it: one shape, four p, the
+        # same 8 spectra twice; the second pass fills no table row
+        caplog.set_level(logging.DEBUG, logger="spapprox")
+        seen = []
+        shape = counted(phi_alpha(1), seen)
+        mu, psi, n = mu1(np.pi), power(1), 2
+        rng = np.random.default_rng(12)
+        spectra = [random_sparse_spectrum(rng, 32, terms) for terms in range(1, 9)]
+        for _ in range(2):
+            seen.clear()
+            curves = []
+            for p in (1.0, 1.5, 2.0, 3.0):
+                report = jackson.inf_quantity(n, shape, p, mu, k_max=64 * n)
+                for f in spectra:
+                    jackson.jackson_bound(f, psi, shape, p, mu, n, inf_report=report)
+                    rough = psi_derivative(f, psi)
+                    curves.append((rough, p, ModulusCurve(rough, p, shape, np.pi / n)))
+        assert seen and not any(s[-1:] == (4096,) for s in seen)
+        assert sorted(kind for kind, *_ in shape._kept) == ["integrals"] * 4 + ["scan"] * 4
+        assert caplog.records == []
+        for rough, p, curve in curves:
+            assert_same_curve(curve, direct_curve(rough, p, shape, np.pi / n))
+
+    @pytest.mark.parametrize("oldest", ["scan", "integrals"])
+    @pytest.mark.parametrize("newest", ["scan", "integrals"])
+    def test_the_cap_spans_both_kinds(self, caplog, oldest, newest):
+        caplog.set_level(logging.DEBUG, logger="spapprox")
+        shape, mu = phi_alpha(2), mu2(3 * np.pi / 4)
+        f = SpectralFunction({1: 1.0, 7: 0.5})
+        add = {
+            "scan": lambda p: ModulusCurve(f, p, shape, np.pi),
+            "integrals": lambda p: jackson._shape_integrals(shape, p, mu),
+        }
+        other = "integrals" if oldest == "scan" else "scan"
+        for j in range(KEPT_PER_SHAPE // 2):  # the two kinds in turn, oldest first
+            add[oldest](1.0 + j)
+            add[other](1.0 + j)
+        first = next(iter(shape._kept))
+        assert first[:2] == (oldest, 1.0) and len(shape._kept) == KEPT_PER_SHAPE
+        add[newest](9.0)
+        keys = list(shape._kept)
+        assert len(keys) == KEPT_PER_SHAPE and first not in keys and keys[-1][:2] == (newest, 9.0)
+        (record,) = caplog.records
+        assert record.name == "spapprox.smoothness" and record.levelno == logging.DEBUG
+        assert record.getMessage() == f"shape 'phi_alpha:2' dropped its {oldest} entry at p=1"
