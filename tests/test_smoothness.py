@@ -733,7 +733,7 @@ class TestScanTable:
         ModulusCurve(f, 1.5, shape, np.pi)
         assert seen and all(s[-1] == 8 for s in seen)
 
-    def test_an_unhashable_shape_keeps_its_table(self):
+    def test_an_unhashable_shape_shares_the_table(self):
         seen = []
         base = counted(phi_alpha(1), seen)
         shape = dataclasses.replace(base, eval=_Unhashable(base.eval))
@@ -794,7 +794,7 @@ class TestScanTable:
         assert not any(thread.is_alive() for thread in threads)
         return wrong
 
-    def test_threads_share_the_tables_safely(self):
+    def test_threads_share_the_table_safely(self):
         rng = np.random.default_rng(9)
         cases = [(random_sparse_spectrum(rng, 40, 8), p) for p in (1.0, 2.0) * 12]
         shape = phi_alpha(1)
