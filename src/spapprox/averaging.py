@@ -315,7 +315,7 @@ def _running_sup(curve: ModulusCurve) -> Callable[[np.ndarray], np.ndarray]:
         t = np.clip(np.atleast_1d(np.asarray(t, dtype=float)), 0.0, curve.u)
         j = np.searchsorted(flat.starts, t, side="right")  # plateaus begun by t
         out = floor[j]
-        # a plateau's end reads g too: its crossing may lie a rounding past v_j
+        # a plateau ends at or before its crossing, so from there max(g, v_j) is exact
         up = t >= last_end[j]
         out[up] = np.maximum(curve.shift_sum(t[up]), out[up])
         return out

@@ -37,8 +37,8 @@ curve reads its grid values g(h_j) = sum_k w_k row_k off it and evaluates
 the shape only for the harmonics the table lacks.  The same per-shape cache
 holds the dilated shape integrals of :mod:`spapprox.jackson`, one entry per
 (p, weight).  A shape keeps at most :data:`KEPT_PER_SHAPE` entries of the
-two kinds together, dropping the oldest past that, and its entries die with
-it.  A table holds at most :data:`MAX_SCAN_POINTS` values (8 MB), so a live
+two kinds together, dropping the least recently used past that, and its
+entries die with it.  A table holds at most :data:`MAX_SCAN_POINTS` values (8 MB), so a live
 shape holds at most 64 MB of tables; a curve whose new rows would pass that
 cap scans directly and leaves the table alone.  One lock is held for each
 look-up or insert and while a scan reads or fills its table, so threads may
@@ -72,7 +72,7 @@ MAX_SCAN_POINTS = 2**20
 #: Points of each probe grid of :func:`check_shape`.
 SHAPE_PROBE_POINTS = 257
 #: Most entries, scan tables and dilated shape integrals together, one shape keeps
-#: (see :func:`_kept`); a new entry past it drops the oldest.
+#: (see :func:`_kept`); a new entry past it drops the least recently used.
 KEPT_PER_SHAPE = 8
 #: Regula falsi steps that locate each crossing of :attr:`ModulusCurve.plateaus`.
 CROSSING_STEPS = 8
@@ -220,7 +220,7 @@ class ShapeFunction:
 
     @functools.cached_property
     def _kept(self) -> dict:
-        """The entries :func:`_kept` keeps on this shape, oldest first."""
+        """The entries :func:`_kept` keeps on this shape, least recently used first."""
         return {}
 
     def nondecreasing_on(self, tau: float) -> bool:
@@ -747,19 +747,20 @@ def _kept(shape: ShapeFunction, key: tuple, build: Callable[[], object]):
     :func:`spapprox.jackson._shape_integrals`, so neither the shape nor a
     weight is ever hashed; an entry holds its weight, so no other weight can
     take that id while the entry lives.  A shape keeps at most
-    :data:`KEPT_PER_SHAPE` entries and drops the oldest past that, with one
-    DEBUG record; the entries die with their shape.  The lock makes each
+    :data:`KEPT_PER_SHAPE` entries and drops the least recently used past
+    that, with one DEBUG record; the entries die with their shape.  The lock makes each
     look-up atomic, so threads that race for one key get one entry.
     """
     with _kept_lock:
         kept = shape._kept
-        found = kept.get(key)
+        found = kept.pop(key, None)
         if found is None:
             if len(kept) >= KEPT_PER_SHAPE:
                 old = next(iter(kept))
                 del kept[old]
                 _log.debug("shape %r dropped its %s entry at p=%g", shape.label, old[0], old[1])
-            found = kept[key] = build()
+            found = build()
+        kept[key] = found  # a hit, too, moves its entry to the newest place
         return found
 
 

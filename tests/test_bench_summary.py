@@ -38,10 +38,3 @@ def test_a_tag_that_is_not_a_plain_name_is_refused():
     with pytest.raises(SystemExit) as exc:
         bench_summary.main(["--tag", "../x"])
     assert exc.value.code == 2
-
-
-def test_a_steady_round_repeats_exactly():
-    # the window workload of this checkout: 45 inf_quantity calls, caches warm
-    assert [bench_summary.steady_round(_PATH.parent.parent, "window") for _ in range(2)] == [
-        134_745, 134_745
-    ]

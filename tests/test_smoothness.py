@@ -896,3 +896,20 @@ class TestOneCache:
         (record,) = caplog.records
         assert record.name == "spapprox.smoothness" and record.levelno == logging.DEBUG
         assert record.getMessage() == f"shape 'phi_alpha:2' dropped its {oldest} entry at p=1"
+
+    def test_an_entry_read_between_new_tables_stays(self, caplog):
+        # as jackson_bound without inf_report at n = 1..8 on one shape and p:
+        # each call reads the integrals entry and adds a table for its window
+        caplog.set_level(logging.DEBUG, logger="spapprox")
+        shape, mu = phi_alpha(2), mu2(3 * np.pi / 4)
+        f = SpectralFunction({1: 1.0, 7: 0.5})
+        entry = jackson._shape_integrals(shape, 1.0, mu)
+        for u in range(1, KEPT_PER_SHAPE + 1):
+            ModulusCurve(f, 1.0, shape, u)
+            assert jackson._shape_integrals(shape, 1.0, mu) is entry
+        keys = list(shape._kept)
+        assert keys[-1][0] == "integrals" and ("scan", 1.0, 1.0, 4096) not in keys
+        # the one drop is the first table, read least recently
+        assert [r.getMessage() for r in caplog.records] == [
+            "shape 'phi_alpha:2' dropped its scan entry at p=1"
+        ]

@@ -15,11 +15,6 @@ of the machine spreads over the workloads instead of hitting one.  A run
 that exits non-zero, prints no result or reports ``correct: false`` is kept
 in the file with its seed and counted in ``incorrect_runs``; its metrics
 still enter the summary, since the gate reads them too.
-
-Each workload also records ``steady_round``: the points at which one round
-of seed :data:`STEADY_SEED` evaluates a shape once the caches of the first
-round are warm (see :func:`steady_round`).  It is an exact count, the same
-on every run of one checkout, so that a claim on work needs no timed run.
 """
 
 from __future__ import annotations
@@ -36,26 +31,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: Each workload runs seeds 1..SEEDS.
 SEEDS = 5
-#: The seed of each workload's steady round.
-STEADY_SEED = 1
-
-#: Runs in a checkout's root with its perfbench/ and src/ on the path: set-up,
-#: one untimed round, then the shape points of the second round.
-_STEADY = """
-import sys
-sys.path[:0] = ["perfbench", "src"]
-import workloads
-wl = workloads.WORKLOADS[sys.argv[1]](int(sys.argv[2]))
-counter = workloads.ShapeEvalCounter()
-wl.setup(counter)
-ops = wl.operations()
-for op in ops:
-    op()
-counter.points = 0
-for op in ops:
-    op()
-print(counter.points)
-"""
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -135,21 +110,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def steady_round(checkout: Path, workload: str, seed: int = STEADY_SEED) -> int:
-    """Shape points of one steady round of ``workload`` in ``checkout``.
-
-    A fresh process imports the checkout's ``perfbench/workloads.py`` and
-    source, runs the workload's set-up once and one round untimed, and
-    counts the second round with ``workloads.ShapeEvalCounter``.  No file of
-    the checkout is written.
-    """
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", _STEADY, workload, str(seed)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
-    return int(proc.stdout.strip().splitlines()[-1])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="the file written is BENCH_<tag>.json")
@@ -183,9 +143,6 @@ def main(argv=None) -> int:
                 "failed_ops": sum(r.get("failed", 0) for r in rs),
                 "attempted_ops": sum(r.get("attempted", 0) for r in rs),
                 "metrics": summarize(rs, metrics),
-                "steady_round": {
-                    "seed": STEADY_SEED, "shape_points": steady_round(checkout, w),
-                },
             }
             for w, rs in runs.items()
         },
