@@ -38,9 +38,9 @@ the shape only for the harmonics the table lacks.  The same per-shape cache
 holds the dilated shape integrals of :mod:`spapprox.jackson`, one entry per
 (p, weight).  A shape keeps at most :data:`KEPT_PER_SHAPE` entries of the
 two kinds together, dropping the least recently used past that, and its
-entries die with it.  A table holds at most :data:`MAX_SCAN_POINTS` values (8 MB), so a live
-shape holds at most 64 MB of tables; a curve whose new rows would pass that
-cap scans directly and leaves the table alone.  One lock is held for each
+entries die with it.  A table holds at most :data:`MAX_SCAN_POINTS` values
+(8 MB), so a live shape holds at most 64 MB of tables; a curve whose new
+rows would pass that cap scans directly and leaves the table alone.  One lock is held for each
 look-up or insert and while a scan reads or fills its table, so threads may
 build curves at once.  A dropped entry and the cap fallback each log one
 DEBUG record on the ``spapprox.smoothness`` logger.
@@ -748,8 +748,9 @@ def _kept(shape: ShapeFunction, key: tuple, build: Callable[[], object]):
     weight is ever hashed; an entry holds its weight, so no other weight can
     take that id while the entry lives.  A shape keeps at most
     :data:`KEPT_PER_SHAPE` entries and drops the least recently used past
-    that, with one DEBUG record; the entries die with their shape.  The lock makes each
-    look-up atomic, so threads that race for one key get one entry.
+    that, with one DEBUG record; the entries die with their shape.  The lock
+    makes each look-up atomic, so threads that race for one key get one
+    entry.
     """
     with _kept_lock:
         kept = shape._kept
